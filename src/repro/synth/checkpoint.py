@@ -12,9 +12,10 @@ The open frontier serializes as **decision paths** (PR 5's
 its ``(unit, target)`` assignments from the root, nothing more.  That
 works because the integer cost kernel makes every aggregate
 order-independent and pool elections are pure functions of the
-committed loads — a node restored by delta replay reads byte-identical
-bounds and feasibility however the search got there.  No evaluator
-state, Fenwick pool, or numpy array ever touches disk.
+committed loads — a node restored by the trail's net-delta restore
+reads byte-identical bounds and feasibility however the search got
+there.  No evaluator state, Fenwick pool, or numpy array ever touches
+disk.
 
 Equivalence contract (property-tested against the exhaustive oracle):
 

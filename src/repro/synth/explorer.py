@@ -537,9 +537,14 @@ def _cap_frontier(entries, clock, max_open) -> None:
     graceful-degradation path under real memory pressure.
     """
     cap = max_open
+    oom = False
     try:
         forced = faults.on_search_frontier(clock.nodes)
     except MemoryError:
+        oom = True
+    if oom:
+        # Halved outside the handler, whose live traceback pins the
+        # exhausted heap: nothing is allocated while it runs.
         forced = max(1, len(entries) // 2)
     if forced is not None:
         cap = forced if cap is None else min(cap, forced)
@@ -615,8 +620,8 @@ class BranchBoundExplorer(SearchExplorer):
     * ``"best-first"`` — a priority queue keyed on each open node's
       incremental lower bound (push-order tie-break, so the expansion
       order is deterministic).  Nodes are snapshotted as decision
-      paths and restored by :class:`~repro.synth.state.PathTrail`
-      delta replay; the search stops — with a complete optimality
+      paths and restored by :class:`~repro.synth.state.PathTrail`'s
+      net-delta restore; the search stops — with a complete optimality
       proof — as soon as the cheapest open bound meets the incumbent,
       so it expands only nodes whose bound beats the optimum;
     * ``"lds"`` — limited discrepancy search: iteratively widened

@@ -42,9 +42,7 @@ property suite), the integer kernel reproduces the float oracle **bit
 for bit**.  For arbitrary decimal values it agrees within quantization
 tolerance (``~n·2**-(QUANT_SHIFT+1)`` per aggregate of ``n`` units,
 i.e. ~1e-8 for realistic buckets) while remaining exactly
-deterministic across mutation orders and process boundaries.  The
-``exact`` constructor flag of the pre-integer kernel is retained for
-API compatibility; every mode is exact now, so it is a no-op.
+deterministic across mutation orders and process boundaries.
 
 Capacity-aware lower bound
 --------------------------
@@ -88,7 +86,6 @@ makes backtracking restore it exactly.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
@@ -108,21 +105,6 @@ from .mapping import Mapping, SynthesisProblem, Target
 #: Grouping key: ``(interface, cluster)`` for exclusion-aware loads,
 #: ``None`` for common (always-concurrent) load.
 _GroupKey = Optional[Tuple[str, str]]
-
-#: Sentinel distinguishing "``exact=`` not passed" from any real value
-#: (the flag is deprecated: every mode is exact since the integer
-#: kernel, so passing it only triggers a :class:`DeprecationWarning`).
-_UNSET = object()
-
-_EXACT_DEPRECATION = (
-    "the 'exact' flag is deprecated and has no effect: the integer "
-    "kernel made every evaluation mode exact and byte-stable"
-)
-
-
-def _warn_exact() -> None:
-    warnings.warn(_EXACT_DEPRECATION, DeprecationWarning, stacklevel=3)
-
 
 class _ExclusionLoad:
     """Delta-maintained ``common + Σ_iface max_cluster Σ`` aggregate.
@@ -489,6 +471,27 @@ class _DynamicPools:
         if self.elected[key[0]] == key:
             self.joint.add(jslot)
 
+    def flip(self, unit: str, to_software: bool) -> None:
+        """Move one decided unit between software and hardware.
+
+        Net effect of ``undecide`` then ``decide``: the unit stays out
+        of every Fenwick tree (its slots would be added and removed
+        again), only the committed and live loads shift, and the
+        interface re-elects once.
+        """
+        _jslot, key, iload, _ihw, _cslot = self._unit[unit]
+        if key is None:
+            return
+        if to_software:
+            self.committed_hw[key] -= iload
+            self.committed_sw[key] += iload
+            self.live[key] += iload
+        else:
+            self.committed_sw[key] -= iload
+            self.committed_hw[key] += iload
+            self.live[key] -= iload
+        self._reelect(key[0])
+
     def forced(self, resident_common: int) -> Optional[int]:
         """Forced hardware cost under the current elections.
 
@@ -534,8 +537,6 @@ class SearchState:
     including the truncated-utilizations shape on violation) from the
     maintained aggregates.
 
-    ``exact`` is deprecated (a no-op since the integer kernel — every
-    mode is exact now); passing it emits a :class:`DeprecationWarning`.
     ``capacity_bound=False`` skips the knapsack maintenance (useful for
     explorers that never read ``lower_bound()``, e.g. annealing).
     ``dynamic_pool=False`` keeps the capacity bound but freezes the
@@ -562,7 +563,6 @@ class SearchState:
         cls,
         problem: Optional[SynthesisProblem] = None,
         variants_resident: bool = True,
-        exact: object = _UNSET,
         capacity_bound: bool = True,
         dynamic_pool: bool = True,
         backend: Optional[str] = None,
@@ -581,16 +581,12 @@ class SearchState:
         self,
         problem: SynthesisProblem,
         variants_resident: bool = True,
-        exact: object = _UNSET,
         capacity_bound: bool = True,
         dynamic_pool: bool = True,
         backend: Optional[str] = None,
     ) -> None:
-        if exact is not _UNSET:
-            _warn_exact()
         self.problem = problem
         self.variants_resident = variants_resident
-        self.exact = False if exact is _UNSET else exact
         self.capacity_bound = capacity_bound
         self.dynamic_pool = dynamic_pool
         arch = problem.architecture
@@ -803,14 +799,37 @@ class SearchState:
         """Move one unit to a new target.
 
         Equivalent to ``unassign(unit); assign(unit, target)`` — the
-        hot operation of simulated annealing moves; with the integer
-        kernel both steps are O(1) accumulator updates.
+        hot operation of simulated annealing moves and of
+        :class:`PathTrail` restores — but pool-preserving: the unit
+        stays decided, so its knapsack slots are never returned and
+        re-taken.  A software→software move only shifts processor
+        columns; a hardware↔software flip shifts the pools' committed
+        software load and re-elects once.  The target is validated
+        before anything mutates, so a rejected move leaves the state
+        untouched.
         """
         old = self.assignment.get(unit)
         if old is None:
             raise SynthesisError(f"unit {unit!r} is not assigned")
-        self._remove(unit, old)
-        self._add(unit, target)
+        iload, imem, ihw, ukey, mkey = self._info[unit]
+        was_software, to_software = old.is_software, target.is_software
+        if (iload if to_software else ihw) is None:
+            kind = "software" if to_software else "hardware"
+            raise SynthesisError(
+                f"unit {unit!r} mapped to {kind} without a {kind} option"
+            )
+        if was_software:
+            self._proc_remove(old.processor, unit, iload, imem, ukey, mkey)
+        else:
+            self._hw_units.discard(unit)
+            self._ihwcost -= ihw
+        if to_software:
+            self._proc_add(target.processor, unit, iload, imem, ukey, mkey)
+        else:
+            self._hw_units.add(unit)
+            self._ihwcost += ihw
+        if was_software != to_software:
+            self._pool_flip(unit, iload, to_software)
         self.assignment[unit] = target
 
     def _add(self, unit: str, target: Target) -> None:
@@ -937,6 +956,25 @@ class SearchState:
                 self._icommon_sw -= iload
         if self._dyn is not None:
             self._dyn.undecide(unit, was_software=was_software)
+
+    def _pool_flip(
+        self, unit: str, iload: Optional[int], to_software: bool
+    ) -> None:
+        """Flip one decided flexible unit between SW and HW in the pools.
+
+        The net of :meth:`_pool_undecide` then :meth:`_pool_decide`:
+        the Fenwick slot stays taken, only the software load moves.
+        """
+        entry = self._flex_slot.get(unit)
+        if entry is None:
+            return
+        pool, _slot, is_common = entry
+        delta = iload if to_software else -iload
+        self._iassigned_sw[pool] += delta
+        if is_common:
+            self._icommon_sw += delta
+        if self._dyn is not None:
+            self._dyn.flip(unit, to_software)
 
     def _drop_processor(self, processor: int) -> None:
         """Forget an emptied processor's aggregates."""
@@ -1394,7 +1432,6 @@ class _NumpySearchState(SearchState):
         self,
         problem: SynthesisProblem,
         variants_resident: bool = True,
-        exact: object = _UNSET,
         capacity_bound: bool = True,
         dynamic_pool: bool = True,
         backend: Optional[str] = None,
@@ -1402,7 +1439,6 @@ class _NumpySearchState(SearchState):
         super().__init__(
             problem,
             variants_resident=variants_resident,
-            exact=exact,
             capacity_bound=capacity_bound,
             dynamic_pool=dynamic_pool,
         )
@@ -1670,23 +1706,39 @@ class PathTrail:
     search nodes out of tree order; materializing a fresh state per
     node would rebuild every Fenwick pool each time.  A trail instead
     snapshots a node as its *decision path* — the ``(unit, target)``
-    pairs from the root — and restores any node by unwinding to the
-    longest common prefix with the currently applied path and
-    replaying the divergent suffix through the state's own
-    ``assign``/``unassign`` machinery: O(distance between the nodes)
-    mutations, never a rebuild.
+    pairs from the root — and restores any node by applying the **net
+    difference** between the applied path and the wanted one, below
+    their longest common prefix: units only in the old suffix are
+    unassigned, units only in the new suffix assigned, units whose
+    target changed moved with the state's pool-preserving
+    ``reassign``, and units with the same target left alone.
+    O(units whose decision differs) mutations, never a rebuild.  Once
+    strong branching has fixed the unit order, two far-apart nodes
+    mostly decide the same units, so this is far fewer mutations than
+    unwinding to the common prefix and replaying.
 
     Soundness leans on the state's own contracts: the integer kernel
     makes every aggregate order-independent, and dynamic-pool
     elections are a pure function of the committed loads — so a
     restored node reads byte-identical bounds and feasibility however
-    the trail got there.
+    the trail got there.  The one order-sensitive read is the
+    iteration order of ``state.assignment`` (incumbent mappings and
+    checkpoints serialize it), so a net restore re-keys the new
+    suffix's units in path order: the dict then iterates exactly as
+    after a plain replay.
+
+    Depth-first-shaped hops — a pure descent (empty old suffix) or a
+    new suffix of at most one decision — gain nothing from the net
+    difference and take the plain unwind/replay.  ``moves`` counts
+    the kernel mutations applied so far, a ``reassign`` as one.
     """
 
-    __slots__ = ("state", "_applied")
+    __slots__ = ("state", "moves", "_applied")
 
     def __init__(self, state) -> None:
         self.state = state
+        #: Kernel mutations applied by :meth:`restore` so far.
+        self.moves = 0
         #: The decision path currently applied on top of the state's
         #: base assignment (``problem.fixed`` plus anything assigned
         #: before the trail took over).
@@ -1706,11 +1758,36 @@ class PathTrail:
                 break
             common += 1
         state = self.state
-        while len(applied) > common:
-            state.unassign(applied.pop()[0])
-        for pair in path[common:]:
-            state.assign(pair[0], pair[1])
-            applied.append(pair)
+        suffix = path[common:]
+        if common == len(applied) or len(suffix) <= 1:
+            self.moves += len(applied) - common + len(suffix)
+            while len(applied) > common:
+                state.unassign(applied.pop()[0])
+            for pair in suffix:
+                state.assign(pair[0], pair[1])
+                applied.append(pair)
+            return
+        old = dict(applied[common:])
+        assignment = state.assignment
+        moves = 0
+        for unit, target in suffix:
+            have = old.pop(unit, None)
+            if have is None:
+                state.assign(unit, target)
+                moves += 1
+                continue
+            if have is not target and have != target:
+                state.reassign(unit, target)
+                moves += 1
+            # Re-key in path order (``assign`` appends the new units).
+            assignment[unit] = assignment.pop(unit)
+        # What is left of the old suffix is undecided in the new node.
+        for unit in old:
+            state.unassign(unit)
+        moves += len(old)
+        del applied[common:]
+        applied.extend(suffix)
+        self.moves += moves
 
 
 class EvictionLog:
@@ -1774,13 +1851,10 @@ class ReferenceSearchState:
         self,
         problem: SynthesisProblem,
         variants_resident: bool = True,
-        exact: object = _UNSET,
         capacity_bound: bool = False,
         dynamic_pool: bool = False,
         backend: Optional[str] = None,
     ) -> None:
-        if exact is not _UNSET:
-            _warn_exact()
         self.problem = problem
         self.variants_resident = variants_resident
         self.assignment: Dict[str, Target] = {}

@@ -16,12 +16,11 @@ pins the two backends together exactly (no tolerances):
   ``frontier`` × ``ordering`` × ``dynamic_pool`` matrix, and the
   annealing trajectory is byte-identical for a seed;
 * **backend selection** — auto-detection, forced fallback (numpy made
-  invisible), explicit-request errors, and the ``exact=`` flag
-  deprecation.
+  invisible), explicit-request errors, and the removed ``exact=``
+  flag.
 """
 
 import itertools
-import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -336,24 +335,9 @@ class TestBackendSelection:
             SearchState(_tiny_problem(), backend="numpy")
 
 
-class TestExactFlagDeprecation:
-    def test_search_state_warns(self):
-        with pytest.deprecated_call():
-            SearchState(_tiny_problem(), exact=True)
-        with pytest.deprecated_call():
-            SearchState(_tiny_problem(), exact=False)
-
-    def test_reference_state_warns(self):
-        with pytest.deprecated_call():
-            ReferenceSearchState(_tiny_problem(), exact=True)
-
-    def test_no_warning_when_flag_not_passed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SearchState(_tiny_problem())
-            ReferenceSearchState(_tiny_problem())
-
-    def test_deprecated_flag_still_accepted_and_stored(self):
-        with pytest.deprecated_call():
-            state = SearchState(_tiny_problem(), exact=True)
-        assert state.exact is True
+class TestExactFlagRemoved:
+    def test_exact_is_a_type_error(self):
+        # The no-op ``exact=`` flag is gone on every state class.
+        for cls in (SearchState, ReferenceSearchState):
+            with pytest.raises(TypeError):
+                cls(_tiny_problem(), exact=True)

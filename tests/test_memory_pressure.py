@@ -91,9 +91,15 @@ with open("/proc/self/status") as handle:
 limit = vm_size_kb * 1024 + headroom
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+# Report outside the handler: while it runs, the live traceback still
+# pins the exhausted heap, so allocating there can raise MemoryError
+# again.
+oom = False
 try:
     result = explorer.explore(problem)
 except MemoryError:
+    oom = True
+if oom:
     print(json.dumps({"outcome": "oom"}))
 else:
     print(

@@ -12,8 +12,9 @@ values (no quantization error):
   reference-oracle-validated mapping), and every proven-optimal run
   reports the identical ``proof_floor``;
 * **frontier semantics** — warm starts never change what a frontier
-  proves, and the :class:`PathTrail` replay the best-first frontier
-  rides restores bounds and feasibility exactly at every hop;
+  proves, and the :class:`PathTrail` net-delta restore the best-first
+  frontier rides reads exactly like a fresh replay at every hop, with
+  no more mutations than unwinding and replaying would take;
 * **determinism** — repeated runs of every frontier return
   byte-identical mappings and node counts (the best-first heap
   tie-break is the deterministic push order, not object identity).
@@ -24,12 +25,15 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.synth.architecture import ArchitectureTemplate
+from repro.synth.backend import BACKENDS, HAS_NUMPY
 from repro.synth.cost import evaluate
 from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
 from repro.synth.ordering import FRONTIERS, ORDERINGS
 from repro.synth.state import PathTrail, SearchState
+
+TRAIL_BACKENDS = BACKENDS if HAS_NUMPY else ("python",)
 
 
 @st.composite
@@ -165,12 +169,17 @@ class TestFrontierDeterminism:
 
 @st.composite
 def trail_scenarios(draw):
-    """A problem plus a few random decision paths to hop between."""
+    """A problem plus a few random decision paths to hop between.
+
+    Each path draws its own unit order, as strong branching picks a
+    different unit per node, so two paths can decide the same units
+    in different orders below their common prefix.
+    """
     problem = draw(small_problems())
-    order = list(problem.units)
-    draw(st.randoms(use_true_random=False)).shuffle(order)
     paths = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        order = list(problem.units)
+        draw(st.randoms(use_true_random=False)).shuffle(order)
         depth = draw(st.integers(min_value=0, max_value=len(order)))
         path = tuple(
             (unit, draw(st.sampled_from(_targets(problem, unit))))
@@ -180,28 +189,92 @@ def trail_scenarios(draw):
     return problem, paths
 
 
+def _common_prefix(applied, path):
+    common = 0
+    for have, want in zip(applied, path):
+        if have != want:
+            break
+        common += 1
+    return common
+
+
+def _replay_distance(applied, path):
+    """Mutations of a plain unwind-to-common-prefix-then-replay hop."""
+    return len(applied) + len(path) - 2 * _common_prefix(applied, path)
+
+
+def _net_distance(applied, path):
+    """Mutations of a net-delta hop: decisions that differ below the
+    common prefix (a changed target is one move).  Depth-first-shaped
+    hops replay plainly."""
+    common = _common_prefix(applied, path)
+    old, new = dict(applied[common:]), dict(path[common:])
+    if not old or len(new) <= 1:
+        return _replay_distance(applied, path)
+    changed = sum(old[unit] != new[unit] for unit in old.keys() & new)
+    return len(old.keys() ^ new.keys()) + changed
+
+
 class TestPathTrailReplay:
-    @given(trail_scenarios())
-    @settings(max_examples=60, deadline=None)
+    @given(trail_scenarios(), st.sampled_from(TRAIL_BACKENDS))
+    @settings(max_examples=80, deadline=None)
     def test_trail_restores_bounds_and_feasibility_exactly(
-        self, scenario
+        self, scenario, backend
     ):
         """Hopping between arbitrary nodes reads the same state a
-        fresh replay of each node would — the property the best-first
-        frontier's snapshot/restore leans on."""
+        fresh replay of each node would — bounds, feasibility, leaf,
+        processors and the assignment's iteration order — the property
+        the best-first frontier's snapshot/restore leans on."""
         problem, paths = scenario
-        state = SearchState(problem)
+        state = SearchState(problem, backend=backend)
         trail = PathTrail(state)
         for path in paths:
+            distance = _replay_distance(trail.path, path)
+            expected = _net_distance(trail.path, path)
+            moves = trail.moves
             trail.restore(path)
+            assert trail.moves - moves == expected <= distance
             assert trail.path == path
-            assert dict(state.assignment) == dict(path)
-            fresh = SearchState(problem)
+            fresh = SearchState(problem, backend=backend)
             for unit, target in path:
                 fresh.assign(unit, target)
+            assert list(state.assignment.items()) == list(
+                fresh.assignment.items()
+            )
             assert state.lower_bound() == fresh.lower_bound()
             assert state.feasible == fresh.feasible
+            assert state.leaf() == fresh.leaf()
+            assert state.used_processors() == fresh.used_processors()
         # unwinding to the root leaves a pristine state
         trail.restore(())
         assert state.lower_bound() == SearchState(problem).lower_bound()
         assert not state.assignment
+
+    def test_two_branch_hop_moves_only_the_differing_decision(self):
+        """Sibling subtrees that decide the same units below the
+        divergence cost one ``reassign``, not a full unwind/replay."""
+        library = ComponentLibrary()
+        for name in ("a", "b", "c"):
+            library.component(name, sw_utilization=16 / 64, hw_cost=5)
+        problem = SynthesisProblem(
+            name="branches",
+            units=("a", "b", "c"),
+            library=library,
+            architecture=ArchitectureTemplate(
+                max_processors=1, processor_cost=3, processor_capacity=1.0
+            ),
+        )
+        left = (("a", Target.sw(0)), ("b", Target.hw()), ("c", Target.sw(0)))
+        right = (("a", Target.hw()), ("b", Target.hw()), ("c", Target.sw(0)))
+        # ``a`` flips, ``b`` is kept and ``c`` is no longer decided.
+        shallow = (("a", Target.sw(0)), ("b", Target.hw()))
+        for backend in TRAIL_BACKENDS:
+            state = SearchState(problem, backend=backend)
+            trail = PathTrail(state)
+            trail.restore(left)
+            for path, moves in ((right, 1), (shallow, 2)):
+                before, applied = trail.moves, trail.path
+                trail.restore(path)
+                assert trail.moves - before == moves
+                assert moves < _replay_distance(applied, path)
+                assert list(state.assignment.items()) == list(path)

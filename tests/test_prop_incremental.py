@@ -9,9 +9,12 @@ order — the incremental (delta) path and the from-scratch reference
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
+from repro.synth.backend import BACKENDS, HAS_NUMPY
 from repro.synth.cost import (
     evaluate,
     lower_bound,
@@ -210,3 +213,86 @@ class TestIncrementalMatchesReference:
         assert state.hardware_cost == 0.0
         assert state.feasible
         assert state.lower_bound() == pristine_bound
+
+
+def _kernel_reads(state):
+    """Every read a search takes from the kernel, dynamic elections too."""
+    dyn = state._dyn
+    elections = (
+        None
+        if dyn is None
+        else (
+            dict(dyn.elected),
+            dyn.differs,
+            dict(dyn.live),
+            dict(dyn.committed_sw),
+            dict(dyn.committed_hw),
+        )
+    )
+    return (
+        dict(state.assignment),
+        state._icommon_sw,
+        list(state._iassigned_sw),
+        state.lower_bound(),
+        state._forced_term(),
+        state.feasible,
+        state.leaf(),
+        state.used_processors(),
+        elections,
+    )
+
+
+def _foreign_targets(problem, unit):
+    """Targets of the kind the unit has no implementation for."""
+    entry = problem.entry(unit)
+    if entry.software is None:
+        return [Target.sw(0)]
+    if entry.hardware is None:
+        return [Target.hw()]
+    return []
+
+
+class TestReassignMatchesUnassignAssign:
+    @given(
+        scenarios(),
+        st.sampled_from(BACKENDS if HAS_NUMPY else ("python",)),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_move_equals_the_two_step_move(
+        self, scenario, backend, capacity_bound, dynamic_pool, depth
+    ):
+        """The pool-preserving ``reassign`` reads exactly like
+        ``unassign`` + ``assign`` for every kind pair (SW→SW, SW→HW,
+        HW→SW, same target), and a rejected move mutates nothing."""
+        problem, targets, order, _ = scenario
+        flags = dict(
+            backend=backend,
+            capacity_bound=capacity_bound,
+            dynamic_pool=dynamic_pool,
+        )
+        moved = SearchState(problem, **flags)
+        stepped = SearchState(problem, **flags)
+        for unit in order[: max(1, depth)]:
+            moved.assign(unit, targets[unit])
+            stepped.assign(unit, targets[unit])
+        for unit in list(moved.assignment):
+            old = moved.assignment[unit]
+            for target in _admissible_targets(problem, unit):
+                moved.reassign(unit, target)
+                stepped.unassign(unit)
+                stepped.assign(unit, target)
+                assert _kernel_reads(moved) == _kernel_reads(stepped)
+                moved.reassign(unit, old)
+                stepped.unassign(unit)
+                stepped.assign(unit, old)
+                assert _kernel_reads(moved) == _kernel_reads(stepped)
+            before = _kernel_reads(moved)
+            order_before = list(moved.assignment.items())
+            for target in _foreign_targets(problem, unit):
+                with pytest.raises(SynthesisError):
+                    moved.reassign(unit, target)
+                assert _kernel_reads(moved) == before
+                assert list(moved.assignment.items()) == order_before

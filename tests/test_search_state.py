@@ -220,6 +220,26 @@ class TestReassignAndExactMode:
         assert moved.assignment == stepped.assignment
         assert moved.evaluation() == stepped.evaluation()
 
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_reassign_flip_reelects_like_unassign_assign(self, backend):
+        """A HW→SW flip that refills the drained cluster hands the
+        interface's election back, exactly as the two-step move does."""
+        problem = variant_problem()
+        moved = SearchState(problem, backend=backend)
+        stepped = SearchState(problem, backend=backend)
+        for state in (moved, stepped):
+            state.assign("B1", Target.hw())
+        # Draining B (the heavier cluster) elects A ...
+        assert moved._dyn.elected["theta"] == ("theta", "A")
+        moved.reassign("B1", Target.sw(0))
+        stepped.unassign("B1")
+        stepped.assign("B1", Target.sw(0))
+        # ... and refilling it elects B again.
+        assert moved._dyn.elected == stepped._dyn.elected
+        assert moved._dyn.elected["theta"] == ("theta", "B")
+        assert moved._dyn.differs == stepped._dyn.differs
+        assert moved.lower_bound() == stepped.lower_bound()
+
     def test_matches_reference_within_quantization_tolerance(self):
         """Off-binary-grid values agree with the oracle to ~2**-32."""
         problem = variant_problem()
