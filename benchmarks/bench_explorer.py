@@ -430,12 +430,12 @@ def run_batch_kernel(rounds: int, node_budget: int):
       (see :func:`_probe_timed`).  Node counts must match exactly
       (the batch path may not change the tree);
       ``probe_cost_per_node_us`` is the scoring share of each node,
-      and its scalar/batch ratio is the measured per-node drop.  This
-      is the configuration ``auto`` resolves to the vectorized
-      backend for; the DFS frontier stays scalar under auto because
-      it is mutation-bound (it computes one bare ``lower_bound`` per
-      entered node, which batching cannot beat at bench widths), and
-      the end-to-end rates recorded here keep that decision honest.
+      and its scalar/batch ratio is the measured per-node drop.  The
+      batch problem is deliberately wide (32 processors), so scoring
+      is where the vectorized backend wins; ``auto`` still resolves
+      to the scalar backend on every frontier, because real searches
+      are mutation-bound on sibling batches of 2-3 targets, and the
+      end-to-end rates recorded here keep that decision honest.
 
     When NumPy is absent only the scalar side runs and the comparative
     fields are ``None`` (the regression gate skips them).

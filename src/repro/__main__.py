@@ -356,10 +356,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "search-state evaluation backend: numpy uses the "
             "structure-of-arrays kernel with vectorized candidate "
             "scoring (errors if numpy is missing), python the scalar "
-            "reference kernel, auto (default) lets each explorer pick "
-            "its measured winner (numpy on probe-heavy frontiers when "
-            "available, scalar otherwise); results are byte-identical "
-            "either way"
+            "reference kernel, auto (default) the scalar kernel, the "
+            "measured winner on every frontier; results are "
+            "byte-identical either way"
         ),
     )
     explore.add_argument(

@@ -471,26 +471,39 @@ class ServeEngine:
             _, _, job = await self._ensure_queue().get()
             self._in_flight += 1
             try:
-                if self._should_shed(job):
-                    self._shed(job)
-                else:
-                    await self._run_job(job)
-            except Exception as exc:  # pragma: no cover - backstop
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                self.jobs_failed += 1
-                self._publish(
-                    job,
-                    {
-                        "event": "failed",
-                        "job": job.job_id,
-                        "error": job.error,
-                    },
-                )
-                traceback.print_exc()
+                failure: Optional[Exception] = None
+                try:
+                    if self._should_shed(job):
+                        self._shed(job)
+                    else:
+                        await self._run_job(job)
+                except Exception as exc:  # backstop
+                    # Only capture it: while the handler runs, the live
+                    # traceback pins the failed search's frames, so an
+                    # allocation here could fail again after a real
+                    # MemoryError.
+                    failure = exc
+                if failure is not None:
+                    self._fail(job, failure)
+                    del failure
             finally:
                 self._in_flight -= 1
                 self._queue.task_done()
+
+    def _fail(self, job: JobRecord, exc: Exception) -> None:
+        """Backstop: end a job whose run raised unexpectedly."""
+        if isinstance(exc, MemoryError):
+            # Release the frames of the search that exhausted the heap
+            # before building the error text.
+            exc.__traceback__ = None
+        job.error = f"{type(exc).__name__}: {exc}"
+        job.state = "failed"
+        self.jobs_failed += 1
+        self._publish(
+            job,
+            {"event": "failed", "job": job.job_id, "error": job.error},
+        )
+        traceback.print_exception(type(exc), exc, exc.__traceback__)
 
     def _seed_for(self, workload: Workload):
         """The warm-adjacent incumbent of this job's family, if sound."""

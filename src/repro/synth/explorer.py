@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping as TMapping, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import SynthesisError
-from .backend import HAS_NUMPY
 from .cost import Evaluation, evaluate
 from .mapping import Mapping, SynthesisProblem, Target
 from .ordering import (
@@ -213,27 +212,22 @@ class SearchExplorer(Explorer):
         self.incremental = incremental
         self.capacity_bound = capacity_bound
         self.dynamic_pool = dynamic_pool
-        #: Evaluation backend of the search state.  Depth-first tree
-        #: search is mutation-bound — one assign/unassign pair per
-        #: node against at most one batch score per expansion — and
-        #: the vectorized state pays NumPy scalar-indexing cost on
-        #: every mutation, so ``None``/"auto" resolves to the scalar
-        #: backend here (the measured end-to-end winner at bench
-        #: scale).  Probe-heavy subclass configurations override the
-        #: auto resolution before calling up (see
-        #: :class:`BranchBoundExplorer`); an explicit ``backend=`` is
-        #: always honored as given — both backends are byte-identical,
-        #: so the choice is purely a performance one.  Direct
+        #: Evaluation backend of the search state.  Every search is
+        #: mutation-bound — each node pays at least one kernel
+        #: mutation, and sibling batches are only as wide as the
+        #: template's processor count plus hardware (2-3 targets on
+        #: every zoo family, app and served space) — while the
+        #: vectorized state pays NumPy scalar-indexing cost on every
+        #: mutation.  So ``None``/"auto" resolves to the scalar
+        #: backend on every frontier, the measured end-to-end winner
+        #: (best-first included).  An explicit ``backend=`` is always
+        #: honored as given — both backends are byte-identical, so the
+        #: choice is purely a performance one.  Direct
         #: :class:`SearchState` construction keeps auto = NumPy, where
         #: bulk ``score_candidates`` calls dominate.
         self.backend = (
             "python" if backend in (None, "auto") else backend
         )
-        #: The backend argument exactly as given.  Composite explorers
-        #: hand this (not the resolved :attr:`backend`) to members
-        #: whose shape differs from their own, so each member resolves
-        #: ``auto`` for its own configuration.
-        self.backend_request = backend
         #: Optional *absolute* :func:`time.monotonic` deadline.  Not a
         #: constructor argument: callers that enforce a wall-clock
         #: deadline across many explorations (the serve engine's
@@ -690,16 +684,6 @@ class BranchBoundExplorer(SearchExplorer):
         backend: Optional[str] = None,
         max_open: Optional[int] = None,
     ) -> None:
-        # Frontier-aware auto resolution: best-first and LDS probe the
-        # whole sibling batch at every expansion (that is their
-        # mechanism, not an ordering option), which is exactly the
-        # shape the vectorized kernel wins — measured ~1.8-2.9x lower
-        # probe cost per node and up to ~1.9x end-to-end on the wide
-        # bench workload.  The DFS frontier stays scalar under auto:
-        # it is mutation-bound and the scalar kernel wins there.
-        if backend in (None, "auto") and HAS_NUMPY:
-            if validate_frontier(frontier) != "dfs":
-                backend = "numpy"
         super().__init__(
             incremental=incremental,
             capacity_bound=capacity_bound,
@@ -1473,13 +1457,7 @@ class AnnealingExplorer(SearchExplorer):
         shared_incumbent=None,
         backend: Optional[str] = None,
     ) -> None:
-        # Annealing's hot loop is scalar single-move probing — arrays
-        # buy it nothing — so ``auto`` resolves to the scalar backend
-        # here; an explicit ``backend=`` is honored as given.
-        super().__init__(
-            incremental=incremental,
-            backend="python" if backend is None else backend,
-        )
+        super().__init__(incremental=incremental, backend=backend)
         if iterations < 1:
             raise SynthesisError("iterations must be >= 1")
         if not 0 < cooling < 1:

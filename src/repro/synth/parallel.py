@@ -1002,11 +1002,7 @@ class RacingPortfolioExplorer(SearchExplorer):
                         node_budget=self.node_budget,
                         time_budget=self.time_budget,
                         frontier=self.frontier,
-                        # The raw request, not the resolved backend:
-                        # under ``auto`` a probe-heavy frontier member
-                        # picks the vectorized backend even though the
-                        # DFS member resolves to the scalar one.
-                        backend=self.backend_request,
+                        backend=self.backend,
                     ),
                 )
             )

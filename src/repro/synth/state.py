@@ -106,15 +106,19 @@ from .mapping import Mapping, SynthesisProblem, Target
 #: ``None`` for common (always-concurrent) load.
 _GroupKey = Optional[Tuple[str, str]]
 
+_SOFTWARE = ImplKind.SOFTWARE
+
+
 class _ExclusionLoad:
     """Delta-maintained ``common + Σ_iface max_cluster Σ`` aggregate.
 
     All loads are integers (quanta), so accumulation is exact and
-    order-independent; ``total`` is derived from the per-group
-    aggregates on read (interfaces per processor are few).
+    order-independent.  ``total`` is kept current by every mutation —
+    a common load moves it directly, a grouped load by the change of
+    its interface's max — so reads are a plain attribute access.
     """
 
-    __slots__ = ("common", "groups", "imax")
+    __slots__ = ("common", "groups", "imax", "total")
 
     def __init__(self) -> None:
         self.common = 0
@@ -122,19 +126,21 @@ class _ExclusionLoad:
         self.groups: Dict[str, Dict[str, List[int]]] = {}
         #: interface -> current max cluster load
         self.imax: Dict[str, int] = {}
-
-    @property
-    def total(self) -> int:
-        if not self.imax:
-            return self.common
-        return self.common + sum(self.imax.values())
+        #: ``common + sum(imax.values())``
+        self.total = 0
 
     def add(self, key: _GroupKey, value: int) -> None:
         if key is None:
             self.common += value
+            self.total += value
             return
         interface, cluster = key
-        group = self.groups.setdefault(interface, {})
+        group = self.groups.get(interface)
+        if group is None:
+            self.groups[interface] = {cluster: [value, 1]}
+            self.imax[interface] = value
+            self.total += value
+            return
         slot = group.get(cluster)
         if slot is None:
             group[cluster] = [value, 1]
@@ -143,13 +149,15 @@ class _ExclusionLoad:
             slot[0] += value
             slot[1] += 1
             new_load = slot[0]
-        current_max = self.imax.get(interface)
-        if current_max is None or new_load > current_max:
+        current_max = self.imax[interface]
+        if new_load > current_max:
             self.imax[interface] = new_load
+            self.total += new_load - current_max
 
     def remove(self, key: _GroupKey, value: int) -> None:
         if key is None:
             self.common -= value
+            self.total -= value
             return
         interface, cluster = key
         group = self.groups[interface]
@@ -160,16 +168,18 @@ class _ExclusionLoad:
         else:
             slot[0] = old_load - value
             slot[1] -= 1
-        if old_load >= self.imax[interface]:
+        current_max = self.imax[interface]
+        if old_load >= current_max:
             # The removed-from cluster was (tied for) the interface
             # max: re-scan this interface's clusters on this processor.
             if group:
-                self.imax[interface] = max(
-                    slot[0] for slot in group.values()
-                )
+                new_max = max(slot[0] for slot in group.values())
+                self.imax[interface] = new_max
+                self.total += new_max - current_max
             else:
                 del self.groups[interface]
                 del self.imax[interface]
+                self.total -= current_max
 
 
 class _KnapsackBound:
@@ -590,6 +600,7 @@ class SearchState:
         self.capacity_bound = capacity_bound
         self.dynamic_pool = dynamic_pool
         arch = problem.architecture
+        self._max_processors = arch.max_processors
         self._ipcost = quantize(arch.processor_cost)
         self._icap = quantize_capacity(arch.processor_capacity)
         self._imcap = (
@@ -812,7 +823,8 @@ class SearchState:
         if old is None:
             raise SynthesisError(f"unit {unit!r} is not assigned")
         iload, imem, ihw, ukey, mkey = self._info[unit]
-        was_software, to_software = old.is_software, target.is_software
+        was_software = old.kind is _SOFTWARE
+        to_software = target.kind is _SOFTWARE
         if (iload if to_software else ihw) is None:
             kind = "software" if to_software else "hardware"
             raise SynthesisError(
@@ -839,7 +851,7 @@ class SearchState:
                 f"problem {self.problem.name!r} has no unit {unit!r}"
             )
         iload, imem, ihw, ukey, mkey = info
-        if target.is_software:
+        if target.kind is _SOFTWARE:
             if iload is None:
                 raise SynthesisError(
                     f"unit {unit!r} mapped to software without a software "
@@ -863,7 +875,7 @@ class SearchState:
 
     def _remove(self, unit: str, target: Target) -> None:
         iload, imem, ihw, ukey, mkey = self._info[unit]
-        if target.is_software:
+        if target.kind is _SOFTWARE:
             self._proc_remove(
                 target.processor, unit, iload, imem, ukey, mkey
             )
@@ -887,20 +899,30 @@ class SearchState:
         ukey: _GroupKey,
         mkey: _GroupKey,
     ) -> None:
-        """Put one software unit's load on a processor column."""
+        """Put one software unit's load on a processor column.
+
+        Loads are non-negative (the library rejects negative ones), so
+        an add can only push a column over a capacity, never back
+        under it — and a remove only the reverse.
+        """
         bucket = self._buckets.get(processor)
         if bucket is None:
             bucket = self._buckets[processor] = {}
-        bucket[unit] = None
-        uload = self._uload.get(processor)
-        if uload is None:
             uload = self._uload[processor] = _ExclusionLoad()
-            self._mload[processor] = _ExclusionLoad()
-        util_before = uload.total
-        mem_before = self._mload[processor].total
+            mload = self._mload[processor] = _ExclusionLoad()
+        else:
+            uload = self._uload[processor]
+            mload = self._mload[processor]
+        bucket[unit] = None
+        before = uload.total
         uload.add(ukey, iload)
-        self._mload[processor].add(mkey, imem)
-        self._update_violations(processor, util_before, mem_before)
+        if before <= self._icap < uload.total:
+            self._util_viol += 1
+        before = mload.total
+        mload.add(mkey, imem)
+        imcap = self._imcap
+        if imcap is not None and before <= imcap < mload.total:
+            self._mem_viol += 1
 
     def _proc_remove(
         self,
@@ -915,14 +937,26 @@ class SearchState:
         bucket = self._buckets[processor]
         del bucket[unit]
         if not bucket:
-            self._drop_processor(processor)
-        else:
-            uload = self._uload[processor]
-            util_before = uload.total
-            mem_before = self._mload[processor].total
-            uload.remove(ukey, iload)
-            self._mload[processor].remove(mkey, imem)
-            self._update_violations(processor, util_before, mem_before)
+            # Forget the emptied column's aggregates wholesale.
+            del self._buckets[processor]
+            uload = self._uload.pop(processor)
+            mload = self._mload.pop(processor)
+            if uload.total > self._icap:
+                self._util_viol -= 1
+            if self._imcap is not None and mload.total > self._imcap:
+                self._mem_viol -= 1
+            return
+        uload = self._uload[processor]
+        before = uload.total
+        uload.remove(ukey, iload)
+        if uload.total <= self._icap < before:
+            self._util_viol -= 1
+        mload = self._mload[processor]
+        before = mload.total
+        mload.remove(mkey, imem)
+        imcap = self._imcap
+        if imcap is not None and mload.total <= imcap < before:
+            self._mem_viol -= 1
 
     # -- knapsack-pool bookkeeping (backend-shared) ---------------------
     def _pool_decide(
@@ -976,26 +1010,6 @@ class SearchState:
         if self._dyn is not None:
             self._dyn.flip(unit, to_software)
 
-    def _drop_processor(self, processor: int) -> None:
-        """Forget an emptied processor's aggregates."""
-        del self._buckets[processor]
-        uload = self._uload.pop(processor)
-        mload = self._mload.pop(processor)
-        self._util_viol -= uload.total > self._icap
-        if self._imcap is not None:
-            self._mem_viol -= mload.total > self._imcap
-
-    def _update_violations(
-        self, processor: int, util_before: int, mem_before: int
-    ) -> None:
-        self._util_viol += (
-            self._uload[processor].total > self._icap
-        ) - (util_before > self._icap)
-        if self._imcap is not None:
-            self._mem_viol += (
-                self._mload[processor].total > self._imcap
-            ) - (mem_before > self._imcap)
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -1047,9 +1061,11 @@ class SearchState:
         Loads are monotone along a search path, so ``False`` here means
         no completion of the current partial mapping is feasible.
         """
-        if self.processor_count > self.problem.architecture.max_processors:
-            return False
-        return self._util_viol == 0 and self._mem_viol == 0
+        return (
+            self.processor_count <= self._max_processors
+            and self._util_viol == 0
+            and self._mem_viol == 0
+        )
 
     @property
     def complete(self) -> bool:

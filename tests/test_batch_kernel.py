@@ -290,37 +290,33 @@ class TestBackendSelection:
         assert state.backend == "python"
         assert type(state) is SearchState
 
-    def test_explorer_auto_policy_is_frontier_aware(self):
-        # Depth-first tree search is mutation-bound, so auto resolves
-        # to the scalar backend; the probe-heavy frontiers (whose
-        # mechanism is batch-scoring every sibling set) pick the
-        # vectorized backend when it is available.  Explicit requests
-        # always win.
-        probe_heavy = "numpy" if HAS_NUMPY else "python"
-        assert BranchBoundExplorer().backend == "python"
-        assert BranchBoundExplorer(frontier="dfs").backend == "python"
-        assert (
-            BranchBoundExplorer(frontier="best-first").backend
-            == probe_heavy
-        )
-        assert BranchBoundExplorer(frontier="lds").backend == probe_heavy
-        assert (
-            BranchBoundExplorer(frontier="lds", backend="python").backend
-            == "python"
-        )
-        assert AnnealingExplorer().backend == "python"
+    def test_explorer_auto_policy_is_scalar_on_every_frontier(self):
+        # Sibling batches are a few targets wide, so every search is
+        # mutation-bound and auto resolves to the scalar backend on
+        # every frontier.  An explicit request is always honored.
+        explicit = ("python", "numpy") if HAS_NUMPY else ("python",)
+        for frontier in FRONTIERS:
+            for request in (None, "auto") + explicit:
+                explorer = BranchBoundExplorer(
+                    frontier=frontier, backend=request
+                )
+                want = "numpy" if request == "numpy" else "python"
+                assert explorer.backend == want
+                assert explorer._new_state(_tiny_problem()).backend == want
+        for request in (None, "auto") + explicit:
+            want = "numpy" if request == "numpy" else "python"
+            assert AnnealingExplorer(backend=request).backend == want
 
-    def test_racing_frontier_member_resolves_auto_itself(self):
-        # The composite resolves auto to scalar for its DFS member and
-        # annealing, but hands the *raw* request to the non-DFS member
-        # so it re-resolves for its own probe-heavy shape.
-        racing = RacingPortfolioExplorer(frontier="lds")
-        members = dict(racing.members())
-        assert members["branch_and_bound"].backend == "python"
-        assert members["annealing"].backend == "python"
-        assert members["branch_and_bound_lds"].backend == (
-            "numpy" if HAS_NUMPY else "python"
-        )
+    def test_racing_members_resolve_auto_to_scalar(self):
+        explicit = ("python", "numpy") if HAS_NUMPY else ("python",)
+        for frontier in FRONTIERS:
+            for request in (None, "auto") + explicit:
+                want = "numpy" if request == "numpy" else "python"
+                racing = RacingPortfolioExplorer(
+                    frontier=frontier, backend=request
+                )
+                for name, member in racing.members():
+                    assert member.backend == want, name
 
     def test_forced_fallback_when_numpy_invisible(self, monkeypatch):
         monkeypatch.setattr("repro.synth.backend.HAS_NUMPY", False)

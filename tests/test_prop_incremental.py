@@ -21,6 +21,7 @@ from repro.synth.cost import (
     memory_of_units,
     processor_memory,
     processor_utilization,
+    quantize,
     utilization_of_units,
 )
 from repro.synth.library import ComponentLibrary
@@ -296,3 +297,192 @@ class TestReassignMatchesUnassignAssign:
                     moved.reassign(unit, target)
                 assert _kernel_reads(moved) == before
                 assert list(moved.assignment.items()) == order_before
+
+
+# -- kernel invariants of the scalar per-processor aggregates ---------------
+
+#: Few distinct loads, so clusters tie for their interface's max often.
+_WALK_LOADS = (0.0, 16 / 64, 32 / 64, 48 / 64)
+
+
+def _walk_problem(loads, memories, origins, hw, max_processors, memcap):
+    library = ComponentLibrary()
+    units = tuple(f"u{index}" for index in range(len(loads)))
+    for unit, load, memory, has_hw in zip(units, loads, memories, hw):
+        library.component(
+            unit,
+            sw_utilization=load,
+            sw_memory=memory,
+            hw_cost=3 if has_hw else None,
+            effort=1.0,
+        )
+    return SynthesisProblem(
+        name="walk",
+        units=units,
+        library=library,
+        architecture=ArchitectureTemplate(
+            max_processors=max_processors,
+            processor_cost=5,
+            processor_capacity=1.0,
+            memory_capacity=memcap,
+        ),
+        origins={
+            unit: VariantOrigin(*origin)
+            for unit, origin in zip(units, origins)
+            if origin is not None
+        },
+        use_exclusion=True,
+    )
+
+
+def _recount_total(pairs):
+    """``common + Σ_iface max_cluster Σ`` of (group key, load) pairs."""
+    common = 0
+    clusters = {}
+    for key, value in pairs:
+        if key is None:
+            common += value
+        else:
+            clusters[key] = clusters.get(key, 0) + value
+    imax = {}
+    for (interface, _cluster), value in clusters.items():
+        imax[interface] = max(imax.get(interface, value), value)
+    return common + sum(imax.values())
+
+
+def _assert_kernel_invariants(state):
+    """Maintained totals and violation counters equal a recount."""
+    problem = state.problem
+    columns = {}
+    for unit, target in state.assignment.items():
+        if target.is_software:
+            columns.setdefault(target.processor, []).append(unit)
+    assert set(state._uload) == set(columns)
+    assert set(state._mload) == set(columns)
+    util_viol = mem_viol = 0
+    for processor, units in columns.items():
+        software = [problem.entry(unit).software for unit in units]
+        util = _recount_total(
+            (problem.exclusion_group(unit), quantize(sw.utilization))
+            for unit, sw in zip(units, software)
+        )
+        memory = _recount_total(
+            (
+                None if state.variants_resident else problem.variant_group(u),
+                quantize(sw.memory),
+            )
+            for u, sw in zip(units, software)
+        )
+        for load, expected in (
+            (state._uload[processor], util),
+            (state._mload[processor], memory),
+        ):
+            assert load.total == load.common + sum(load.imax.values())
+            assert load.total == expected
+        util_viol += util > state._icap
+        if state._imcap is not None:
+            mem_viol += memory > state._imcap
+    assert state._util_viol == util_viol
+    assert state._mem_viol == mem_viol
+
+
+def _walk(state, steps):
+    """Apply (unit, choice) steps: assign, reassign, or unassign."""
+    problem = state.problem
+    for unit, choice in steps:
+        targets = _admissible_targets(problem, unit)
+        have = state.assignment.get(unit)
+        if choice >= len(targets):
+            if have is not None:
+                state.unassign(unit)
+        elif have is None:
+            state.assign(unit, targets[choice])
+        else:
+            state.reassign(unit, targets[choice])
+        _assert_kernel_invariants(state)
+
+
+@st.composite
+def kernel_walks(draw):
+    """A tie-prone problem plus an assign/unassign/reassign sequence."""
+    n_units = draw(st.integers(min_value=2, max_value=7))
+    column = st.lists(
+        st.sampled_from(_WALK_LOADS), min_size=n_units, max_size=n_units
+    )
+    origin = st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["t1", "t2"]), st.sampled_from("AB")),
+    )
+    problem = _walk_problem(
+        loads=draw(column),
+        memories=draw(column),
+        origins=draw(st.lists(origin, min_size=n_units, max_size=n_units)),
+        hw=draw(st.lists(st.booleans(), min_size=n_units, max_size=n_units)),
+        max_processors=draw(st.integers(min_value=1, max_value=3)),
+        memcap=draw(st.sampled_from([0.0, 0.75, 1.0])),
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(problem.units),
+                st.integers(min_value=0, max_value=5),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return problem, steps
+
+
+class TestScalarKernelInvariants:
+    @given(kernel_walks(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_walks_keep_totals_and_violations_exact(
+        self, walk, variants_resident
+    ):
+        problem, steps = walk
+        state = SearchState(
+            problem, variants_resident=variants_resident, backend="python"
+        )
+        _walk(state, steps)
+
+    @pytest.mark.parametrize("memcap", [0.0, 0.75])
+    @pytest.mark.parametrize("variants_resident", [True, False])
+    def test_ties_and_emptied_groups(self, memcap, variants_resident):
+        # u0/u1 tie as t1's max on cpu0 (clusters A and B); u2 is a
+        # common unit; u3 is t2's only unit; u4 joins t1's cluster B.
+        problem = _walk_problem(
+            loads=[32 / 64, 32 / 64, 16 / 64, 48 / 64, 16 / 64],
+            memories=[48 / 64, 48 / 64, 16 / 64, 32 / 64, 16 / 64],
+            origins=[("t1", "A"), ("t1", "B"), None, ("t2", "A"), ("t1", "B")],
+            hw=[True] * 5,
+            max_processors=2,
+            memcap=memcap,
+        )
+        state = SearchState(
+            problem, variants_resident=variants_resident, backend="python"
+        )
+        sw0, sw1, hw, drop = 0, 1, 3, 9
+        _walk(
+            state,
+            [
+                ("u0", sw0),
+                ("u1", sw0),  # tie for t1's max
+                ("u2", sw0),
+                ("u3", sw0),  # over capacity: 2 + 1 + 3 quarters
+                ("u0", hw),  # tied max leaves: re-scan keeps the max
+                ("u3", sw1),  # t2 emptied on cpu0, back under capacity
+                ("u1", sw1),  # t1 emptied on cpu0
+                ("u0", sw1),  # tie again, on cpu1
+                ("u4", sw1),  # cluster B now the strict max
+                ("u1", hw),  # the strict max shrinks below A: re-scan
+                ("u2", drop),  # cpu0 emptied
+                ("u0", drop),
+                ("u4", drop),
+                ("u3", hw),  # cpu1 emptied
+                ("u1", drop),
+                ("u3", drop),
+            ],
+        )
+        assert not state._uload and not state._mload
+        assert state._util_viol == 0 and state._mem_viol == 0

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.apps import figure2
+from repro.serve import engine as engine_module
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.engine import ServeEngine, ServiceUnavailable, UnknownJob
 from repro.serve.http import ServeHTTP
@@ -473,6 +474,41 @@ def test_serve_daemon_boots_and_drains_on_sigterm():
 # ----------------------------------------------------------------------
 # Admission control: queue deadlines, engine caps, Retry-After.
 # ----------------------------------------------------------------------
+def test_memory_error_fails_job_and_worker_carries_on(monkeypatch):
+    real = engine_module.run_lineage
+    calls = []
+
+    def exhausted_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise MemoryError("search heap exhausted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "run_lineage", exhausted_once)
+
+    async def main():
+        engine = ServeEngine(workers=1)
+        await engine.start()
+        failed, events = await _run_job(engine, {**FIG2, "use_cache": False})
+        assert failed.state == "failed"
+        assert failed.error == "MemoryError: search heap exhausted"
+        assert events[-1] == {
+            "event": "failed",
+            "job": failed.job_id,
+            "error": failed.error,
+        }
+        # The same single worker takes the next job to completion.
+        done, events = await _run_job(engine, {**FIG2, "use_cache": False})
+        assert done.state == "done"
+        assert events[-1]["event"] == "done"
+        stats = engine.stats()
+        assert stats["jobs_failed"] == 1
+        assert stats["jobs_completed"] == 1
+        await engine.shutdown()
+
+    asyncio.run(main())
+
+
 async def _drain_terminal(engine, job_id, timeout=60.0):
     """Like :func:`_drain_events` but ``shed`` also terminates."""
     queue = engine.subscribe(job_id)
