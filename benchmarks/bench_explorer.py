@@ -422,7 +422,7 @@ def run_batch_kernel(rounds: int, node_budget: int):
       pass.  Identical work, results asserted byte-identical in-bench;
       ``batch_probe_speedup`` is the acceptance metric (gated
       higher-is-better in ``check_regression.py``).
-    * **per-node probe cost** — LDS-frontier branch-and-bound (which
+    * **per-node probe cost** — best-first branch-and-bound (which
       probes the whole sibling batch at every expansion; that is the
       frontier's mechanism, not an ordering option) on the wide
       workload under an identical node budget, per backend, with the
@@ -514,7 +514,7 @@ def run_batch_kernel(rounds: int, node_budget: int):
         result, probe_clock = _probe_timed(
             BranchBoundExplorer(
                 node_budget=node_budget,
-                frontier="lds",
+                frontier="best-first",
                 backend=name,
             ),
             problem,
@@ -544,7 +544,7 @@ def run_batch_kernel(rounds: int, node_budget: int):
             round(speedup, 2) if speedup is not None else None
         ),
         "bnb_node_budget": node_budget,
-        "bnb_frontier": "lds",
+        "bnb_frontier": "best-first",
         "bnb": bnb,
         # Scalar scoring seconds per node over batch scoring seconds
         # per node: > 1 is the measured drop in probe cost per node.
@@ -715,7 +715,6 @@ def run_frontier_comparison(completion_budget: int = 500_000):
     for name, frontier in (
         ("dfs", "dfs"),
         ("best_first", "best-first"),
-        ("lds", "lds"),
     ):
         section[name] = _timed(
             BranchBoundExplorer(
@@ -725,11 +724,12 @@ def run_frontier_comparison(completion_budget: int = 500_000):
         )
     if section["dfs"]["optimal"]:
         reference = section["dfs"]["nodes"]
-        section["nodes_ratio_vs_dfs"] = {
-            name: round(reference / section[name]["nodes"], 2)
-            for name in ("best_first", "lds")
-            if section[name]["optimal"]
-        }
+        if section["best_first"]["optimal"]:
+            section["nodes_ratio_vs_dfs"] = {
+                "best_first": round(
+                    reference / section["best_first"]["nodes"], 2
+                )
+            }
     return section
 
 
@@ -1063,7 +1063,7 @@ def test_incremental_speedup_recorded(benchmark):
                 frontier.get("nodes_ratio_vs_dfs", {}).get(mode, "1.0")
             ),
         ]
-        for mode in ("dfs", "best_first", "lds")
+        for mode in ("dfs", "best_first")
     ]
     frontier_text = render_table(
         ["frontier", "nodes to optimal", "proved", "shrink vs dfs"],
@@ -1149,9 +1149,7 @@ def test_incremental_speedup_recorded(benchmark):
     # not a theorem).
     assert frontier["dfs"]["optimal"]
     assert frontier["best_first"]["optimal"]
-    assert frontier["lds"]["optimal"]
     assert frontier["best_first"]["cost"] == frontier["dfs"]["cost"]
-    assert frontier["lds"]["cost"] == frontier["dfs"]["cost"]
     assert frontier["best_first"]["nodes"] <= frontier["dfs"]["nodes"]
     # The DFS frontier row must mirror the default branching-order row
     # (same explorer configuration, same workload).

@@ -11,7 +11,7 @@ The table covers the whole pruning story on the knapsack-hard
 workload: the capacity-blind *basic* bound, the PR 3 *capacity* bound
 under the static order, each PR 4 branching-order mode up to the
 default adaptive-order + dynamic-pool configuration, and the PR 5
-search frontiers (best-first / LDS) on top of the adaptive order —
+best-first search frontier on top of the adaptive order —
 the ``frontier`` column of the story (the default DFS frontier is the
 ``adaptive order + dynamic pool`` row itself).
 """
@@ -43,7 +43,6 @@ ROWS = (
         "adaptive_dynamic",
     ),
     ("best-first frontier, adaptive order", "frontier", "best_first"),
-    ("LDS frontier, adaptive order", "frontier", "lds"),
 )
 
 

@@ -10,7 +10,7 @@ Usage::
     python -m repro explore [--space figure2|generated] [--explorer E]
                             [--jobs N] [--lineage-size K]
                             [--ordering static|density|adaptive]
-                            [--frontier dfs|best-first|lds|beam|hybrid]
+                            [--frontier F]
                             [--max-open N]
                             [--no-dynamic-pool] [--share-incumbent]
     python -m repro serve   [--host H] [--port P] [--workers N]
@@ -218,6 +218,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
+    from .synth.ordering import FRONTIERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -303,15 +305,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     explore.add_argument(
         "--frontier",
-        choices=["dfs", "best-first", "lds", "beam", "hybrid"],
+        choices=FRONTIERS,
         default="dfs",
         help=(
             "branch-and-bound search frontier: depth-first (default, "
             "byte-identical to previous releases), best-first over "
-            "the incremental lower bound, limited discrepancy "
-            "search over the probed child ordering, level-by-level "
-            "beam (width-limited only with --max-open), or hybrid "
-            "(one greedy dive for an incumbent, then best-first); "
+            "the incremental lower bound, or hybrid (one greedy "
+            "dive for an incumbent, then best-first); "
             "with --explorer racing a non-default frontier races a "
             "second exact member against the DFS one"
         ),
@@ -324,7 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "bounded-memory search: cap the open frontier at N "
             "entries, deterministically evicting the worst-bound "
-            "entries (best-first/hybrid heap, beam level width); "
+            "entries of the best-first/hybrid heap; "
             "evicted subtrees are recorded so proof_floor stays "
             "honest and provenance says memory-truncated when "
             "optimality could have been lost"

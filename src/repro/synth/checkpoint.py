@@ -28,8 +28,8 @@ Equivalence contract (property-tested against the exhaustive oracle):
   uninterrupted one's (node budgets are **totals across segments**:
   the clock resumes from the recorded count).
 
-The depth-first and LDS drivers replay the recursive control flow with
-an explicit stack whose entries are either open *nodes* or resumable
+The depth-first driver replays the recursive control flow with an
+explicit stack whose entries are either open *nodes* or resumable
 *sibling groups* — a group re-applies the recursion's loop-time
 incumbent checks when it is popped, not when it was pushed, which is
 what keeps node counts identical when an earlier sibling's subtree
@@ -53,14 +53,22 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
 from .mapping import Mapping, SynthesisProblem, Target
-from .ordering import STRONG_BRANCH_DEPTH, probe_targets, strong_branch
+from .ordering import (
+    STRONG_BRANCH_DEPTH,
+    probe_targets,
+    strong_branch,
+    validate_frontier,
+    validate_ordering,
+)
 from .state import EvictionLog, PathTrail
 
 #: Blob format version.  Bump on any change to the payload shape; a
 #: mismatched resume is refused, never misread.  Version 2 added the
-#: resource-governance fields (eviction gauges, the beam/hybrid
-#: frontier states) — version-1 blobs predate ``max_open`` and cannot
-#: express what a capped search dropped, so they are refused.
+#: resource-governance fields (eviction gauges, the hybrid frontier
+#: state) — version-1 blobs predate ``max_open`` and cannot express
+#: what a capped search dropped, so they are refused.  A version-2
+#: blob naming a frontier or ordering this build does not know is
+#: refused at load time.
 CHECKPOINT_VERSION = 2
 
 _INF = float("inf")
@@ -192,8 +200,8 @@ class SearchCheckpoint:
                 f"(this build reads version {CHECKPOINT_VERSION})"
             )
         return cls(
-            frontier=payload["frontier"],
-            ordering=payload["ordering"],
+            frontier=validate_frontier(payload["frontier"]),
+            ordering=validate_ordering(payload["ordering"]),
             fingerprint=payload["fingerprint"],
             nodes=int(payload["nodes"]),
             evaluations=int(payload["evaluations"]),
@@ -454,10 +462,6 @@ def drive(explorer, problem, warm_start, ck: Checkpointer):
         truncated = _drive_best_first(search, ck)
     elif explorer.frontier == "hybrid":
         truncated = _drive_hybrid(search, ck)
-    elif explorer.frontier == "lds":
-        truncated = _drive_lds(search, ck)
-    elif explorer.frontier == "beam":
-        truncated = _drive_beam(search, ck)
     else:
         truncated = _drive_dfs(search, ck)
     return explorer._finish_search(
@@ -701,218 +705,7 @@ def _drive_dfs(search: _Search, ck: Checkpointer) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Limited discrepancy driver
-# ----------------------------------------------------------------------
-# Same stack machinery as DFS, with two extra slots: every entry
-# carries its remaining discrepancy allowance, and the frontier state
-# records the pass-wide ``allowance`` / ``limited`` flags that decide
-# whether another widened pass runs.
-#   ("node", path, allowance, bound)
-#   ("group", path, unit, scored, pos, allowance)
-
-
-def _encode_lds_stack(stack) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for entry in stack:
-        if entry[0] == "node":
-            _, path, allowance, bound = entry
-            rows.append(
-                {
-                    "kind": "node",
-                    "path": _encode_path(path),
-                    "allowance": allowance,
-                    "bound": _encode_num(bound),
-                }
-            )
-        else:
-            _, path, unit, scored, pos, allowance = entry
-            rows.append(
-                {
-                    "kind": "group",
-                    "path": _encode_path(path),
-                    "unit": unit,
-                    "scored": [
-                        [_encode_num(bound), _encode_target(target)]
-                        for bound, target in scored
-                    ],
-                    "pos": pos,
-                    "allowance": allowance,
-                }
-            )
-    return rows
-
-
-def _decode_lds_stack(rows) -> List[tuple]:
-    stack: List[tuple] = []
-    for row in rows:
-        if row["kind"] == "node":
-            stack.append(
-                (
-                    "node",
-                    _decode_path(row["path"]),
-                    int(row["allowance"]),
-                    _decode_num(row["bound"]),
-                )
-            )
-        else:
-            stack.append(
-                (
-                    "group",
-                    _decode_path(row["path"]),
-                    row["unit"],
-                    tuple(
-                        (_decode_num(bound), _decode_target(target))
-                        for bound, target in row["scored"]
-                    ),
-                    int(row["pos"]),
-                    int(row["allowance"]),
-                )
-            )
-    return stack
-
-
-def _drive_lds(search: _Search, ck: Checkpointer) -> bool:
-    from .explorer import _BudgetExceeded, _cap_children
-
-    resume = ck.resume
-    if resume is not None:
-        frontier = resume.frontier_state
-        stack = _decode_lds_stack(frontier["stack"])
-        allowance = int(frontier["allowance"])
-        limited = bool(frontier["limited"])
-    else:
-        allowance = 0
-        limited = False
-        stack = [("node", (), allowance, None)]
-    # Open (not-yet-descended) children across the active groups — the
-    # quantity the recursive driver's ``max_open`` cap reads.  The
-    # stack *is* the recursion, so the count reconstructs exactly from
-    # each group's remaining slice; a resumed segment therefore caps
-    # at the same points the uninterrupted run would.
-    open_count = sum(
-        len(entry[3]) - entry[4] for entry in stack if entry[0] == "group"
-    )
-
-    def lds_state() -> Dict[str, object]:
-        return {
-            "stack": _encode_lds_stack(stack),
-            "allowance": allowance,
-            "limited": limited,
-        }
-
-    truncated = False
-    entry = None
-    try:
-        while True:
-            while stack:
-                entry = stack.pop()
-                if entry[0] == "group":
-                    _, path, unit, scored, pos, group_allowance = entry
-                    open_count -= len(scored) - pos
-                    floor = search.clock.shared_floor
-                    for rank in range(pos, len(scored)):
-                        bound, target = scored[rank]
-                        if bound >= search.best_cost or bound >= floor:
-                            # Bound-pruned children are excluded for
-                            # good: no allowance spent, no wider pass
-                            # forced.
-                            continue
-                        if rank > group_allowance:
-                            limited = True
-                            break
-                        stack.append(
-                            (
-                                "group",
-                                path,
-                                unit,
-                                scored,
-                                rank + 1,
-                                group_allowance,
-                            )
-                        )
-                        open_count += len(scored) - (rank + 1)
-                        stack.append(
-                            (
-                                "node",
-                                path + ((unit, target),),
-                                group_allowance - rank,
-                                bound,
-                            )
-                        )
-                        break
-                else:
-                    _, path, node_allowance, bound = entry
-                    search.clock.tick()
-                    search.trail.restore(path)
-                    state = search.state
-                    limit = search.limit()
-                    viable = True
-                    if limit < _INF:
-                        if bound is None:
-                            bound = state.lower_bound()
-                        if bound >= limit:
-                            viable = False
-                    if viable and search.prune_infeasible:
-                        viable = state.feasible
-                    if viable:
-                        if len(path) == search.total:
-                            search.offer_leaf()
-                        else:
-                            unit, scored = _probe_children(search, path)
-                            scored = _cap_children(
-                                scored,
-                                search.clock,
-                                search.explorer.max_open,
-                                open_count,
-                            )
-                            open_count += len(scored)
-                            search.clock.note_open(open_count)
-                            stack.append(
-                                (
-                                    "group",
-                                    path,
-                                    unit,
-                                    scored,
-                                    0,
-                                    node_allowance,
-                                )
-                            )
-                if ck.due(search.clock.nodes):
-                    ck.emit(
-                        search.snapshot(
-                            lds_state(),
-                            search.clock.nodes,
-                            complete=False,
-                        )
-                    )
-            if not limited:
-                break
-            allowance += 1
-            limited = False
-            stack.append(("node", (), allowance, None))
-    except _BudgetExceeded:
-        truncated = True
-        stack.append(entry)
-        ck.emit(
-            search.snapshot(
-                lds_state(),
-                search.clock.nodes - 1,
-                complete=False,
-            )
-        )
-    else:
-        ck.emit(
-            search.snapshot(
-                lds_state(),
-                search.clock.nodes,
-                complete=True,
-            )
-        )
-    return truncated
-
-
-# ----------------------------------------------------------------------
-# Best-first / hybrid / beam drivers (path-shaped frontiers)
+# Best-first / hybrid drivers (heap-shaped frontiers)
 # ----------------------------------------------------------------------
 def _encode_heap(heap) -> List[List[object]]:
     return [
@@ -921,16 +714,11 @@ def _encode_heap(heap) -> List[List[object]]:
     ]
 
 
-def _decode_entries(rows) -> List[tuple]:
-    """Decode ``(bound, tie, path)`` entries preserving list order."""
-    return [
+def _decode_heap(rows) -> List[tuple]:
+    heap = [
         (_decode_num(bound), int(tie), _decode_path(path))
         for bound, tie, path in rows
     ]
-
-
-def _decode_heap(rows) -> List[tuple]:
-    heap = _decode_entries(rows)
     heapq.heapify(heap)
     return heap
 
@@ -1113,106 +901,3 @@ def _hybrid_dive(search: _Search, ck: Checkpointer, path) -> bool:
             )
         )
         return True
-
-
-def _drive_beam(search: _Search, ck: Checkpointer) -> bool:
-    """Level-synchronous beam driver; the two buffers checkpoint
-    verbatim (``level``/``pos``/``next`` plus the push counter)."""
-    from .explorer import _BudgetExceeded, _cap_frontier
-
-    state = search.state
-    resume = ck.resume
-    if resume is not None:
-        frontier = resume.frontier_state
-        level = _decode_entries(frontier["level"])
-        pos = int(frontier["pos"])
-        next_buf = _decode_entries(frontier["next"])
-        pushes = int(frontier["pushes"])
-    else:
-        pushes = 0
-        pos = 0
-        root_bound = (
-            _INF
-            if search.prune_infeasible and not state.feasible
-            else state.lower_bound()
-        )
-        level = [(root_bound, pushes, ())]
-        next_buf = []
-
-    def beam_state(pos_now) -> Dict[str, object]:
-        return {
-            "level": _encode_heap(level),
-            "pos": pos_now,
-            "next": _encode_heap(next_buf),
-            "pushes": pushes,
-        }
-
-    truncated = False
-    try:
-        while True:
-            if pos >= len(level):
-                if not next_buf:
-                    break
-                next_buf.sort()
-                level, next_buf, pos = next_buf, [], 0
-            bound, _tie, path = level[pos]
-            pos += 1
-            if bound >= search.limit():
-                # The level is bound-sorted: its remainder prunes too.
-                pos = len(level)
-            else:
-                search.clock.tick()
-                search.trail.restore(path)
-                if len(path) == search.total:
-                    search.offer_leaf()
-                else:
-                    unit, scored = _probe_children(search, path)
-                    floor = search.clock.shared_floor
-                    for child_bound, target in scored:
-                        if (
-                            child_bound >= search.best_cost
-                            or child_bound >= floor
-                        ):
-                            continue
-                        pushes += 1
-                        next_buf.append(
-                            (
-                                child_bound,
-                                pushes,
-                                path + ((unit, target),),
-                            )
-                        )
-                    _cap_frontier(
-                        next_buf, search.clock, search.explorer.max_open
-                    )
-                    search.clock.note_open(
-                        len(level) - pos + len(next_buf)
-                    )
-            if ck.due(search.clock.nodes):
-                ck.emit(
-                    search.snapshot(
-                        beam_state(pos),
-                        search.clock.nodes,
-                        complete=False,
-                    )
-                )
-    except _BudgetExceeded:
-        # The in-flight entry is level[pos - 1]: rewind one slot and
-        # record the pre-tick node count, as every driver does.
-        truncated = True
-        ck.emit(
-            search.snapshot(
-                beam_state(pos - 1),
-                search.clock.nodes - 1,
-                complete=False,
-            )
-        )
-    else:
-        ck.emit(
-            search.snapshot(
-                {"level": [], "pos": 0, "next": [], "pushes": pushes},
-                search.clock.nodes,
-                complete=True,
-            )
-        )
-    return truncated

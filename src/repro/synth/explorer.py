@@ -516,12 +516,12 @@ class _BudgetClock:
 def _cap_frontier(entries, clock, max_open) -> None:
     """Deterministic worst-bound eviction of a sorted-tuple frontier.
 
-    ``entries`` is a list of ``(bound, tie, ...)`` tuples (a heap or a
-    beam buffer; ties are unique push counters, so sorting never
-    compares payloads).  When the list exceeds the cap, it is sorted
-    and the worst-bound tail evicted — a sorted list is a valid heap,
-    so heap callers keep popping untouched.  Evicted bounds land in
-    the clock's :class:`EvictionLog`, which is what keeps the run's
+    ``entries`` is a heap of ``(bound, tie, ...)`` tuples (ties are
+    unique push counters, so sorting never compares payloads).  When
+    the heap exceeds the cap, it is sorted and the worst-bound tail
+    evicted — a sorted list is a valid heap, so callers keep popping
+    untouched.  Evicted bounds land in the clock's
+    :class:`EvictionLog`, which is what keeps the run's
     ``proof_floor`` honest.
 
     The fault harness's ``search`` scope hooks in here: an ``evict``
@@ -546,28 +546,6 @@ def _cap_frontier(entries, clock, max_open) -> None:
         entries.sort()
         clock.evictions.record(entry[0] for entry in entries[cap:])
         del entries[cap:]
-
-
-def _cap_children(scored, clock, max_open, open_count):
-    """LDS group-creation eviction: bound the total open children.
-
-    Keeps at most ``max(1, max_open - open_count)`` of a new sibling
-    group's (ascending-bound-sorted) children — always at least the
-    cheapest child, so the dive can never starve — and records the
-    evicted tail's bounds.  Evicted children are excluded for good:
-    they never set ``limited`` and never force a wider LDS pass, so a
-    capped run terminates exactly like an uncapped one, just with a
-    possibly-degraded proof.
-    """
-    if max_open is None:
-        return scored
-    allowed = max_open - open_count
-    if allowed < 1:
-        allowed = 1
-    if len(scored) <= allowed:
-        return scored
-    clock.evictions.record(entry[0] for entry in scored[allowed:])
-    return scored[:allowed]
 
 
 class BranchBoundExplorer(SearchExplorer):
@@ -618,20 +596,6 @@ class BranchBoundExplorer(SearchExplorer):
       net-delta restore; the search stops — with a complete optimality
       proof — as soon as the cheapest open bound meets the incumbent,
       so it expands only nodes whose bound beats the optimum;
-    * ``"lds"`` — limited discrepancy search: iteratively widened
-      passes that follow the probed cheapest-bound child ordering
-      (plus, under ``ordering="adaptive"``, the same shallow-depth
-      strong-branching unit re-sorts the other frontiers use) and
-      spend one discrepancy per rank a decision deviates from it.
-      Bound-pruned children never consume the allowance; a pass the
-      allowance never truncates is a complete bound-pruned search, so
-      the run ends provably optimal;
-    * ``"beam"`` — level-synchronous search: the whole open level is
-      expanded cheapest-bound-first and its children become the next
-      level.  Without ``max_open`` it is a complete bound-pruned
-      breadth-first search (full optimality proof); with ``max_open``
-      it is the classical width-limited beam whose eviction honesty
-      is described below;
     * ``"hybrid"`` — a greedy depth-first dive (always following the
       cheapest probed child) seeds the incumbent, then a best-first
       pass — typically capped by ``max_open`` — finishes the proof.
@@ -639,17 +603,16 @@ class BranchBoundExplorer(SearchExplorer):
       optimum, so the following best-first frontier stays small: the
       bounded-memory way to both a good answer *and* a proof.
 
-    ``max_open`` bounds the retained open frontier of the memory-bound
-    frontiers (best-first, LDS, beam, hybrid; plain DFS keeps its
-    frontier on the call stack and ignores the cap).  When the open
-    set would exceed it, the worst-bound nodes are evicted
-    *deterministically* and their bounds recorded: the run degrades
-    gracefully instead of aborting, ``proof_floor`` drops to the
-    minimum evicted bound (everything below it is still certified),
-    and ``optimal`` survives exactly when the final cost meets that
-    floor — otherwise the provenance says ``(memory-truncated)``
-    rather than silently losing optimality.  Peak retained frontier
-    size and eviction counts ride the result as
+    ``max_open`` bounds the retained open frontier of the heap frontiers
+    (best-first and hybrid; plain DFS keeps its frontier on the call
+    stack and ignores the cap).  When the open set would exceed it, the
+    worst-bound nodes are evicted *deterministically* and their bounds
+    recorded: the run degrades gracefully instead of aborting,
+    ``proof_floor`` drops to the minimum evicted bound (everything below
+    it is still certified), and ``optimal`` survives exactly when the
+    final cost meets that floor — otherwise the provenance says
+    ``(memory-truncated)`` rather than silently losing optimality.  Peak
+    retained frontier size and eviction counts ride the result as
     ``open_high_water``/``evicted_subtrees``.
 
     Node/time budgets, warm starts, incumbent sharing, ``optimal``
@@ -726,10 +689,6 @@ class BranchBoundExplorer(SearchExplorer):
             return self._explore_heap(problem, warm_start, dive=False)
         if self.frontier == "hybrid":
             return self._explore_heap(problem, warm_start, dive=True)
-        if self.frontier == "lds":
-            return self._explore_lds(problem, warm_start)
-        if self.frontier == "beam":
-            return self._explore_beam(problem, warm_start)
         return self._explore_dfs(problem, warm_start)
 
     def _begin_search(self, problem, warm_start):
@@ -811,7 +770,7 @@ class BranchBoundExplorer(SearchExplorer):
 
         ``frontier="dfs"`` reproduces the pre-frontier strings byte
         for byte; non-default frontiers join the tag list (e.g.
-        ``branch_and_bound[adaptive,lds]``).  ``(memory-truncated)``
+        ``branch_and_bound[adaptive,hybrid]``).  ``(memory-truncated)``
         marks a run whose ``max_open`` evictions dropped a subtree the
         proof needed — the result may still be the optimum, but the
         run can no longer certify it.
@@ -1193,238 +1152,6 @@ class BranchBoundExplorer(SearchExplorer):
             if bound >= best_cost or bound >= clock.shared_floor:
                 return best, best_cost, evaluations
             path += ((unit, target),)
-
-    def _explore_beam(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        """Level-synchronous beam search over the probed child bounds.
-
-        Expands the tree one depth level at a time: the current
-        level's nodes are visited in ascending ``(bound, push)`` order
-        and their viable children accumulate into the next level's
-        buffer, which sorts when the level rolls over.  Uncapped,
-        every viable child survives, so the search is a complete
-        branch-and-bound — level order changes *when* nodes expand,
-        never whether.  With ``max_open`` the buffer is truncated to
-        the cheapest ``max_open`` entries after every expansion
-        (streaming top-K is exact: an evicted entry could never
-        re-enter), bounding the beam width — and therefore memory —
-        while :class:`EvictionLog` keeps the proof floor honest.
-        """
-        free, state, best, best_cost, clock, shared = (
-            self._begin_search(problem, warm_start)
-        )
-        warm_started = best is not None
-        evaluations = 0
-        state_targets = self.state_targets
-        prune_infeasible = state.can_prune_infeasible
-        adaptive = self.ordering == "adaptive"
-        total = len(free)
-        trail = PathTrail(state)
-        pushes = 0
-        truncated = False
-        root_bound = (
-            float("inf")
-            if prune_infeasible and not state.feasible
-            else state.lower_bound()
-        )
-        level: List[tuple] = [(root_bound, pushes, ())]
-        pos = 0
-        next_buf: List[tuple] = []
-
-        try:
-            while True:
-                if pos >= len(level):
-                    if not next_buf:
-                        break
-                    next_buf.sort()
-                    level, next_buf, pos = next_buf, [], 0
-                bound, _tie, path = level[pos]
-                pos += 1
-                shared_floor = clock.shared_floor
-                limit = (
-                    best_cost if best_cost < shared_floor else shared_floor
-                )
-                if bound >= limit:
-                    # The level is bound-sorted, so its remainder is
-                    # prunable too; children already buffered for the
-                    # next level keep their own pop-time check.
-                    pos = len(level)
-                    continue
-                clock.tick()
-                trail.restore(path)
-                if len(path) == total:
-                    evaluations += 1
-                    feasible, cost = state.leaf()
-                    if feasible and cost < best_cost:
-                        best, best_cost = state.to_mapping(), cost
-                        if shared is not None:
-                            shared.offer(best_cost)
-                    continue
-                assignment = state.assignment
-                if adaptive and len(path) < STRONG_BRANCH_DEPTH:
-                    undecided = [u for u in free if u not in assignment]
-                    unit, scored = strong_branch(
-                        state, problem, undecided, state_targets
-                    )
-                else:
-                    unit = next(u for u in free if u not in assignment)
-                    scored = probe_targets(
-                        state, unit, state_targets(problem, unit, state)
-                    )
-                for child_bound, _index, target in scored:
-                    if (
-                        child_bound >= best_cost
-                        or child_bound >= clock.shared_floor
-                    ):
-                        continue
-                    pushes += 1
-                    next_buf.append(
-                        (child_bound, pushes, path + ((unit, target),))
-                    )
-                _cap_frontier(next_buf, clock, self.max_open)
-                clock.note_open(len(level) - pos + len(next_buf))
-        except _BudgetExceeded:
-            truncated = True
-        return self._finish_search(
-            problem,
-            best,
-            best_cost,
-            clock,
-            evaluations,
-            shared,
-            warm_started,
-            truncated,
-        )
-
-    def _explore_lds(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        """Limited discrepancy search over the probed child ordering.
-
-        Each pass walks the tree depth-first following the
-        cheapest-probed-bound child order (with the adaptive mode's
-        shallow strong-branching unit choice), spending ``rank``
-        discrepancies to take a child ``rank`` places off that
-        heuristic preference; a pass that cuts a *viable* child on
-        its allowance sets ``limited`` and the allowance widens by
-        one — bound-pruned children are excluded for good and never
-        force a pass.  The run ends at the first pass the allowance
-        never truncated: that pass was a complete bound-pruned
-        search, so the usual optimality proof holds.  Node/budget
-        accounting accumulates across passes — re-expansions are real
-        work.
-
-        With ``max_open`` set, each new sibling group is trimmed so
-        the total count of open (not-yet-descended) children across
-        the active recursion never exceeds the cap: the cheapest
-        children survive, evicted ones are logged (they never set
-        ``limited`` — a capped pass must still terminate) and the
-        proof floor accounts for them.
-        """
-        free, state, best, best_cost, clock, shared = (
-            self._begin_search(problem, warm_start)
-        )
-        warm_started = best is not None
-        evaluations = 0
-        state_targets = self.state_targets
-        prune_infeasible = state.can_prune_infeasible
-        adaptive = self.ordering == "adaptive"
-        total = len(free)
-        truncated = False
-        limited = False
-        open_count = 0
-
-        def _leaf() -> None:
-            nonlocal best, best_cost, evaluations
-            evaluations += 1
-            feasible, cost = state.leaf()
-            if feasible and cost < best_cost:
-                best, best_cost = state.to_mapping(), cost
-                if shared is not None:
-                    shared.offer(best_cost)
-
-        def recurse(
-            depth: int,
-            allowance: int,
-            bound: Optional[float] = None,
-        ) -> None:
-            # ``bound`` is the probed score of this exact state (from
-            # the parent's batch probe) — reusing it skips the entry
-            # recomputation; an ``inf`` probe (infeasibility-mapped)
-            # returns here exactly where the feasibility check would.
-            nonlocal limited, open_count
-            clock.tick()
-            shared_floor = clock.shared_floor
-            limit = (
-                best_cost if best_cost < shared_floor else shared_floor
-            )
-            if limit < float("inf"):
-                if bound is None:
-                    bound = state.lower_bound()
-                if bound >= limit:
-                    return
-            if prune_infeasible and not state.feasible:
-                return
-            if depth == total:
-                _leaf()
-                return
-            assignment = state.assignment
-            if adaptive and depth < STRONG_BRANCH_DEPTH:
-                undecided = [u for u in free if u not in assignment]
-                unit, scored = strong_branch(
-                    state, problem, undecided, state_targets
-                )
-            else:
-                unit = next(u for u in free if u not in assignment)
-                scored = probe_targets(
-                    state, unit, state_targets(problem, unit, state)
-                )
-            scored = _cap_children(scored, clock, self.max_open, open_count)
-            open_count += len(scored)
-            clock.note_open(open_count)
-            for rank, (bound, _index, target) in enumerate(scored):
-                open_count -= 1
-                # Bound-pruned children are excluded for good — they
-                # never consume the allowance and never force another
-                # pass (only a *viable* child cut by the allowance
-                # does).
-                if bound >= best_cost or bound >= clock.shared_floor:
-                    continue
-                if rank > allowance:
-                    # A viable deeper discrepancy waits for the wider
-                    # next pass.
-                    limited = True
-                    open_count -= len(scored) - rank - 1
-                    break
-                state.assign(unit, target)
-                recurse(depth + 1, allowance - rank, bound)
-                state.unassign(unit)
-
-        allowance = 0
-        try:
-            while True:
-                limited = False
-                recurse(0, allowance)
-                if not limited:
-                    break
-                allowance += 1
-        except _BudgetExceeded:
-            truncated = True
-        return self._finish_search(
-            problem,
-            best,
-            best_cost,
-            clock,
-            evaluations,
-            shared,
-            warm_started,
-            truncated,
-        )
 
 
 class AnnealingExplorer(SearchExplorer):

@@ -466,7 +466,7 @@ def explore_space(
     ``jobs > 1``, so the flag defaults to off.
 
     ``frontier`` picks the default branch-and-bound explorer's search
-    frontier (``"dfs"``/``"best-first"``/``"lds"``, see
+    frontier (one of :data:`~repro.synth.ordering.FRONTIERS`, see
     :class:`~repro.synth.explorer.BranchBoundExplorer`); it is ignored
     when an explicit ``explorer`` is passed — configure that explorer
     directly instead.

@@ -48,13 +48,10 @@ ORDERINGS = ("static", "density", "adaptive")
 
 #: Valid ``frontier=`` values of :class:`BranchBoundExplorer`:
 #: depth-first (the default), best-first over the incremental lower
-#: bound, limited discrepancy search over the probed child order,
-#: level-synchronous beam search (complete when ``max_open`` is unset,
-#: width-limited with deterministic worst-bound eviction when set),
-#: and the dive-then-best-first hybrid (a greedy depth-first dive
-#: seeds the incumbent, then a — typically capped — best-first pass
-#: finishes the proof in bounded memory).
-FRONTIERS = ("dfs", "best-first", "lds", "beam", "hybrid")
+#: bound, and the dive-then-best-first hybrid (a greedy depth-first
+#: dive seeds the incumbent, then a — typically capped — best-first
+#: pass finishes the proof in bounded memory).
+FRONTIERS = ("dfs", "best-first", "hybrid")
 
 #: Depths (0-based) at which ``adaptive`` re-sorts the undecided units
 #: via :func:`strong_branch` instead of following the precomputed

@@ -730,8 +730,8 @@ class ParallelSpaceExplorer:
         (``False``) keeps the byte-identical-for-every-jobs contract.
     frontier:
         Search frontier of the *default* branch-and-bound explorer
-        (``"dfs"``/``"best-first"``/``"lds"``); ignored when an
-        explicit ``explorer`` is passed.  Every frontier keeps the
+        (one of :data:`~repro.synth.ordering.FRONTIERS`); ignored when
+        an explicit ``explorer`` is passed.  Every frontier keeps the
         byte-identical-for-every-jobs contract — frontier expansion
         order is deterministic, and lineages stay the unit of work.
     mp_context:

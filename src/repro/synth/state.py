@@ -1718,9 +1718,9 @@ class _NumpySearchState(SearchState):
 class PathTrail:
     """Delta-replay cursor over search-tree paths of one state.
 
-    Non-depth-first frontiers (best-first, LDS restarts) revisit
-    search nodes out of tree order; materializing a fresh state per
-    node would rebuild every Fenwick pool each time.  A trail instead
+    Non-depth-first frontiers (best-first, hybrid) revisit search
+    nodes out of tree order; materializing a fresh state per node
+    would rebuild every Fenwick pool each time.  A trail instead
     snapshots a node as its *decision path* — the ``(unit, target)``
     pairs from the root — and restores any node by applying the **net
     difference** between the applied path and the wanted one, below
@@ -1809,10 +1809,10 @@ class PathTrail:
 class EvictionLog:
     """Bounded record of frontier evictions for honest proof floors.
 
-    Memory-capped frontiers (``max_open=``, beam widths) shed open
-    nodes by worst bound; what the search must remember about a shed
-    subtree is *only* the admissible bound it was evicted at — the
-    minimum over all evicted bounds is exactly the cost below which
+    Memory-capped frontiers (``max_open=``) shed open nodes by worst
+    bound; what the search must remember about a shed subtree is
+    *only* the admissible bound it was evicted at — the minimum over
+    all evicted bounds is exactly the cost below which
     the run can no longer claim a complete proof.  This log keeps
     that minimum plus a count, O(1) space however many subtrees are
     dropped, and round-trips through search checkpoints (a resumed

@@ -117,7 +117,7 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
         {**center, "dynamic_pool": False, "capacity_bound": False},
         {**center, "max_open": 4},
         {**center, "frontier": "best-first", "max_open": 4},
-        {**center, "frontier": "beam", "max_open": 4},
+        {**center, "frontier": "hybrid", "max_open": 4},
     ]
     if HAS_NUMPY:
         variations += [

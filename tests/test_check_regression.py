@@ -379,8 +379,8 @@ class TestAdaptiveNodesGate:
 def bench_payload_with_frontier(nodes=36.0, optimal=True):
     payload = bench_payload()
     payload["frontier"] = {
+        "dfs": {"nodes": 41.0, "optimal": True},
         "best_first": {"nodes": nodes, "optimal": optimal},
-        "lds": {"nodes": 69.0, "optimal": True},
     }
     return payload
 
@@ -395,8 +395,8 @@ class TestBestFirstNodesGate:
             bench_payload_with_frontier(nodes=36.0, optimal=False)
         )
         assert "bnb_bestfirst_nodes_to_optimal" not in truncated
-        # only the gated best-first count is extracted, not LDS
-        assert not any("lds" in key for key in metrics)
+        # only the gated best-first count is extracted, not DFS
+        assert not any("dfs" in key for key in metrics)
 
     def test_bestfirst_is_a_lower_is_better_gate(self):
         assert (
@@ -503,14 +503,12 @@ class TestBenchSummaryFrontierRows:
             },
             "frontier": {
                 "best_first": {"nodes": 36, "optimal": True},
-                "lds": {"nodes": 69, "optimal": True},
             },
         }
 
     def test_frontier_rows_rendered(self):
         lines = "\n".join(bench_summary.comparison_lines(self.payload()))
         assert "best-first frontier" in lines
-        assert "LDS frontier" in lines
         assert "adaptive order + dynamic pool (default)" in lines
 
     def test_missing_frontier_section_still_renders(self):

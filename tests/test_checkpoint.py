@@ -198,7 +198,7 @@ def test_resume_rejects_different_problem(problem):
 def test_resume_rejects_mismatched_frontier_or_ordering(problem):
     snapshot = _checkpoint_of(problem, frontier="dfs", ordering="adaptive")
     with pytest.raises(SynthesisError, match="frontier"):
-        BranchBoundExplorer(frontier="lds").explore(
+        BranchBoundExplorer(frontier="hybrid").explore(
             problem, checkpoint=Checkpointer(resume=snapshot)
         )
     with pytest.raises(SynthesisError, match="ordering"):
@@ -211,6 +211,17 @@ def test_version_mismatch_rejected(problem):
     payload["version"] = CHECKPOINT_VERSION + 1
     with pytest.raises(SynthesisError, match="version"):
         SearchCheckpoint.from_payload(payload)
+
+def test_unknown_frontier_or_ordering_refused_at_load(problem):
+    """v2 blobs naming a removed frontier or unknown ordering fail to
+    load (surviving frontiers' v2 blobs resume in the matrix above)."""
+    payload = _checkpoint_of(problem, frontier="hybrid").to_payload()
+    assert payload["version"] == CHECKPOINT_VERSION == 2
+    for field, value in (
+        ("frontier", "lds"), ("frontier", "beam"), ("ordering", "random")
+    ):
+        with pytest.raises(SynthesisError, match=f"unknown {field}"):
+            SearchCheckpoint.from_payload({**payload, field: value})
 
 def test_resume_requires_checkpoint_or_path():
     with pytest.raises(SynthesisError, match="SearchCheckpoint"):

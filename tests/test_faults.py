@@ -402,7 +402,7 @@ class TestSearchFaults:
             ops=[{"op": "evict", "scope": "search", "at_node": 2,
                   "keep": 2}]
         )
-        for frontier in ("best-first", "beam", "hybrid"):
+        for frontier in ("best-first", "hybrid"):
             faults.install(plan)
             plain = BranchBoundExplorer(frontier=frontier).explore(
                 problem

@@ -243,7 +243,7 @@ class TestFrontierJobsDeterminism:
     the selection order — and with it every cost, mapping and node
     count — is byte-identical at any ``--jobs``."""
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_jobs_sweep_byte_identical(self, frontier):
         family, space = generated_space()
         explorer = BranchBoundExplorer(frontier=frontier)
@@ -295,7 +295,7 @@ class TestFrontierJobsDeterminism:
         with pytest.raises(SynthesisError):
             ParallelSpaceExplorer(frontier="sideways")
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_frontier_matches_dfs_costs_across_the_space(
         self, frontier
     ):

@@ -11,10 +11,8 @@ enumeration on exact ``k/64`` binary-grid values:
   returns is feasible and no better than that optimum, and a run
   that still claims ``optimal`` really did match the oracle (caps
   that never evict lose nothing);
-* **accounting** — ``open_high_water`` respects the cap (exactly for
-  the heap frontiers, within the documented slack for beam's
-  double-buffered levels and LDS's one-per-depth floor), and a run
-  that lost optimality to eviction says so in its provenance;
+* **accounting** — ``open_high_water`` never exceeds the cap, and a
+  run that lost optimality to eviction says so in its provenance;
 * **determinism** — capped runs are byte-identical on repeat, and a
   capped search killed at an arbitrary node budget and resumed from
   its checkpoint finishes with the capped straight-run's exact
@@ -36,7 +34,7 @@ from repro.synth.mapping import SynthesisProblem, VariantOrigin
 
 #: The frontiers whose open set ``max_open`` actually bounds (DFS's
 #: frontier is the recursion stack; the cap is meaningless there).
-CAPPED_FRONTIERS = ("best-first", "lds", "beam", "hybrid")
+CAPPED_FRONTIERS = ("best-first", "hybrid")
 
 
 @st.composite
@@ -104,22 +102,6 @@ def make_problem(n_units=6, cap=0.75, procs=2, pcost=7):
     )
 
 
-def _high_water_limit(frontier, max_open, problem):
-    """The documented slack of each frontier's open-set accounting.
-
-    The heap frontiers cap the live heap directly.  Beam holds the
-    un-expanded remainder of the current level *and* the buffered next
-    level, each capped, so its open set peaks below twice the cap.
-    LDS never evicts a group below one child, so the cap can be
-    exceeded by at most one child per open depth.
-    """
-    if frontier == "beam":
-        return 2 * max_open
-    if frontier == "lds":
-        return max_open + len(problem.units)
-    return max_open
-
-
 class TestCappedHonesty:
     @given(small_problems())
     @settings(max_examples=15, deadline=None)
@@ -134,9 +116,7 @@ class TestCappedHonesty:
             # The floor is a certified bound on the true optimum,
             # eviction or not.
             assert result.proof_floor <= oracle.cost
-            assert result.open_high_water <= _high_water_limit(
-                frontier, max_open, problem
-            )
+            assert result.open_high_water <= max_open
             if result.mapping is not None:
                 ev = evaluate(problem, result.mapping)
                 assert ev.feasible

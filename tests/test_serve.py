@@ -20,6 +20,7 @@ from repro.serve import engine as engine_module
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.engine import ServeEngine, ServiceUnavailable, UnknownJob
 from repro.serve.http import ServeHTTP
+from repro.synth.ordering import FRONTIERS
 
 FIG2 = {"space": {"kind": "figure2"}}
 GENERATED = {"space": {"kind": "generated", "n_variants": 3}}
@@ -330,6 +331,10 @@ def test_http_error_paths(serve_client):
     with pytest.raises(ServeClientError) as err:
         client.submit({"bogus": True})
     assert err.value.status == 400
+    with pytest.raises(ServeClientError) as err:
+        client.submit({"explorer": {"frontier": "beam"}})
+    assert err.value.status == 400
+    assert repr(FRONTIERS) in err.value.body
     with pytest.raises(ServeClientError) as err:
         client.job("job-999999")
     assert err.value.status == 404

@@ -130,7 +130,7 @@ def test_job_key_tracks_explorer_config_and_target():
 def test_job_key_stable_across_processes():
     payload = {
         "space": {"kind": "generated", "seed": 3, "n_variants": 3},
-        "explorer": {"name": "bnb", "frontier": "lds"},
+        "explorer": {"name": "bnb", "frontier": "hybrid"},
     }
     local = build_workload(JobSpec.from_payload(payload)).job_key
     script = (

@@ -186,11 +186,16 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         return done.result_text, pending.job_id
 
     text, pending_id = asyncio.run(first_life())
+    # Schema drift: a journaled job this build rejects is dropped.
+    drifted = persist.Journal(persist.journal_path(state))
+    drifted.submit("job-000900", {"explorer": {"frontier": "lds"}})
+    drifted.close()
 
     async def second_life():
         engine = ServeEngine(workers=1, state_dir=state)
         await engine.start()
         assert engine.jobs_recovered == 1
+        assert "job-000900" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

@@ -224,7 +224,7 @@ class TestBranchingOrder:
 class TestSearchFrontiers:
     def test_default_frontier_is_dfs(self):
         assert BranchBoundExplorer().frontier == "dfs"
-        assert FRONTIERS == ("dfs", "best-first", "lds", "beam", "hybrid")
+        assert FRONTIERS == ("dfs", "best-first", "hybrid")
 
     def test_invalid_frontier_rejected(self):
         with pytest.raises(SynthesisError):
@@ -263,11 +263,11 @@ class TestSearchFrontiers:
         assert best_first.provenance.startswith(
             "branch_and_bound[adaptive,best-first]"
         )
-        lds_static = BranchBoundExplorer(
-            frontier="lds", ordering="static"
+        hybrid_static = BranchBoundExplorer(
+            frontier="hybrid", ordering="static"
         ).explore(problem)
-        assert lds_static.provenance.startswith(
-            "branch_and_bound[lds]"
+        assert hybrid_static.provenance.startswith(
+            "branch_and_bound[hybrid]"
         )
         dfs = BranchBoundExplorer().explore(problem)
         assert dfs.provenance.startswith("branch_and_bound[adaptive]")
@@ -288,7 +288,7 @@ class TestSearchFrontiers:
 class TestFrontierBudgetEdges:
     """The new frontiers mirror the DFS budget semantics exactly."""
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_node_budget_boundary_is_inclusive(self, frontier):
         """``nodes == node_budget`` completes; one less truncates."""
         problem = knapsack_problem()
@@ -309,7 +309,7 @@ class TestFrontierBudgetEdges:
         # the budget check fires on entering the first over-budget node
         assert under.nodes_explored == full.nodes_explored
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_time_budget_deadline_truncates(self, frontier):
         """An expired deadline stops the search at the next poll.
 
@@ -333,7 +333,7 @@ class TestFrontierBudgetEdges:
         assert result.provenance.endswith("(budget-truncated)")
         assert result.nodes_explored == 256
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_truncated_warm_start_keeps_the_incumbent(self, frontier):
         """A truncated warm-started run keeps the warm incumbent and
         names both the warm start and the truncation, exactly like
@@ -352,7 +352,7 @@ class TestFrontierBudgetEdges:
         # the budget check fires on entering the first over-budget node
         assert truncated.nodes_explored == 2
 
-    @pytest.mark.parametrize("frontier", ["best-first", "lds"])
+    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
     def test_warm_started_full_run_still_proves(self, frontier):
         """Warm-start incumbent seeding mirrors DFS: the seeded run
         proves the same optimum in no more nodes than the cold one."""
