@@ -32,7 +32,6 @@ from repro.apps import figure2
 from repro.apps.generators import generate_system
 from repro.report.tables import render_table
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import HAS_NUMPY
 from repro.synth.explorer import (
     AnnealingExplorer,
     BranchBoundExplorer,
@@ -236,48 +235,37 @@ def _probe_timed(explorer, problem):
 
     Temporarily wraps ``score_candidates`` *and* ``lower_bound`` with
     one accumulating clock, so the returned probe seconds isolate the
-    bound-scoring share of each search node from the mutation share.
-    Both must be counted for the comparison to be fair: the scalar
-    explorer computes each child's bound at node entry
-    (``lower_bound``), the vectorized one batch-scores the whole
-    sibling set at expansion (``score_candidates``) — same work,
-    different route.  The depth guard keeps the scalar probe loop
-    (whose ``score_candidates`` calls ``lower_bound`` per candidate)
-    from being counted twice.
+    bound-scoring share of each search node from the mutation share:
+    expansions score their sibling sets (``score_candidates``) and the
+    root reads its own bound (``lower_bound``).  Neither calls the
+    other, so no time is counted twice.
     """
     from repro.synth import state as state_module
 
-    clock = {"seconds": 0.0, "calls": 0, "depth": 0}
+    clock = {"seconds": 0.0, "calls": 0}
 
     def _wrap(original):
         def timed_score(self, *args, **kwargs):
-            if clock["depth"]:
-                return original(self, *args, **kwargs)
-            clock["depth"] = 1
             start = time.perf_counter()
             try:
                 return original(self, *args, **kwargs)
             finally:
-                clock["depth"] = 0
                 clock["seconds"] += time.perf_counter() - start
                 clock["calls"] += 1
 
         return timed_score
 
-    originals = {}
-    for attr in ("SearchState", "_NumpySearchState"):
-        cls = getattr(state_module, attr, None)
-        if cls is None:
-            continue
-        for method in ("score_candidates", "lower_bound"):
-            if method in cls.__dict__:
-                originals[(cls, method)] = cls.__dict__[method]
+    cls = state_module.SearchState
+    originals = {
+        method: cls.__dict__[method]
+        for method in ("score_candidates", "lower_bound")
+    }
     try:
-        for (cls, method), original in originals.items():
+        for method, original in originals.items():
             setattr(cls, method, _wrap(original))
         result = _timed(explorer, problem)
     finally:
-        for (cls, method), original in originals.items():
+        for method, original in originals.items():
             setattr(cls, method, original)
     return result, clock
 
@@ -291,13 +279,10 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
     branch-and-bound sections instead.  This is also how the real
     evaluation-heavy consumer (annealing) constructs its state.
 
-    When NumPy is present the identical walk is replayed on *both*
-    evaluation backends (``backend_evals_per_sec``), with the per-step
-    results asserted byte-identical; the historical ``speedup`` column
-    stays keyed to the scalar backend so it remains comparable with
-    its bench_history baselines.  Single-move replay is the scalar
-    backend's home turf — the batch win is measured separately by
-    :func:`run_batch_kernel`.
+    The incremental side runs on the scalar kernel
+    (``backend_evals_per_sec`` keeps its per-backend shape for the
+    bench_history baselines).  Candidate scoring is measured
+    separately by :func:`run_batch_kernel`.
     """
     rng = random.Random(42)
     units = list(problem.units)
@@ -332,22 +317,9 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
                 checksum += cost
         return time.perf_counter() - start, n_feasible, checksum
 
-    backend_names = ("python", "numpy") if HAS_NUMPY else ("python",)
-    backend_elapsed = {}
-    backend_checks = {}
-    for name in backend_names:
-        backend_elapsed[name], n_feasible, checksum = replay(
-            SearchState(problem, capacity_bound=False, backend=name)
-        )
-        backend_checks[name] = (n_feasible, checksum)
-    incremental_elapsed = backend_elapsed["python"]
-    incremental_feasible, incremental_checksum = backend_checks["python"]
-    # Both integer-kernel backends replay the walk byte-identically.
-    for name in backend_names:
-        assert backend_checks[name] == (
-            incremental_feasible,
-            incremental_checksum,
-        ), name
+    incremental_elapsed, incremental_feasible, incremental_checksum = (
+        replay(SearchState(problem, capacity_bound=False))
+    )
 
     assignment = dict(initial)
     start = time.perf_counter()
@@ -373,8 +345,7 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
         "reference_evals_per_sec": round(steps / reference_elapsed, 1),
         "speedup": round(reference_elapsed / incremental_elapsed, 2),
         "backend_evals_per_sec": {
-            name: round(steps / backend_elapsed[name], 1)
-            for name in backend_names
+            "python": round(steps / incremental_elapsed, 1)
         },
     }
 
@@ -387,9 +358,8 @@ def batch_problem() -> SynthesisProblem:
     that good mappings *occupy* many of them: every flexible unit then
     has ~33 probe-able targets, and the search's symmetry-broken
     candidate lists (occupied processors + one fresh) grow wide too —
-    the sibling width the batch kernel vectorizes over
-    (``max_processors=1`` would hand it batches of two — no vector to
-    speak of).
+    wide sibling sets for the candidate scorer
+    (``max_processors=1`` would hand it batches of two).
     """
     system = generate_system(
         seed=3, n_variants=6, cluster_size=5, common_processes=5
@@ -411,39 +381,27 @@ def batch_problem() -> SynthesisProblem:
 
 
 def run_batch_kernel(rounds: int, node_budget: int):
-    """Batch vs scalar candidate scoring on identical probe work.
+    """Non-mutating candidate scoring on the wide workload.
 
     Two measurements:
 
-    * **probe microbench** — the same sequence of full-sibling-batch
-      ``score_candidates`` calls on a half-built mapping, once per
-      backend.  The scalar backend runs the definitional
-      assign/bound/unassign loop; the NumPy backend one vectorized
-      pass.  Identical work, results asserted byte-identical in-bench;
-      ``batch_probe_speedup`` is the acceptance metric (gated
-      higher-is-better in ``check_regression.py``).
+    * **probe microbench** — a fixed sequence of full-sibling-batch
+      ``score_candidates`` calls on a half-built mapping;
+      ``scalar_probes_per_sec`` is gated higher-is-better in
+      ``check_regression.py``.  The scorer reads every candidate from
+      the current aggregates without mutating the state: the first
+      pass is asserted, in-bench, byte-identical to the definitional
+      assign / bound / unassign loop, with the assignment untouched.
     * **per-node probe cost** — best-first branch-and-bound (which
       probes the whole sibling batch at every expansion; that is the
       frontier's mechanism, not an ordering option) on the wide
-      workload under an identical node budget, per backend, with the
-      time spent scoring bounds accounted separately
-      (see :func:`_probe_timed`).  Node counts must match exactly
-      (the batch path may not change the tree);
-      ``probe_cost_per_node_us`` is the scoring share of each node,
-      and its scalar/batch ratio is the measured per-node drop.  The
-      batch problem is deliberately wide (32 processors), so scoring
-      is where the vectorized backend wins; ``auto`` still resolves
-      to the scalar backend on every frontier, because real searches
-      are mutation-bound on sibling batches of 2-3 targets, and the
-      end-to-end rates recorded here keep that decision honest.
-
-    When NumPy is absent only the scalar side runs and the comparative
-    fields are ``None`` (the regression gate skips them).
+      workload under a node budget, with the time spent scoring bounds
+      accounted separately (see :func:`_probe_timed`);
+      ``probe_cost_per_node_us`` is the scoring share of each node.
     """
     problem = batch_problem()
     rng = random.Random(11)
     units = list(problem.units)
-    backend_names = ("python", "numpy") if HAS_NUMPY else ("python",)
 
     # A deterministic half-built mapping: probes then see populated
     # processor columns, shared-exclusion clusters, and a live pool.
@@ -470,95 +428,50 @@ def run_batch_kernel(rounds: int, node_budget: int):
             targets.append(Target.hw())
         targets_of[unit] = targets
 
-    elapsed = {}
-    scored = {}
-    total_probes = 0
-    for name in backend_names:
-        state = SearchState(problem, backend=name)
-        for unit, target in prefix:
+    state = SearchState(problem)
+    for unit, target in prefix:
+        state.assign(unit, target)
+    before = list(state.assignment.items())
+    # Byte-identity against the mutate oracle, once per probe unit.
+    for unit in probe_units[: min(rounds, len(probe_units))]:
+        oracle = []
+        for target in targets_of[unit]:
             state.assign(unit, target)
-        # Warm-up: first calls pay one-off costs (index-vector cache,
-        # allocator warm-up) that steady-state search never sees.
-        for index in range(min(rounds // 10 + 1, 50)):
+            oracle.append((state.lower_bound(), state.feasible))
+            state.unassign(unit)
+        assert state.score_candidates(unit, targets_of[unit]) == oracle
+    assert list(state.assignment.items()) == before
+    # Best-of-3 repeats: the probe sequence is identical every time,
+    # so the minimum is the least noise-polluted sample.
+    best = None
+    for _repeat in range(3):
+        probes = 0
+        start = time.perf_counter()
+        for index in range(rounds):
             unit = probe_units[index % len(probe_units)]
-            state.score_candidates(unit, targets_of[unit])
-        # Best-of-3 repeats: the probe sequence is identical every
-        # time, so the minimum is the least noise-polluted sample.
-        best = None
-        for _repeat in range(3):
-            results = []
-            probes = 0
-            start = time.perf_counter()
-            for index in range(rounds):
-                unit = probe_units[index % len(probe_units)]
-                batch = state.score_candidates(unit, targets_of[unit])
-                probes += len(batch)
-                results.append(batch)
-            took = time.perf_counter() - start
-            best = took if best is None or took < best else best
-        elapsed[name] = best
-        scored[name] = results
-        total_probes = probes
-    if HAS_NUMPY:
-        # Byte-identity of every (bound, feasible) pair, in-bench.
-        assert scored["numpy"] == scored["python"]
+            probes += len(state.score_candidates(unit, targets_of[unit]))
+        took = time.perf_counter() - start
+        best = took if best is None or took < best else best
 
-    scalar_rate = _rate(total_probes, elapsed["python"])
-    batch_rate = (
-        _rate(total_probes, elapsed["numpy"]) if HAS_NUMPY else None
+    result, probe_clock = _probe_timed(
+        BranchBoundExplorer(node_budget=node_budget, frontier="best-first"),
+        problem,
     )
-    speedup = _ratio_or_none(batch_rate, scalar_rate)
-
-    bnb = {}
-    for name in backend_names:
-        result, probe_clock = _probe_timed(
-            BranchBoundExplorer(
-                node_budget=node_budget,
-                frontier="best-first",
-                backend=name,
-            ),
-            problem,
-        )
-        bnb[name] = result
-        nodes = result["nodes"]
-        bnb[name]["probe_seconds"] = round(probe_clock["seconds"], 4)
-        bnb[name]["probe_calls"] = probe_clock["calls"]
-        bnb[name]["probe_cost_per_node_us"] = (
-            round(probe_clock["seconds"] / nodes * 1e6, 2)
-            if nodes
-            else None
-        )
-    if HAS_NUMPY:
-        # The batch path may not change the tree, only its cost.
-        assert bnb["numpy"]["nodes"] == bnb["python"]["nodes"]
-        assert bnb["numpy"]["cost"] == bnb["python"]["cost"]
-
+    nodes = result["nodes"]
+    result["probe_seconds"] = round(probe_clock["seconds"], 4)
+    result["probe_calls"] = probe_clock["calls"]
+    result["probe_cost_per_node_us"] = (
+        round(probe_clock["seconds"] / nodes * 1e6, 2) if nodes else None
+    )
     return {
         "workload": problem.name,
         "max_processors": max_processors,
         "rounds": rounds,
-        "probes": total_probes,
-        "scalar_probes_per_sec": scalar_rate,
-        "batch_probes_per_sec": batch_rate,
-        "batch_probe_speedup": (
-            round(speedup, 2) if speedup is not None else None
-        ),
+        "probes": probes,
+        "scalar_probes_per_sec": _rate(probes, best),
         "bnb_node_budget": node_budget,
         "bnb_frontier": "best-first",
-        "bnb": bnb,
-        # Scalar scoring seconds per node over batch scoring seconds
-        # per node: > 1 is the measured drop in probe cost per node.
-        "bnb_probe_cost_ratio": (
-            round(
-                bnb["python"]["probe_cost_per_node_us"]
-                / bnb["numpy"]["probe_cost_per_node_us"],
-                2,
-            )
-            if HAS_NUMPY
-            and bnb["python"]["probe_cost_per_node_us"]
-            and bnb["numpy"]["probe_cost_per_node_us"]
-            else None
-        ),
+        "bnb": {"python": result},
     }
 
 
@@ -569,7 +482,7 @@ def run_throughput_comparison(node_budget: int, iterations: int):
     # noise, and these rows exist to track evaluator throughput
     # against their bench_history baselines on an unchanged workload.
     # The ordering win has its own section (``branching_order``); the
-    # NumPy batch kernel has its own (``batch_kernel``).
+    # candidate scorer has its own (``batch_kernel``).
     problem = throughput_problem()
     report = {
         "branch_and_bound_incremental": _timed(
@@ -1000,8 +913,8 @@ def test_incremental_speedup_recorded(benchmark):
         "incumbent_sharing": incumbent_sharing,
         # Bytes pickled per lineage, index vs task protocol.
         "dispatch_volume": dispatch_volume,
-        # Vectorized batch candidate scoring vs the scalar probe loop
-        # (identical work, results asserted byte-identical in-bench).
+        # Non-mutating candidate scoring (results asserted
+        # byte-identical to the mutate loop in-bench).
         "batch_kernel": batch_kernel,
     }
     write_json_artifact("BENCH_explorer.json", payload, also_repo_root=True)
@@ -1184,21 +1097,10 @@ def test_incremental_speedup_recorded(benchmark):
         dispatch_volume["index_protocol_bytes_per_lineage"]
         < dispatch_volume["task_protocol_bytes_per_lineage"]
     )
-    # The vectorized batch kernel must beat the scalar probe loop on
-    # identical sibling batches (byte-identity is asserted inside
-    # run_batch_kernel).  The full workload measures ~5.5-7.5x; the
-    # quick CI workload keeps a noise margin.
-    if HAS_NUMPY:
-        assert batch_kernel["batch_probe_speedup"] is not None
-        assert batch_kernel["batch_probe_speedup"] >= (
-            3.0 if quick_mode() else 5.0
-        )
-        # And the probe-heavy frontier must score cheaper per node
-        # end-to-end (measured ~1.8-2.9x full; noise margin for CI).
-        assert batch_kernel["bnb_probe_cost_ratio"] is not None
-        assert batch_kernel["bnb_probe_cost_ratio"] >= (
-            1.1 if quick_mode() else 1.3
-        )
+    # The scorer's rate is measured (byte-identity against the mutate
+    # loop is asserted inside run_batch_kernel); check_regression.py
+    # gates it against the baselines.
+    assert batch_kernel["scalar_probes_per_sec"] is not None
 
 
 # ----------------------------------------------------------------------

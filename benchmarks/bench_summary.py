@@ -47,40 +47,25 @@ ROWS = (
 
 
 def batch_kernel_lines(payload: dict) -> List[str]:
-    """The batch-kernel summary of one BENCH_explorer payload."""
+    """The candidate-scorer summary of one BENCH_explorer payload."""
     section = payload.get("batch_kernel")
     if not section:
         return []
-    speedup = section.get("batch_probe_speedup")
-    if speedup is None:
-        return [
-            "batch kernel: numpy not installed — scalar backend only "
-            f"({section.get('scalar_probes_per_sec', '?')} probes/s)"
-        ]
     lines = [
-        f"batch kernel ({section.get('workload', '?')}, "
+        f"candidate scorer ({section.get('workload', '?')}, "
         f"{section.get('max_processors', '?')} processors): "
-        f"{speedup}x batch-vs-scalar probe speedup "
-        f"({section.get('scalar_probes_per_sec')} -> "
-        f"{section.get('batch_probes_per_sec')} probes/s)"
+        f"{section.get('scalar_probes_per_sec', '?')} probes/s"
     ]
-    ratio = section.get("bnb_probe_cost_ratio")
-    if ratio is not None:
-        python_cost = (
-            section.get("bnb", {})
-            .get("python", {})
-            .get("probe_cost_per_node_us")
-        )
-        numpy_cost = (
-            section.get("bnb", {})
-            .get("numpy", {})
-            .get("probe_cost_per_node_us")
-        )
-        frontier = section.get("bnb_frontier", "dfs")
+    cost = (
+        section.get("bnb", {})
+        .get("python", {})
+        .get("probe_cost_per_node_us")
+    )
+    if cost is not None:
+        frontier = section.get("bnb_frontier", "best-first")
         lines.append(
             f"  bound-scoring cost per node ({frontier} frontier): "
-            f"{python_cost}us scalar -> {numpy_cost}us batch "
-            f"({ratio}x)"
+            f"{cost}us"
         )
     return lines
 

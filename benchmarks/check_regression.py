@@ -48,7 +48,8 @@ GATED_METRICS = {
     "microbench_incremental_evals_per_sec": "higher",
     "parallel_jobs1_selections_per_sec": "higher",
     "parallel_jobs4_efficiency": "higher",
-    "batch_probe_speedup": "higher",
+    # Non-mutating candidate scoring on the wide batch workload.
+    "batch_scalar_probes_per_sec": "higher",
     "serve_jobs_per_sec": "higher",
     "serve_cache_hit_speedup": "higher",
     "bnb_nodes_to_optimal": "lower",
@@ -146,11 +147,9 @@ def extract_metrics(payload: dict) -> Dict[str, float]:
             "bnb_capped_hybrid_nodes_per_sec",
             capped.get("nodes_per_sec"),
         )
-    # None when numpy is absent (the bench cannot measure the batch
-    # kernel at all) — skipped rather than gated on a missing backend.
     put(
-        "batch_probe_speedup",
-        payload.get("batch_kernel", {}).get("batch_probe_speedup"),
+        "batch_scalar_probes_per_sec",
+        payload.get("batch_kernel", {}).get("scalar_probes_per_sec"),
     )
     put(
         "dispatch_index_bytes_per_lineage",

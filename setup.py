@@ -4,8 +4,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The core package is dependency-free; the "fast" extra enables
-    # the structure-of-arrays NumPy evaluation backend (the scalar
-    # pure-python kernel is always available as the fallback).
-    extras_require={"fast": ["numpy"]},
+    # The package is dependency-free.
 )

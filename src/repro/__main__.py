@@ -79,7 +79,6 @@ def _make_explorer(
     dynamic_pool: bool = True,
     share_incumbent: bool = False,
     frontier: str = "dfs",
-    backend: Optional[str] = None,
     max_open: Optional[int] = None,
 ):
     from .synth.explorer import (
@@ -92,22 +91,19 @@ def _make_explorer(
 
     incremental = not reference
     factories = {
-        "exhaustive": lambda: ExhaustiveExplorer(
-            incremental=incremental, backend=backend
-        ),
+        "exhaustive": lambda: ExhaustiveExplorer(incremental=incremental),
         "bnb": lambda: BranchBoundExplorer(
             incremental=incremental,
             ordering=ordering,
             dynamic_pool=dynamic_pool,
             frontier=frontier,
-            backend=backend,
             max_open=max_open,
         ),
         "annealing": lambda: AnnealingExplorer(
-            seed=0, iterations=4000, incremental=incremental, backend=backend
+            seed=0, iterations=4000, incremental=incremental
         ),
         "portfolio": lambda: PortfolioExplorer(
-            incremental=incremental, backend=backend, max_open=max_open
+            incremental=incremental, max_open=max_open
         ),
         # --share-incumbent also wires the racing members to each
         # other (annealing publishes, branch-and-bound prunes), not
@@ -117,7 +113,6 @@ def _make_explorer(
             incremental=incremental,
             share_incumbent=share_incumbent,
             frontier=frontier,
-            backend=backend,
         ),
     }
     return factories[name]()
@@ -155,7 +150,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         dynamic_pool=not args.no_dynamic_pool,
         share_incumbent=args.share_incumbent,
         frontier=args.frontier,
-        backend=None if args.backend == "auto" else args.backend,
         max_open=args.max_open,
     )
     outcome = explore_space(
@@ -346,19 +340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "publish the fleet-wide best cost so every lineage's "
             "search prunes against it (best selection unchanged; "
             "node counts become timing-dependent with --jobs > 1)"
-        ),
-    )
-    explore.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help=(
-            "search-state evaluation backend: numpy uses the "
-            "structure-of-arrays kernel with vectorized candidate "
-            "scoring (errors if numpy is missing), python the scalar "
-            "reference kernel, auto (default) the scalar kernel, the "
-            "measured winner on every frontier; results are "
-            "byte-identical either way"
         ),
     )
     explore.add_argument(

@@ -195,8 +195,8 @@ class JobSpec:
         except SynthesisError as exc:
             raise JobValidationError(str(exc)) from None
         _require(
-            explorer["backend"] in (None, "numpy", "python"),
-            "explorer.backend must be null, 'numpy' or 'python'",
+            explorer["backend"] in (None, "python"),
+            "explorer.backend must be null or 'python'",
         )
         node_budget = explorer["node_budget"]
         _require(

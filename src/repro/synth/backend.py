@@ -1,72 +1,49 @@
-"""Evaluation-backend selection for :class:`~repro.synth.state.SearchState`.
+"""Evaluation-backend names accepted by the search API.
 
-The integer kernel (PR 3) made every aggregate an order-independent
-``int64``-sized accumulator, so the per-processor bookkeeping can live
-either in plain Python dicts (the scalar reference kernel) or in
-NumPy structure-of-arrays columns with vectorized batch candidate
-scoring.  Both backends are byte-identical by construction — the
-scalar kernel stays the oracle — so selection is purely a performance
-choice:
+There is one search kernel: the pure-Python integer kernel of
+:class:`~repro.synth.state.SearchState`.  Its
+:meth:`~repro.synth.state.SearchState.score_candidates` scores a whole
+sibling set from the current aggregates without mutating the state,
+which is what the structure-of-arrays NumPy backend used to be for;
+that backend lost to the scalar kernel end to end and was removed.
 
-* ``"numpy"`` — structure-of-arrays state with vectorized
-  ``score_candidates``; requires NumPy.
-* ``"python"`` — the pure-Python scalar kernel; always available.
-* ``None`` / ``"auto"`` — ``"numpy"`` when NumPy is importable, else
-  ``"python"``.  That is :func:`resolve_backend`, the rule for a
-  directly constructed :class:`~repro.synth.state.SearchState`, where
-  bulk ``score_candidates`` calls dominate.
-
-Every explorer resolves ``auto`` to ``"python"`` instead, on every
-frontier.  A search pays at least one kernel mutation per node, the
-NumPy state pays scalar-indexing cost on each of them, and the sibling
-batches it could vectorize are only as wide as the processor template
-plus hardware — 2-3 targets on every zoo family, app and served space.
-On the bench-size zoo, best-first on the scalar kernel solves every
-family 1.3-1.7x faster than on NumPy.  An explicit ``backend=`` is
-always honored.
-
-NumPy is an *optional* extra (``pip install repro[fast]``): this
-module is the only place it is imported, and the import is guarded so
-``repro`` works without it.
+``backend=`` arguments still exist so callers and serialized job
+configurations keep their shape: ``None``, ``"auto"`` and ``"python"``
+all name the scalar kernel, and ``"numpy"`` is refused with an error
+that says the backend was removed.  Nothing in the package imports
+NumPy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Optional
 
 from ..errors import SynthesisError
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy
-except ImportError:  # pragma: no cover
-    numpy = None
-
-#: Whether the NumPy backend is available in this environment.
-HAS_NUMPY = numpy is not None
+#: Whether NumPy is installed.  Informational only (benchmarks record
+#: it with their environment); no search path depends on it.
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Recognized backend names (``None``/``"auto"`` resolve to one of these).
-BACKENDS = ("numpy", "python")
+BACKENDS = ("python",)
 
 
 def resolve_backend(backend: Optional[str]) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    ``None`` and ``"auto"`` pick ``"numpy"`` when available and fall
-    back to ``"python"`` otherwise.  Requesting ``"numpy"`` explicitly
-    without NumPy installed is an error (silent fallback would make a
-    benchmark lie); unknown names are errors too.
+    ``None``, ``"auto"`` and ``"python"`` resolve to ``"python"``;
+    ``"numpy"`` names the removed array backend and every other name
+    is unknown — both are errors, never a silent fallback.
     """
-    if backend is None or backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "python":
+    if backend is None or backend == "auto" or backend == "python":
         return "python"
     if backend == "numpy":
-        if not HAS_NUMPY:
-            raise SynthesisError(
-                "backend 'numpy' requested but numpy is not installed; "
-                "install the 'fast' extra or use backend='python'"
-            )
-        return "numpy"
+        raise SynthesisError(
+            "backend 'numpy' was removed: the scalar kernel scores "
+            "candidates without mutation and is faster end to end; "
+            "use backend='python' (or None/'auto')"
+        )
     raise SynthesisError(
         f"unknown backend {backend!r}; expected one of "
         f"{BACKENDS + ('auto',)}"

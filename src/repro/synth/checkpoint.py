@@ -14,8 +14,7 @@ works because the integer cost kernel makes every aggregate
 order-independent and pool elections are pure functions of the
 committed loads — a node restored by the trail's net-delta restore
 reads byte-identical bounds and feasibility however the search got
-there.  No evaluator state, Fenwick pool, or numpy array ever touches
-disk.
+there.  No evaluator state or Fenwick pool ever touches disk.
 
 Equivalence contract (property-tested against the exhaustive oracle):
 
@@ -334,13 +333,11 @@ class _Search:
     fingerprint: str
     adaptive: bool = field(init=False)
     prune_infeasible: bool = field(init=False)
-    batch_scoring: bool = field(init=False)
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.adaptive = self.explorer.ordering == "adaptive"
         self.prune_infeasible = self.state.can_prune_infeasible
-        self.batch_scoring = self.state.backend == "numpy"
         self.total = len(self.free)
 
     def offer_leaf(self) -> None:
@@ -479,39 +476,59 @@ def drive(explorer, problem, warm_start, ck: Checkpointer):
 # ----------------------------------------------------------------------
 # Depth-first driver (stack of nodes + resumable sibling groups)
 # ----------------------------------------------------------------------
-# Stack entry shapes (bottom -> top, popped LIFO):
-#   ("node", path, checked, bound, feasible)
-#       An open node to enter: tick, entry checks (skipped when the
-#       parent probe already ``checked`` it), then leaf or expansion.
-#   ("group", path, unit, scored, pos)
-#       A probed sibling set mid-iteration: popping it re-applies the
-#       recursion's loop-time incumbent filter from ``pos`` on, pushes
-#       the next viable child plus its own continuation, and otherwise
-#       ends the group.  This is what keeps incumbent improvements made
-#       *inside* an earlier sibling's subtree visible to later siblings
-#       exactly as in the recursive driver.
+# Stack entry shapes (bottom -> top, popped LIFO).  Entries are indexed
+# by depth, not by path: every open entry's parent path is a prefix of
+# the path the trail has applied (a depth-first stack only holds
+# children of the current node's ancestors), so an entry needs only its
+# depth and its own last decision, and the trail enters it with one
+# ``PathTrail.step``.
+#   ("node", depth, pair, checked, bound, feasible)
+#       An open node to enter: ``pair`` is its last decision (``None``
+#       at the root).  ``checked`` means the parent's probe already
+#       vetted it; otherwise a non-``None`` ``bound``/``feasible`` is
+#       the parent's non-mutating sibling score, checked against the
+#       limit of the moment without touching the trail, and ``None``
+#       means the node computes its entry reads itself.
+#   ("group", depth, unit, scored, pos)
+#       A probed sibling set of the node at ``depth`` mid-iteration:
+#       popping it re-applies the recursion's loop-time incumbent
+#       filter from ``pos`` on, pushes the next viable child plus its
+#       own continuation, and otherwise ends the group.  This is what
+#       keeps incumbent improvements made *inside* an earlier sibling's
+#       subtree visible to later siblings exactly as in the recursive
+#       driver.
 
 
-def _encode_dfs_stack(stack) -> List[Dict[str, object]]:
+def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
+    """JSON rows of the stack, full paths rebuilt from ``applied``.
+
+    Unchecked node rows carry no bound: a pre-score is a pure function
+    of the parent state, so a resumed run simply recomputes it.
+    """
+    prefix = _encode_path(applied)
     rows: List[Dict[str, object]] = []
     for entry in stack:
         if entry[0] == "node":
-            _, path, checked, bound, feasible = entry
+            _, depth, pair, checked, bound, feasible = entry
             rows.append(
                 {
                     "kind": "node",
-                    "path": _encode_path(path),
+                    "path": (
+                        prefix[: depth - 1] + _encode_path((pair,))
+                        if depth
+                        else []
+                    ),
                     "checked": checked,
-                    "bound": _encode_num(bound),
-                    "feasible": feasible,
+                    "bound": _encode_num(bound) if checked else None,
+                    "feasible": feasible if checked else None,
                 }
             )
         else:
-            _, path, unit, scored, pos = entry
+            _, depth, unit, scored, pos = entry
             rows.append(
                 {
                     "kind": "group",
-                    "path": _encode_path(path),
+                    "path": prefix[:depth],
                     "unit": unit,
                     "scored": [
                         [_encode_num(bound), _encode_target(target)]
@@ -523,24 +540,35 @@ def _encode_dfs_stack(stack) -> List[Dict[str, object]]:
     return rows
 
 
-def _decode_dfs_stack(rows) -> List[tuple]:
+def _decode_dfs_stack(rows, trail: PathTrail) -> List[tuple]:
+    """Decode stack rows and restore ``trail`` to their deepest parent.
+
+    Refuses a stack whose parent paths are not all prefixes of that
+    deepest one: no depth-first search can have produced it, and
+    entering its entries by depth would silently explore wrong nodes.
+    """
     stack: List[tuple] = []
+    parents = []
     for row in rows:
+        path = _decode_path(row["path"])
+        depth = len(path)
         if row["kind"] == "node":
             stack.append(
                 (
                     "node",
-                    _decode_path(row["path"]),
+                    depth,
+                    path[-1] if path else None,
                     bool(row["checked"]),
                     _decode_num(row["bound"]),
                     row["feasible"],
                 )
             )
+            parents.append(path[:-1])
         else:
             stack.append(
                 (
                     "group",
-                    _decode_path(row["path"]),
+                    depth,
                     row["unit"],
                     tuple(
                         (_decode_num(bound), _decode_target(target))
@@ -549,14 +577,23 @@ def _decode_dfs_stack(rows) -> List[tuple]:
                     int(row["pos"]),
                 )
             )
+            parents.append(path)
+    deepest = max(parents, key=len, default=())
+    for parent in parents:
+        if deepest[: len(parent)] != parent:
+            raise SynthesisError(
+                "checkpoint DFS stack is not prefix-consistent: open "
+                "entries do not share one root path"
+            )
+    trail.restore(deepest)
     return stack
 
 
-def _probe_children(search: _Search, path) -> Tuple[str, tuple]:
+def _probe_children(search: _Search, depth: int) -> Tuple[str, tuple]:
     """The probed (unit, scored-children) of the restored state."""
     state, problem = search.state, search.problem
     assignment = state.assignment
-    if search.adaptive and len(path) < STRONG_BRANCH_DEPTH:
+    if search.adaptive and depth < STRONG_BRANCH_DEPTH:
         undecided = [u for u in search.free if u not in assignment]
         unit, scored = strong_branch(
             state, problem, undecided, search.explorer.state_targets
@@ -571,80 +608,73 @@ def _probe_children(search: _Search, path) -> Tuple[str, tuple]:
     return unit, tuple((bound, target) for bound, _i, target in scored)
 
 
-def _push_plain_children(search: _Search, stack, path, unit) -> None:
-    """Push entry-checked children (the incumbent-exists descent)."""
+def _push_plain_children(search: _Search, stack, depth, unit) -> None:
+    """Push the children of the plain (unprobed) descent.
+
+    Once a limit exists the siblings are scored in one non-mutating
+    pass, so each child meets its entry checks without being entered.
+    """
     state = search.state
     targets = search.explorer.state_targets(search.problem, unit, state)
-    if search.batch_scoring and search.limit() < _INF:
+    if search.limit() < _INF:
         scored = state.score_candidates(unit, targets)
-        children = [
-            (target, bound, feasible)
-            for target, (bound, feasible) in zip(targets, scored)
-        ]
     else:
-        children = [(target, None, None) for target in targets]
-    for target, bound, feasible in reversed(children):
+        scored = [(None, None)] * len(targets)
+    for position in range(len(targets) - 1, -1, -1):
+        bound, feasible = scored[position]
         stack.append(
-            ("node", path + ((unit, target),), False, bound, feasible)
+            (
+                "node",
+                depth + 1,
+                (unit, targets[position]),
+                False,
+                bound,
+                feasible,
+            )
         )
 
 
 def _drive_dfs(search: _Search, ck: Checkpointer) -> bool:
     from .explorer import _BudgetExceeded
 
+    trail = search.trail
     resume = ck.resume
     if resume is not None:
-        stack = _decode_dfs_stack(resume.frontier_state["stack"])
+        stack = _decode_dfs_stack(resume.frontier_state["stack"], trail)
     else:
-        stack = [("node", (), False, None, None)]
+        stack = [("node", 0, None, False, None, None)]
 
-    def expand(path, checked, bound, feasible) -> None:
+    def enter(depth, checked) -> None:
+        # The node is applied; run its entry checks unless the
+        # parent's probe already vetted this exact state.
         state = search.state
-        if search.adaptive:
-            # Mirrors ``recurse_adaptive``: entry checks only when the
-            # parent's probe did not already vet this exact state (the
-            # adaptive entry computes the bound unconditionally);
-            # probing — and hence sibling groups — only while hunting
-            # the first incumbent.
-            if not checked:
-                limit = search.limit()
-                if bound is None:
-                    bound = state.lower_bound()
-                if bound >= limit:
+        if not checked:
+            limit = search.limit()
+            # Mirrors the recursion: the adaptive entry reads the bound
+            # unconditionally, the non-adaptive one once a limit exists.
+            if search.adaptive or limit < _INF:
+                if state.lower_bound() >= limit:
                     return
-                if search.prune_infeasible:
-                    if feasible is None:
-                        feasible = state.feasible
-                    if not feasible:
-                        return
-            if len(path) == search.total:
-                search.offer_leaf()
+            if search.prune_infeasible and not state.feasible:
                 return
-            if search.best is None:
-                unit, scored = _probe_children(search, path)
-                stack.append(("group", path, unit, scored, 0))
-                return
-            assignment = state.assignment
-            unit = next(u for u in search.free if u not in assignment)
-            _push_plain_children(search, stack, path, unit)
-            return
-        # Mirrors the non-adaptive ``recurse``: the bound is only
-        # read once an incumbent (or fleet floor) exists.
-        limit = search.limit()
-        if limit < _INF:
-            if bound is None:
-                bound = state.lower_bound()
-            if bound >= limit:
-                return
-        if search.prune_infeasible:
-            if feasible is None:
-                feasible = state.feasible
-            if not feasible:
-                return
-        if len(path) == search.total:
+        expand(depth)
+
+    def expand(depth) -> None:
+        if depth == search.total:
             search.offer_leaf()
             return
-        _push_plain_children(search, stack, path, search.free[len(path)])
+        if search.adaptive:
+            # Probing — and hence sibling groups — only while hunting
+            # the first incumbent.
+            if search.best is None:
+                unit, scored = _probe_children(search, depth)
+                stack.append(("group", depth, unit, scored, 0))
+                return
+            assignment = search.state.assignment
+            unit = next(u for u in search.free if u not in assignment)
+        else:
+            unit = search.free[depth]
+        _push_plain_children(search, stack, depth, unit)
 
     truncated = False
     entry = None
@@ -652,32 +682,35 @@ def _drive_dfs(search: _Search, ck: Checkpointer) -> bool:
         while stack:
             entry = stack.pop()
             if entry[0] == "group":
-                _, path, unit, scored, pos = entry
+                _, depth, unit, scored, pos = entry
                 floor = search.clock.shared_floor
                 for rank in range(pos, len(scored)):
                     bound, target = scored[rank]
                     if bound >= search.best_cost or bound >= floor:
                         continue
-                    stack.append(("group", path, unit, scored, rank + 1))
+                    stack.append(("group", depth, unit, scored, rank + 1))
                     stack.append(
-                        (
-                            "node",
-                            path + ((unit, target),),
-                            True,
-                            bound,
-                            None,
-                        )
+                        ("node", depth + 1, (unit, target), True, bound, None)
                     )
                     break
             else:
-                _, path, checked, bound, feasible = entry
+                _, depth, pair, checked, bound, feasible = entry
                 search.clock.tick()
-                search.trail.restore(path)
-                expand(path, checked, bound, feasible)
+                if checked or bound is None:
+                    if depth:
+                        trail.step(depth, pair)
+                    enter(depth, checked)
+                elif bound < search.limit() and (
+                    feasible or not search.prune_infeasible
+                ):
+                    # Pre-scored and within the limit: enter it checked.
+                    # A pruned one never touches the trail.
+                    trail.step(depth, pair)
+                    expand(depth)
             if ck.due(search.clock.nodes):
                 ck.emit(
                     search.snapshot(
-                        {"stack": _encode_dfs_stack(stack)},
+                        {"stack": _encode_dfs_stack(stack, trail.path)},
                         search.clock.nodes,
                         complete=False,
                     )
@@ -690,7 +723,7 @@ def _drive_dfs(search: _Search, ck: Checkpointer) -> bool:
         stack.append(entry)
         ck.emit(
             search.snapshot(
-                {"stack": _encode_dfs_stack(stack)},
+                {"stack": _encode_dfs_stack(stack, trail.path)},
                 search.clock.nodes - 1,
                 complete=False,
             )
@@ -747,7 +780,7 @@ def _heap_loop(search: _Search, ck: Checkpointer, heap, pushes, make_state):
             if len(path) == search.total:
                 search.offer_leaf()
             else:
-                unit, scored = _probe_children(search, path)
+                unit, scored = _probe_children(search, len(path))
                 floor = search.clock.shared_floor
                 for child_bound, target in scored:
                     if (
@@ -876,7 +909,7 @@ def _hybrid_dive(search: _Search, ck: Checkpointer, path) -> bool:
             if len(path) == search.total:
                 search.offer_leaf()
                 return False
-            unit, scored = _probe_children(search, path)
+            unit, scored = _probe_children(search, len(path))
             bound, target = scored[0]
             if (
                 bound >= search.best_cost

@@ -40,6 +40,7 @@ from typing import Dict, List, Mapping as TMapping, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import SynthesisError
+from .backend import resolve_backend
 from .cost import Evaluation, evaluate
 from .mapping import Mapping, SynthesisProblem, Target
 from .ordering import (
@@ -212,22 +213,10 @@ class SearchExplorer(Explorer):
         self.incremental = incremental
         self.capacity_bound = capacity_bound
         self.dynamic_pool = dynamic_pool
-        #: Evaluation backend of the search state.  Every search is
-        #: mutation-bound — each node pays at least one kernel
-        #: mutation, and sibling batches are only as wide as the
-        #: template's processor count plus hardware (2-3 targets on
-        #: every zoo family, app and served space) — while the
-        #: vectorized state pays NumPy scalar-indexing cost on every
-        #: mutation.  So ``None``/"auto" resolves to the scalar
-        #: backend on every frontier, the measured end-to-end winner
-        #: (best-first included).  An explicit ``backend=`` is always
-        #: honored as given — both backends are byte-identical, so the
-        #: choice is purely a performance one.  Direct
-        #: :class:`SearchState` construction keeps auto = NumPy, where
-        #: bulk ``score_candidates`` calls dominate.
-        self.backend = (
-            "python" if backend in (None, "auto") else backend
-        )
+        #: Evaluation backend of the search state: always the scalar
+        #: kernel (``"python"``); the argument is validated so a
+        #: request for the removed ``"numpy"`` backend fails loudly.
+        self.backend = resolve_backend(backend)
         #: Optional *absolute* :func:`time.monotonic` deadline.  Not a
         #: constructor argument: callers that enforce a wall-clock
         #: deadline across many explorations (the serve engine's
@@ -807,15 +796,9 @@ class BranchBoundExplorer(SearchExplorer):
         evaluations = 0
         state_targets = self.state_targets
         prune_infeasible = state.can_prune_infeasible
-        # Batch child expansion only pays when the backend scores the
-        # whole sibling set in one vectorized pass.  A scalar backend's
-        # batch probe is the same per-child loop *plus* an extra
-        # assign/unassign pair per child (the explorer re-assigns the
-        # child it just probed), so scalar states keep the original
-        # compute-at-child-entry flow — same bounds, same node counts.
-        batch_scoring = state.backend == "numpy"
         adaptive = self.ordering == "adaptive"
         total = len(free)
+        inf = float("inf")
 
         def _leaf() -> None:
             nonlocal best, best_cost, evaluations
@@ -826,139 +809,90 @@ class BranchBoundExplorer(SearchExplorer):
                 if shared is not None:
                     shared.offer(best_cost)
 
-        def recurse(
-            index: int,
-            bound: Optional[float] = None,
-            feasible: Optional[bool] = None,
-        ) -> None:
-            # ``bound``/``feasible`` are this exact state's reads,
-            # precomputed by the parent's batch score — pure functions
-            # of the state, so reusing them cannot change behavior,
-            # only skip the per-child recomputation.
+        def enter_root() -> None:
+            # The root's entry checks; every other node is checked by
+            # its parent's loop before it is entered.  The non-adaptive
+            # walk reads the bound only once a limit exists, the
+            # adaptive one always (an ``inf`` bound prunes there).
             clock.tick()
             shared_floor = clock.shared_floor
-            limit = (
-                best_cost if best_cost < shared_floor else shared_floor
-            )
-            if limit < float("inf"):
-                if bound is None:
-                    bound = state.lower_bound()
-                if bound >= limit:
+            limit = best_cost if best_cost < shared_floor else shared_floor
+            if adaptive or limit < inf:
+                if state.lower_bound() >= limit:
                     return
-            if prune_infeasible:
-                if feasible is None:
-                    feasible = state.feasible
-                if not feasible:
-                    return
-            if index == total:
-                _leaf()
+            if prune_infeasible and not state.feasible:
                 return
-            unit = free[index]
-            targets = state_targets(problem, unit, state)
-            if batch_scoring and limit < float("inf"):
-                # One batch pass scores every child; each child still
-                # becomes a node (no pre-pruning), it just skips its
-                # own bound/feasibility recomputation.
-                scored = state.score_candidates(unit, targets)
-                for target, (child_bound, child_feasible) in zip(
-                    targets, scored
-                ):
-                    state.assign(unit, target)
-                    recurse(index + 1, child_bound, child_feasible)
-                    state.unassign(unit)
-            else:
-                # Scalar backend, or no incumbent yet (bounds are
-                # never compared): each child computes its own reads
-                # at entry, exactly as before the batch kernel.
-                for target in targets:
-                    state.assign(unit, target)
-                    recurse(index + 1)
-                    state.unassign(unit)
+            expand(0)
 
-        def recurse_adaptive(
-            depth: int,
-            checked: bool,
-            bound: Optional[float] = None,
-            feasible: Optional[bool] = None,
-        ) -> None:
-            # ``checked`` means the parent probed this exact state's
-            # bound and feasibility and re-compared the probe against
-            # the current incumbent just before descending, so the
-            # entry checks would be redundant.
-            clock.tick()
-            if not checked:
-                shared_floor = clock.shared_floor
-                limit = (
-                    best_cost
-                    if best_cost < shared_floor
-                    else shared_floor
-                )
-                if bound is None:
-                    bound = state.lower_bound()
-                if bound >= limit:
-                    return
-                if prune_infeasible:
-                    if feasible is None:
-                        feasible = state.feasible
-                    if not feasible:
-                        return
+        def expand(depth: int) -> None:
+            # The current state is an entered node that passed its
+            # entry checks.
             if depth == total:
                 _leaf()
                 return
             assignment = state.assignment
-            # Probing (strong branching + value ordering) serves the
-            # incumbent hunt: it steers the first dive onto a
-            # near-optimal leaf.  Once any incumbent exists (a found
-            # leaf or a warm start) the probes stop paying — plain
-            # density-order descent with entry-check pruning against
-            # the incumbent is strictly cheaper per node; vectorized
-            # backends additionally batch-score each expansion's
-            # children so every child skips its own entry reads.
-            if best is None and depth < STRONG_BRANCH_DEPTH:
-                undecided = [u for u in free if u not in assignment]
-                unit, scored = strong_branch(
-                    state, problem, undecided, state_targets
-                )
-            elif best is None:
-                unit = next(u for u in free if u not in assignment)
-                scored = probe_targets(
-                    state, unit, state_targets(problem, unit, state)
-                )
-            else:
-                unit = next(u for u in free if u not in assignment)
-                targets = state_targets(problem, unit, state)
-                if batch_scoring:
-                    for target, (child_bound, child_feasible) in zip(
-                        targets, state.score_candidates(unit, targets)
-                    ):
-                        state.assign(unit, target)
-                        recurse_adaptive(
-                            depth + 1, False, child_bound, child_feasible
-                        )
-                        state.unassign(unit)
+            if adaptive and best is None:
+                # Probing (strong branching + value ordering) serves
+                # the incumbent hunt: it steers the first dive onto a
+                # near-optimal leaf.  Probed bounds are admissible for
+                # the child subtree whenever they were computed, so
+                # comparing against the *current* incumbent is sound —
+                # skipped children never become nodes.
+                if depth < STRONG_BRANCH_DEPTH:
+                    undecided = [u for u in free if u not in assignment]
+                    unit, scored = strong_branch(
+                        state, problem, undecided, state_targets
+                    )
                 else:
-                    for target in targets:
-                        state.assign(unit, target)
-                        recurse_adaptive(depth + 1, False)
-                        state.unassign(unit)
+                    unit = next(u for u in free if u not in assignment)
+                    scored = probe_targets(
+                        state, unit, state_targets(problem, unit, state)
+                    )
+                for bound, _index, target in scored:
+                    if bound >= best_cost or bound >= clock.shared_floor:
+                        continue
+                    clock.tick()
+                    state.assign(unit, target)
+                    expand(depth + 1)
+                    state.unassign(unit)
                 return
-            for bound, _index, target in scored:
-                # Probed bounds are admissible for the child subtree
-                # whenever they were computed, so comparing against the
-                # *current* incumbent is sound — skipped children never
-                # become nodes.
-                if bound >= best_cost or bound >= clock.shared_floor:
-                    continue
-                state.assign(unit, target)
-                recurse_adaptive(depth + 1, True)
+            # Plain descent in unit order (adaptive once an incumbent
+            # exists: entry-check pruning is cheaper than probing).
+            # Each child is a node: it ticks, then meets the limit of
+            # the moment it is reached.  Once a limit exists the
+            # siblings are scored in one non-mutating pass, so a pruned
+            # child is never assigned.
+            unit = (
+                next(u for u in free if u not in assignment)
+                if adaptive
+                else free[depth]
+            )
+            targets = state_targets(problem, unit, state)
+            scored = None
+            for position, target in enumerate(targets):
+                clock.tick()
+                shared_floor = clock.shared_floor
+                limit = (
+                    best_cost if best_cost < shared_floor else shared_floor
+                )
+                if limit < inf:
+                    if scored is None:
+                        scored = state.score_candidates(unit, targets)
+                    bound, feasible = scored[position]
+                    if bound >= limit or (prune_infeasible and not feasible):
+                        continue
+                    state.assign(unit, target)
+                else:
+                    state.assign(unit, target)
+                    if prune_infeasible and not state.feasible:
+                        state.unassign(unit)
+                        continue
+                expand(depth + 1)
                 state.unassign(unit)
 
         truncated = False
         try:
-            if adaptive:
-                recurse_adaptive(0, False)
-            else:
-                recurse(0)
+            enter_root()
         except _BudgetExceeded:
             truncated = True
         return self._finish_search(

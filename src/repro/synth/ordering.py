@@ -17,12 +17,11 @@ alternatives:
   capacity-aware bound is least certain, so deciding them first
   tightens the bound earliest;
 * **value ordering** — :func:`probe_targets` scores each candidate
-  target by the incremental lower bound *after* tentatively assigning
-  it (one O(log n) delta-probe per candidate, exactly restored by the
-  paired unassign).  Descending the cheapest-bound child first steers
-  the initial depth-first dive toward the relaxation optimum, so the
-  first incumbent lands near the true optimum and prunes most of the
-  remaining tree;
+  target by the lower bound the state would read once it is assigned
+  (computed without mutating the state).  Descending the
+  cheapest-bound child first steers the initial depth-first dive
+  toward the relaxation optimum, so the first incumbent lands near
+  the true optimum and prunes most of the remaining tree;
 * **shallow-depth re-sorting** — :func:`strong_branch` re-ranks the
   undecided units near the root (depth < :data:`STRONG_BRANCH_DEPTH`)
   by probing every unit's candidates and picking the unit whose *best*
@@ -30,10 +29,9 @@ alternatives:
   of a good root decision dwarfs the probe cost, which is why the
   re-sort is bounded to shallow depths.
 
-All probes mutate the search state through its public
-``assign``/``unassign`` interface and restore it exactly (the property
-suite asserts bound round-trips), so ordering never changes *what* the
-search proves — only how fast it gets there.
+All probes go through ``state.score_candidates``, which leaves the
+search state untouched (the property suite asserts it), so ordering
+never changes *what* the search proves — only how fast it gets there.
 """
 
 from __future__ import annotations
@@ -150,9 +148,8 @@ def probe_targets(
     the deterministic tie-break.  A child whose tentative assignment is
     already infeasible (monotone loads: no completion can recover) is
     scored ``inf``, so callers can skip it outright.  The whole sibling
-    batch is scored through ``state.score_candidates`` — one vectorized
-    pass on the NumPy backend, paired assign/unassign probes on the
-    scalar one — and the state is restored exactly either way.
+    batch is scored through ``state.score_candidates``, which reads
+    every child from the current aggregates without mutating the state.
     """
     scored: List[Tuple[float, int, Target]] = []
     prune_infeasible = state.can_prune_infeasible

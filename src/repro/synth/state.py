@@ -89,7 +89,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
-from . import backend as _backend
 from .backend import resolve_backend
 from .cost import (
     Evaluation,
@@ -153,6 +152,22 @@ class _ExclusionLoad:
         if new_load > current_max:
             self.imax[interface] = new_load
             self.total += new_load - current_max
+
+    def probe_add(self, key: _GroupKey, value: int) -> int:
+        """``total`` after :meth:`add` ``(key, value)``; mutates nothing."""
+        total = self.total
+        if key is None:
+            return total + value
+        interface, cluster = key
+        group = self.groups.get(interface)
+        if group is None:
+            return total + value
+        slot = group.get(cluster)
+        new_load = value if slot is None else slot[0] + value
+        current_max = self.imax[interface]
+        if new_load > current_max:
+            return total + new_load - current_max
+        return total
 
     def remove(self, key: _GroupKey, value: int) -> None:
         if key is None:
@@ -253,39 +268,60 @@ class _KnapsackBound:
             self.bit_cost[index] += cost
             index += index & -index
 
-    def forced_cost(self, budget: int) -> int:
+    def forced_cost(self, budget: int, skip: int = 0) -> int:
         """Minimum hardware cost forced by a capacity ``budget``.
 
         Fractional-knapsack LP bound: keep the densest (most expensive
         hardware per unit load) prefix in software while it fits, buy
         the rest, refund the boundary unit fractionally (rounded *up*,
         so the result never exceeds the LP optimum — admissible).
+
+        ``skip`` names one present slot to read as already removed (0:
+        none): every tree node the descent reads that covers it is
+        discounted by its load and cost, so the result equals
+        ``remove(skip); forced_cost(budget)`` without the mutation.
         """
         total_load = self.total_load
+        forced = self.total_cost
+        skip_load = skip_cost = 0
+        if skip:
+            skip_load = self.loads[skip]
+            skip_cost = self.costs[skip]
+            total_load -= skip_load
+            forced -= skip_cost
         if total_load <= budget:
             return 0
         # Largest density-ordered prefix with cumulative load <= budget.
+        # Node ``probe`` of the descent covers slots ``(position,
+        # probe]``: ``position`` is a multiple of twice ``bit``.
         position = 0
         remaining = budget
-        kept_cost = 0
         bit = self._top_bit
         bit_load = self.bit_load
         bit_cost = self.bit_cost
         size = self.size
         while bit:
             probe = position + bit
-            if probe <= size and bit_load[probe] <= remaining:
-                remaining -= bit_load[probe]
-                kept_cost += bit_cost[probe]
-                position = probe
+            if probe <= size:
+                load = bit_load[probe]
+                if position < skip <= probe:
+                    load -= skip_load
+                    if load <= remaining:
+                        remaining -= load
+                        forced -= bit_cost[probe] - skip_cost
+                        position = probe
+                elif load <= remaining:
+                    remaining -= load
+                    forced -= bit_cost[probe]
+                    position = probe
             bit >>= 1
-        forced = self.total_cost - kept_cost
         if remaining > 0 and position < size:
             # Fractionally keep the boundary unit.  The descent is
             # maximal, so slot ``position + 1`` must contribute load
-            # (an undecided pool member): were it removed (zeroed) or
-            # zero-load, its prefix would equal ``position``'s and the
-            # descent would have advanced past it.
+            # (an undecided pool member): were it removed (zeroed, or
+            # skipped) or zero-load, its prefix would equal
+            # ``position``'s and the descent would have advanced past
+            # it.
             slot = position + 1
             cost, load = self.costs[slot], self.loads[slot]
             forced -= -((-remaining * cost) // load)  # ceil division
@@ -502,23 +538,64 @@ class _DynamicPools:
             self.live[key] -= iload
         self._reelect(key[0])
 
-    def forced(self, resident_common: int) -> Optional[int]:
+    def flips(self, unit: str) -> bool:
+        """Whether deciding ``unit`` to hardware would re-elect.
+
+        Only a hardware decision moves live load, and only out of the
+        unit's own cluster: the election can flip only when that
+        cluster is the elected one and loses the (tie-broken) argmax.
+        """
+        member = self._unit.get(unit)
+        if member is None or member[1] is None:
+            return False
+        key = member[1]
+        interface = key[0]
+        if self.elected[interface] != key:
+            return False
+        best = None
+        best_live = -1
+        for other in self.interfaces[interface]:
+            live = self.live[other]
+            if other == key:
+                live -= member[2]
+            if best is None or live > best_live:
+                best, best_live = other, live
+        return best != key
+
+    def forced(
+        self,
+        resident_common: int,
+        unit: Optional[str] = None,
+        software_load: int = 0,
+    ) -> Optional[int]:
         """Forced hardware cost under the current elections.
 
         ``None`` means the provably resident load alone exceeds some
         constraint — no completion of this subtree is feasible.
+
+        ``unit`` (optional) reads the cost as if that undecided unit
+        were decided, committing ``software_load`` to software (0 for
+        hardware): its slots are skipped in the Fenwick descents and
+        its cluster's budget shifts — exactly :meth:`decide` followed
+        by this read, for any decision that does not re-elect
+        (:meth:`flips`).  ``resident_common`` is the caller's, already
+        shifted for a common unit.
         """
+        joint_skip = cluster_skip = 0
+        unit_key = None
+        member = self._unit.get(unit)
+        if member is not None:
+            joint_slot, unit_key, _iload, _ihw, cluster_skip = member
+            if unit_key is None or self.elected[unit_key[0]] == unit_key:
+                joint_skip = joint_slot
         budget = self.icap_total - resident_common
         for key in self.elected.values():
             budget -= self.floors[key] + self.committed_sw[key]
+            if key == unit_key:
+                budget -= software_load
         if budget < 0:
             return None
-        joint = self.joint
-        extra = (
-            joint.forced_cost(budget)
-            if joint.total_load > budget
-            else 0
-        )
+        extra = self.joint.forced_cost(budget, joint_skip)
         elected = set(self.elected.values())
         for key, pool in self.cluster_pool.items():
             if key in elected:
@@ -529,6 +606,12 @@ class _DynamicPools:
                 - self.floors[key]
                 - self.committed_sw[key]
             )
+            if key == unit_key:
+                cluster_budget -= software_load
+                if cluster_budget < 0:
+                    return None
+                extra += pool.forced_cost(cluster_budget, cluster_skip)
+                continue
             if cluster_budget < 0:
                 return None
             if pool.total_load > cluster_budget:
@@ -553,39 +636,16 @@ class SearchState:
     joint pool's per-interface cluster choice to the static election
     (the PR 3 behavior) — the ablation lever of the re-elected bound.
 
-    ``backend`` selects the bookkeeping implementation
-    (:mod:`repro.synth.backend`): ``"python"`` is this scalar kernel;
-    ``"numpy"`` (the default whenever NumPy is importable) constructs
-    the structure-of-arrays subclass whose
-    :meth:`score_candidates` evaluates a whole sibling batch in one
-    vectorized pass.  Both backends are byte-identical — the scalar
-    kernel is the oracle the property suite checks the arrays against.
+    ``backend`` is validated by :func:`~repro.synth.backend.resolve_backend`
+    (``None``, ``"auto"`` and ``"python"`` all name this kernel).
     """
 
     #: Partial-mapping infeasibility is monotone (loads only grow along
     #: a search path), so explorers may prune on it.
     can_prune_infeasible = True
 
-    #: Concrete backend name of this class (subclass overrides).
+    #: Backend name reported to explorers and benchmarks.
     backend = "python"
-
-    def __new__(
-        cls,
-        problem: Optional[SynthesisProblem] = None,
-        variants_resident: bool = True,
-        capacity_bound: bool = True,
-        dynamic_pool: bool = True,
-        backend: Optional[str] = None,
-    ) -> "SearchState":
-        # Auto-dispatch to the array backend; constructing the
-        # subclass (or passing backend="python") bypasses it.
-        if (
-            cls is SearchState
-            and problem is not None
-            and resolve_backend(backend) == "numpy"
-        ):
-            cls = _NumpySearchState
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -595,6 +655,7 @@ class SearchState:
         dynamic_pool: bool = True,
         backend: Optional[str] = None,
     ) -> None:
+        resolve_backend(backend)
         self.problem = problem
         self.variants_resident = variants_resident
         self.capacity_bound = capacity_bound
@@ -889,7 +950,7 @@ class SearchState:
         if ihw is None:
             self._unassigned_swonly += 1
 
-    # -- per-processor bookkeeping (backend-specific) -------------------
+    # -- per-processor bookkeeping ---------------------------------------
     def _proc_add(
         self,
         processor: int,
@@ -958,7 +1019,7 @@ class SearchState:
         if imcap is not None and mload.total <= imcap < before:
             self._mem_viol -= 1
 
-    # -- knapsack-pool bookkeeping (backend-shared) ---------------------
+    # -- knapsack-pool bookkeeping ---------------------------------------
     def _pool_decide(
         self, unit: str, iload: Optional[int], to_software: bool
     ) -> None:
@@ -1130,7 +1191,9 @@ class SearchState:
             + forced
         ) / QUANT_SCALE
 
-    def _forced_term(self) -> Optional[int]:
+    def _forced_term(
+        self, unit: Optional[str] = None, to_software: bool = False
+    ) -> Optional[int]:
         """Integer forced-hardware term of the capacity-aware bound.
 
         ``None`` means some pool's provably resident load exceeds its
@@ -1138,6 +1201,13 @@ class SearchState:
         bound reads it as ``inf``).  Processor-independent, so batch
         candidate scoring shares one computation across all software
         placements of a unit.
+
+        ``unit`` (optional) reads the term as if that undecided unit
+        were decided ``to_software`` — its pool slots skipped, its
+        software load committed — without touching the pools: the
+        :meth:`score_candidates` probe.  Decisions that would flip a
+        dynamic election (:meth:`_DynamicPools.flips`) are not
+        expressible that way; the caller decides those for real.
         """
         pools = self._pools
         if not pools:
@@ -1148,18 +1218,33 @@ class SearchState:
         # completion of this subtree: software-only floor plus
         # flexible units already committed to software.
         resident_common = self._icommon_floor + self._icommon_sw
+        probe_pool = -1
+        skip = software_load = 0
+        entry = self._flex_slot.get(unit)
+        if entry is not None:
+            probe_pool, skip, is_common = entry
+            if to_software:
+                software_load = self._info[unit][0]
+                if is_common:
+                    resident_common += software_load
         forced = 0
         for pool, knapsack in enumerate(pools):
             budget = budgets[pool] - assigned[pool]
             if pool:
                 budget -= resident_common
+            if pool == probe_pool:
+                budget -= software_load
+                if budget < 0:
+                    return None
+                forced += knapsack.forced_cost(budget, skip)
+                continue
             if budget < 0:
                 return None
             if knapsack.total_load > budget:
                 forced += knapsack.forced_cost(budget)
         dyn = self._dyn
         if dyn is not None and dyn.differs:
-            dyn_forced = dyn.forced(resident_common)
+            dyn_forced = dyn.forced(resident_common, unit, software_load)
             if dyn_forced is None:
                 return None
             if dyn_forced > forced:
@@ -1252,24 +1337,106 @@ class SearchState:
 
         Returns one ``(lower_bound, feasible)`` pair per target — the
         state's :meth:`lower_bound` and :attr:`feasible` reads after
-        hypothetically assigning ``unit`` to that target.  The state
-        is restored exactly on return (and on any per-target error).
+        hypothetically assigning ``unit`` to that target — computed
+        from the current aggregates without mutating the state (raises
+        what :meth:`assign` would for an inadmissible unit or target).
 
-        The scalar implementation probes each candidate through a
-        paired assign/unassign; the NumPy backend overrides it with
-        one vectorized pass over all sibling deltas.  Both paths are
-        byte-identical — the bound is computed from the same integer
-        accumulators even for infeasible candidates, so callers may
-        apply their own infeasibility policy.
+        The forced term is processor-independent, so it is computed at
+        most twice per call: once for software, once for hardware
+        (:meth:`_forced_term` with the unit's pool slots skipped).
+        Software placements then read the probed processor column
+        through :meth:`_ExclusionLoad.probe_add`.  The one decision
+        not expressible without mutation — a hardware decision that
+        flips a dynamic-pool election — is decided in the pools only,
+        read and undecided; processor columns and ``assignment`` are
+        never touched.  Every read is byte-identical to the
+        assign / read / unassign loop (the property suite pins it), and
+        the bound is computed even for infeasible candidates, so
+        callers may apply their own infeasibility policy.
         """
+        if unit in self.assignment:
+            raise SynthesisError(f"unit {unit!r} is already assigned")
+        info = self._info.get(unit)
+        if info is None:
+            raise SynthesisError(
+                f"problem {self.problem.name!r} has no unit {unit!r}"
+            )
+        iload, imem, ihw, ukey, mkey = info
+        base = self._ihwcost + self._ipending_hwonly
+        ipcost = self._ipcost
+        icap = self._icap
+        imcap = self._imcap
+        processors = len(self._buckets)
+        sw_forced = None if iload is None else self._forced_term(unit, True)
+        hw_score = None
         results: List[Tuple[float, bool]] = []
         for target in targets:
-            self.assign(unit, target)
-            try:
-                results.append((self.lower_bound(), self.feasible))
-            finally:
-                self.unassign(unit)
+            if target.kind is not _SOFTWARE:
+                if hw_score is None:
+                    hw_score = self._score_hardware(unit, iload, ihw, base)
+                results.append(hw_score)
+                continue
+            if iload is None:
+                raise SynthesisError(
+                    f"unit {unit!r} mapped to software without a software "
+                    f"option"
+                )
+            processor = target.processor
+            uload = self._uload.get(processor)
+            if uload is None:
+                # A fresh column holds exactly this unit's loads.
+                after = processors + 1
+                util_over = 0 <= icap < iload
+                mem_over = imcap is not None and 0 <= imcap < imem
+            else:
+                after = processors
+                util_over = uload.total <= icap < uload.probe_add(ukey, iload)
+                mload = self._mload[processor]
+                mem_over = imcap is not None and (
+                    mload.total <= imcap < mload.probe_add(mkey, imem)
+                )
+            feasible = (
+                after <= self._max_processors
+                and self._util_viol + util_over == 0
+                and self._mem_viol + mem_over == 0
+            )
+            results.append(
+                (
+                    float("inf")
+                    if sw_forced is None
+                    else (base + after * ipcost + sw_forced) / QUANT_SCALE,
+                    feasible,
+                )
+            )
         return results
+
+    def _score_hardware(
+        self, unit: str, iload: Optional[int], ihw: Optional[int], base: int
+    ) -> Tuple[float, bool]:
+        """:meth:`score_candidates`' read for a hardware placement.
+
+        Hardware touches no processor column, so feasibility carries
+        over and only the hardware cost and the pools move.
+        """
+        if ihw is None:
+            raise SynthesisError(
+                f"unit {unit!r} mapped to hardware without a hardware "
+                f"option"
+            )
+        dyn = self._dyn
+        if dyn is not None and dyn.flips(unit):
+            self._pool_decide(unit, iload, to_software=False)
+            forced = self._forced_term()
+            self._pool_undecide(unit, iload, was_software=False)
+        else:
+            forced = self._forced_term(unit, False)
+        if forced is None:
+            return float("inf"), self.feasible
+        if iload is None:
+            base -= ihw  # a hardware-only unit leaves the pending term
+        return (
+            base + ihw + self._processor_floor() * self._ipcost + forced
+        ) / QUANT_SCALE, self.feasible
 
     def probe_move(self, unit: str, target: Target) -> Evaluation:
         """Evaluation after hypothetically reassigning one unit.
@@ -1294,425 +1461,12 @@ class SearchState:
 IncrementalEvaluator = SearchState
 
 
-class _ArrayExclusion:
-    """Structure-of-arrays twin of :class:`_ExclusionLoad`.
-
-    One instance covers *all* processors at once: column ``p`` of each
-    ``int64`` array is processor ``p``'s aggregate, and
-    ``total[p] == common + Σ_iface imax[iface, p]`` is maintained as
-    an invariant on every mutation.  The row layout (one row per
-    interface / per ``(interface, cluster)`` group, fixed at
-    construction from the problem's group keys) is what lets
-    :meth:`probe_add` evaluate "total after adding this load" for a
-    whole vector of candidate processors in one fused pass — the
-    vectorized half of :meth:`SearchState.score_candidates`.
-
-    All entries are integer quanta, exactly the scalar kernel's
-    accumulators, so every read is byte-identical to
-    :class:`_ExclusionLoad` by construction (the property suite
-    asserts it against the oracle).
-    """
-
-    __slots__ = (
-        "total",
-        "imax",
-        "gload",
-        "gcnt",
-        "_iface_row",
-        "_group_row",
-        "_iface_groups",
-        "_np",
-    )
-
-    def __init__(self, np_mod, keys, columns: int) -> None:
-        self._np = np_mod
-        ifaces = sorted({key[0] for key in keys})
-        groups = sorted(set(keys))
-        self._iface_row = {
-            iface: row for row, iface in enumerate(ifaces)
-        }
-        self._group_row = {group: row for row, group in enumerate(groups)}
-        self._iface_groups = [
-            np_mod.array(
-                [
-                    self._group_row[group]
-                    for group in groups
-                    if group[0] == iface
-                ],
-                dtype=np_mod.intp,
-            )
-            for iface in ifaces
-        ]
-        self.total = np_mod.zeros(columns, dtype=np_mod.int64)
-        self.imax = np_mod.zeros((len(ifaces), columns), dtype=np_mod.int64)
-        self.gload = np_mod.zeros(
-            (len(groups), columns), dtype=np_mod.int64
-        )
-        self.gcnt = np_mod.zeros((len(groups), columns), dtype=np_mod.int64)
-
-    def grow(self, columns: int) -> None:
-        """Widen every array to ``columns`` processor columns."""
-        np_mod = self._np
-
-        def wide(array):
-            fresh = np_mod.zeros(
-                array.shape[:-1] + (columns,), dtype=np_mod.int64
-            )
-            fresh[..., : array.shape[-1]] = array
-            return fresh
-
-        self.total = wide(self.total)
-        self.imax = wide(self.imax)
-        self.gload = wide(self.gload)
-        self.gcnt = wide(self.gcnt)
-
-    def add(self, key: _GroupKey, value: int, processor: int) -> None:
-        if key is None:
-            self.total[processor] += value
-            return
-        iface = self._iface_row[key[0]]
-        group = self._group_row[key]
-        gload = self.gload
-        new_load = gload[group, processor] + value
-        gload[group, processor] = new_load
-        self.gcnt[group, processor] += 1
-        old_max = self.imax[iface, processor]
-        if new_load > old_max:
-            self.imax[iface, processor] = new_load
-            self.total[processor] += new_load - old_max
-
-    def remove(self, key: _GroupKey, value: int, processor: int) -> None:
-        if key is None:
-            self.total[processor] -= value
-            return
-        iface = self._iface_row[key[0]]
-        group = self._group_row[key]
-        gload = self.gload
-        old_load = gload[group, processor]
-        gload[group, processor] = old_load - value
-        self.gcnt[group, processor] -= 1
-        if old_load >= self.imax[iface, processor]:
-            # The removed-from cluster was (tied for) the interface
-            # max: re-scan this interface's cluster rows.  Emptied
-            # clusters sit at exactly zero (integer accumulators), so
-            # the plain row max *is* the max over populated clusters.
-            rows = self._iface_groups[iface]
-            new_max = int(gload[rows, processor].max())
-            self.total[processor] += new_max - old_load
-            self.imax[iface, processor] = new_max
-
-    def probe_add(self, key: _GroupKey, value: int, ps):
-        """Vector of per-processor totals *after* adding one load.
-
-        ``ps`` is an index array of candidate processors; nothing is
-        mutated.  For a grouped load the new total swaps the
-        interface's current max for ``max(current max, cluster+value)``
-        — the same delta :meth:`add` applies, evaluated lazily for
-        every candidate column at once.
-        """
-        if key is None:
-            return self.total[ps] + value
-        iface = self._iface_row[key[0]]
-        group = self._group_row[key]
-        cur_max = self.imax[iface, ps]
-        new_load = self.gload[group, ps] + value
-        return (
-            self.total[ps]
-            - cur_max
-            + self._np.maximum(cur_max, new_load)
-        )
-
-
 class _NumpySearchState(SearchState):
-    """NumPy structure-of-arrays backend of :class:`SearchState`.
+    """Empty stand-in for the removed NumPy backend class.
 
-    Same integer kernel, different layout: the per-processor dicts of
-    the scalar backend become ``int64`` columns (`_ArrayExclusion` for
-    utilization and memory, plus unit-count and total vectors), which
-    makes :meth:`score_candidates` a single vectorized pass over all
-    sibling candidates — the knapsack forced term is
-    processor-independent, so one pool round-trip is shared by every
-    software placement while the per-processor deltas, violation
-    counters and processor floors evaluate as array expressions.
-
-    Scalar mutations pay a small constant for array indexing; batch
-    candidate scoring is where the backend wins (see
-    ``benchmarks/bench_explorer.py``'s ``batch_kernel`` section).
-    Every read is byte-identical to the scalar backend — same integer
-    accumulators, same Python-int division at the float edges.
+    Nothing constructs it; the name stays importable only for external
+    tooling that enumerates the state classes to instrument them.
     """
-
-    backend = "numpy"
-
-    def __init__(
-        self,
-        problem: SynthesisProblem,
-        variants_resident: bool = True,
-        capacity_bound: bool = True,
-        dynamic_pool: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            problem,
-            variants_resident=variants_resident,
-            capacity_bound=capacity_bound,
-            dynamic_pool=dynamic_pool,
-        )
-        np_mod = _backend.numpy
-        if np_mod is None:  # pragma: no cover - dispatch guards this
-            raise SynthesisError("numpy backend constructed without numpy")
-        self._np = np_mod
-        # One column per template processor plus the first
-        # symmetry-broken fresh slot; tests and warm starts may address
-        # higher indices, so every entry point grows on demand.
-        columns = problem.architecture.max_processors + 1
-        self._columns = columns
-        self._nprocs = 0
-        self._nunits = np_mod.zeros(columns, dtype=np_mod.int64)
-        placeable = [
-            info for info in self._info.values() if info[0] is not None
-        ]
-        self._autil = _ArrayExclusion(
-            np_mod,
-            [info[3] for info in placeable if info[3] is not None],
-            columns,
-        )
-        self._amem = _ArrayExclusion(
-            np_mod,
-            [info[4] for info in placeable if info[4] is not None],
-            columns,
-        )
-        # Candidate-processor index vectors, keyed by the processor
-        # tuple: sibling batches re-probe the same few target lists
-        # thousands of times, so the array build is worth caching.
-        self._ps_cache: Dict[Tuple[int, ...], object] = {}
-
-    def _ensure_processor(self, processor: int) -> None:
-        if processor < self._columns:
-            return
-        columns = max(processor + 1, self._columns * 2)
-        self._columns = columns
-        fresh = self._np.zeros(columns, dtype=self._np.int64)
-        fresh[: self._nunits.shape[0]] = self._nunits
-        self._nunits = fresh
-        self._autil.grow(columns)
-        self._amem.grow(columns)
-
-    # -- per-processor bookkeeping (array columns) ----------------------
-    def _proc_add(
-        self,
-        processor: int,
-        unit: str,
-        iload: int,
-        imem: int,
-        ukey: _GroupKey,
-        mkey: _GroupKey,
-    ) -> None:
-        self._ensure_processor(processor)
-        autil, amem = self._autil, self._amem
-        util_before = autil.total[processor]
-        mem_before = amem.total[processor]
-        autil.add(ukey, iload, processor)
-        amem.add(mkey, imem, processor)
-        count = self._nunits[processor]
-        if count == 0:
-            self._nprocs += 1
-        self._nunits[processor] = count + 1
-        self._util_viol += bool(autil.total[processor] > self._icap) - bool(
-            util_before > self._icap
-        )
-        if self._imcap is not None:
-            self._mem_viol += bool(
-                amem.total[processor] > self._imcap
-            ) - bool(mem_before > self._imcap)
-
-    def _proc_remove(
-        self,
-        processor: int,
-        unit: str,
-        iload: int,
-        imem: int,
-        ukey: _GroupKey,
-        mkey: _GroupKey,
-    ) -> None:
-        autil, amem = self._autil, self._amem
-        util_before = autil.total[processor]
-        mem_before = amem.total[processor]
-        autil.remove(ukey, iload, processor)
-        amem.remove(mkey, imem, processor)
-        count = self._nunits[processor] - 1
-        self._nunits[processor] = count
-        if count == 0:
-            self._nprocs -= 1
-        # Unlike the dict backend (which forgets an emptied column
-        # wholesale), the arrays always subtract — an emptied column
-        # returns to exactly zero, so the violation accounting is
-        # identical either way.
-        self._util_viol += bool(autil.total[processor] > self._icap) - bool(
-            util_before > self._icap
-        )
-        if self._imcap is not None:
-            self._mem_viol += bool(
-                amem.total[processor] > self._imcap
-            ) - bool(mem_before > self._imcap)
-
-    # -- reads ----------------------------------------------------------
-    def _iutil(self, processor: int) -> int:
-        if processor >= self._columns:
-            return 0
-        return int(self._autil.total[processor])
-
-    def _imem(self, processor: int) -> int:
-        if processor >= self._columns:
-            return 0
-        return int(self._amem.total[processor])
-
-    @property
-    def processor_count(self) -> int:
-        return self._nprocs
-
-    def used_processors(self) -> List[int]:
-        return [int(p) for p in self._np.flatnonzero(self._nunits)]
-
-    # -- batch evaluation ----------------------------------------------
-    def score_candidates(
-        self, unit: str, targets: Sequence[Target]
-    ) -> List[Tuple[float, bool]]:
-        """All sibling candidate scores in one vectorized pass.
-
-        Byte-identical to the scalar probe loop: same integer
-        accumulators, same Python-int division at the float edge, same
-        errors for inadmissible units/targets.
-        """
-        if unit in self.assignment:
-            raise SynthesisError(f"unit {unit!r} is already assigned")
-        info = self._info.get(unit)
-        if info is None:
-            raise SynthesisError(
-                f"problem {self.problem.name!r} has no unit {unit!r}"
-            )
-        iload, imem, ihw, ukey, mkey = info
-        sw_positions: List[int] = []
-        sw_procs: List[int] = []
-        hw_positions: List[int] = []
-        sw_kind = ImplKind.SOFTWARE
-        for position, target in enumerate(targets):
-            if target.kind is sw_kind:
-                if iload is None:
-                    raise SynthesisError(
-                        f"unit {unit!r} mapped to software without a "
-                        f"software option"
-                    )
-                sw_positions.append(position)
-                sw_procs.append(target.processor)
-            else:
-                if ihw is None:
-                    raise SynthesisError(
-                        f"unit {unit!r} mapped to hardware without a "
-                        f"hardware option"
-                    )
-                hw_positions.append(position)
-
-        np_mod = self._np
-        max_processors = self.problem.architecture.max_processors
-        nprocs = self._nprocs
-        results: List[Optional[Tuple[float, bool]]] = [None] * len(targets)
-
-        if hw_positions:
-            # Hardware placement touches no processor column: current
-            # feasibility carries over, and only the pools move.
-            self._pool_decide(unit, iload, to_software=False)
-            forced = self._forced_term()
-            self._pool_undecide(unit, iload, was_software=False)
-            feasible_now = self.feasible
-            if forced is None:
-                hw_score = (float("inf"), feasible_now)
-            else:
-                pending = self._ipending_hwonly - (
-                    ihw if iload is None else 0
-                )
-                floor = nprocs
-                if floor == 0 and self._unassigned_swonly:
-                    floor = 1
-                hw_score = (
-                    (
-                        self._ihwcost
-                        + ihw
-                        + pending
-                        + floor * self._ipcost
-                        + forced
-                    )
-                    / QUANT_SCALE,
-                    feasible_now,
-                )
-            for position in hw_positions:
-                results[position] = hw_score
-
-        if sw_positions:
-            self._pool_decide(unit, iload, to_software=True)
-            forced = self._forced_term()
-            self._pool_undecide(unit, iload, was_software=True)
-            self._ensure_processor(max(sw_procs))
-            key = tuple(sw_procs)
-            ps = self._ps_cache.get(key)
-            if ps is None:
-                ps = np_mod.array(sw_procs, dtype=np_mod.intp)
-                self._ps_cache[key] = ps
-            nprocs_after = nprocs + (self._nunits[ps] == 0)
-            autil = self._autil
-            util_after = autil.probe_add(ukey, iload, ps)
-            icap = self._icap
-            util_viol = self._util_viol
-            if util_viol:
-                int64 = np_mod.int64
-                viol_after = (
-                    util_viol
-                    + (util_after > icap).astype(int64)
-                    - (autil.total[ps] > icap).astype(int64)
-                )
-                ok = (nprocs_after <= max_processors) & (viol_after == 0)
-            else:
-                # No column violates now, and a probe only ever raises
-                # the probed column: the global violation count after
-                # the move is zero exactly when that column stays
-                # within capacity.
-                ok = (nprocs_after <= max_processors) & (
-                    util_after <= icap
-                )
-            imcap = self._imcap
-            if imcap is not None:
-                amem = self._amem
-                mem_after = amem.probe_add(mkey, imem, ps)
-                mem_viol = self._mem_viol
-                if mem_viol:
-                    int64 = np_mod.int64
-                    mem_viol_after = (
-                        mem_viol
-                        + (mem_after > imcap).astype(int64)
-                        - (amem.total[ps] > imcap).astype(int64)
-                    )
-                    ok &= mem_viol_after == 0
-                else:
-                    ok &= mem_after <= imcap
-            # ``tolist()`` hands back Python ints/bools in one C pass
-            # (per-element ``array[i]`` indexing would dominate the
-            # batch); the trailing ``int / QUANT_SCALE`` divisions stay
-            # Python-int exact, same as the scalar kernel's float edge.
-            if forced is None:
-                inf = float("inf")
-                for position, okay in zip(sw_positions, ok.tolist()):
-                    results[position] = (inf, okay)
-            else:
-                # A software placement always hosts >= 1 processor, so
-                # the software-only floor special case never applies.
-                bounds = (
-                    self._ihwcost + self._ipending_hwonly + forced
-                ) + nprocs_after * self._ipcost
-                for position, ibound, okay in zip(
-                    sw_positions, bounds.tolist(), ok.tolist()
-                ):
-                    results[position] = (ibound / QUANT_SCALE, okay)
-        return results
 
 
 class PathTrail:
@@ -1745,8 +1499,11 @@ class PathTrail:
 
     Depth-first-shaped hops — a pure descent (empty old suffix) or a
     new suffix of at most one decision — gain nothing from the net
-    difference and take the plain unwind/replay.  ``moves`` counts
-    the kernel mutations applied so far, a ``reassign`` as one.
+    difference and take the plain unwind/replay.  A depth-first
+    driver that knows its next node extends a prefix of the applied
+    path calls :meth:`step` instead, which skips the prefix compare.
+    ``moves`` counts the kernel mutations applied so far, a
+    ``reassign`` as one.
     """
 
     __slots__ = ("state", "moves", "_applied")
@@ -1764,6 +1521,22 @@ class PathTrail:
     def path(self) -> Tuple[Tuple[str, Target], ...]:
         """The currently applied decision path (root excluded)."""
         return tuple(self._applied)
+
+    def step(self, depth: int, pair: Tuple[str, Target]) -> None:
+        """Enter the child ``pair`` of the applied node at ``depth - 1``.
+
+        The caller guarantees that the first ``depth - 1`` applied
+        decisions are the child's parent path: the trail unwinds to
+        that prefix and assigns the one new decision.
+        """
+        applied = self._applied
+        state = self.state
+        keep = depth - 1
+        self.moves += len(applied) - keep + 1
+        while len(applied) > keep:
+            state.unassign(applied.pop()[0])
+        state.assign(pair[0], pair[1])
+        applied.append(pair)
 
     def restore(self, path: Tuple[Tuple[str, Target], ...]) -> None:
         """Mutate the state so exactly ``path`` is applied."""

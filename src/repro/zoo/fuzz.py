@@ -1,7 +1,7 @@
 """Differential fuzzing of the explorer stack against the oracle.
 
 The harness runs every explorer configuration — frontier × ordering ×
-pool × bound × backend × ``max_open``, plus the exhaustive, annealing
+pool × bound × ``max_open``, plus the exhaustive, annealing
 and portfolio explorers — on zoo scenarios and checks each result
 against :class:`~repro.synth.explorer.ExhaustiveExplorer` ground
 truth.  Because every zoo workload lives on the 1/64 binary grid (see
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..synth.backend import HAS_NUMPY
 from ..synth.cost import evaluate
 from ..synth.explorer import (
     AnnealingExplorer,
@@ -58,32 +57,29 @@ _INF = float("inf")
 # ----------------------------------------------------------------------
 # Explorer configuration matrix
 # ----------------------------------------------------------------------
-def _backends() -> Tuple[str, ...]:
-    return ("python", "numpy") if HAS_NUMPY else ("python",)
-
-
 def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
     """Yield explorer configurations, curated or exhaustive.
 
     The curated set (default) covers every frontier, every ordering,
-    both pool/bound settings, both backends and a tight ``max_open``
-    at least once each — enough for a sweep iteration to touch every
-    code path cheaply.  ``full=True`` yields the whole cross product
-    (every frontier × ordering × pool × bound × backend × max_open),
-    which the per-family property tests run once per family.
+    both pool/bound settings and a tight ``max_open`` at least once
+    each — enough for a sweep iteration to touch every code path
+    cheaply.  ``full=True`` yields the whole cross product (every
+    frontier × ordering × pool × bound × max_open), which the
+    per-family property tests run once per family.  Every
+    configuration carries ``backend: "python"``, the only backend, so
+    corpus ids keep their backend segment.
     """
     yield {"kind": "exhaustive"}
     yield {"kind": "annealing", "seed": 0}
     yield {"kind": "annealing", "seed": 7}
     yield {"kind": "portfolio"}
     if full:
-        for frontier, ordering, pool, bound, backend, open_cap in (
+        for frontier, ordering, pool, bound, open_cap in (
             itertools.product(
                 FRONTIERS,
                 ORDERINGS,
                 (True, False),
                 (True, False),
-                _backends(),
                 (None, 4),
             )
         ):
@@ -93,7 +89,7 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
                 "ordering": ordering,
                 "dynamic_pool": pool,
                 "capacity_bound": bound,
-                "backend": backend,
+                "backend": "python",
                 "max_open": open_cap,
             }
         return
@@ -119,11 +115,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
         {**center, "frontier": "best-first", "max_open": 4},
         {**center, "frontier": "hybrid", "max_open": 4},
     ]
-    if HAS_NUMPY:
-        variations += [
-            {**center, "backend": "numpy"},
-            {**center, "frontier": "best-first", "backend": "numpy"},
-        ]
     for config in variations:
         key = describe(config)
         if key not in seen:
@@ -171,11 +162,6 @@ def build_explorer(config: Dict[str, object]) -> Explorer:
             max_open=config.get("max_open"),
         )
     raise ValueError(f"unknown explorer config kind {kind!r}")
-
-
-def config_requires_numpy(config: Dict[str, object]) -> bool:
-    """True if the configuration needs the NumPy backend."""
-    return config.get("backend") == "numpy"
 
 
 # ----------------------------------------------------------------------

@@ -1,44 +1,39 @@
-"""Property harness: the batch kernel is byte-identical to the oracle.
+"""Property harness: the non-mutating scorer equals the mutate oracle.
 
-The NumPy structure-of-arrays backend exists purely for speed — its
-``score_candidates`` vectorizes the per-candidate probing the scalar
-kernel does one assign/unassign pair at a time.  Every contract here
-pins the two backends together exactly (no tolerances):
+``SearchState.score_candidates`` reads every sibling's ``(bound,
+feasible)`` from the current aggregates without touching the state.
+Every contract here pins it to the definitional loop exactly (no
+tolerances):
 
-* **batch == scalar** — ``score_candidates`` on either backend equals
-  the explicit assign / ``lower_bound`` / ``feasible`` / unassign loop
-  on the scalar kernel, for every candidate, on arbitrary partial
-  states, across ``capacity_bound`` × ``dynamic_pool``; the probed
-  state is restored exactly;
-* **explorer byte-identity** — branch-and-bound on the NumPy backend
-  returns the identical cost, mapping, node count, evaluation count,
-  proof floor, and provenance as the scalar backend across the full
-  ``frontier`` × ``ordering`` × ``dynamic_pool`` matrix, and the
-  annealing trajectory is byte-identical for a seed;
-* **backend selection** — auto-detection, forced fallback (numpy made
-  invisible), explicit-request errors, and the removed ``exact=``
-  flag.
+* **scorer == oracle** — ``score_candidates`` equals the explicit
+  assign / ``lower_bound`` / ``feasible`` / unassign loop for every
+  candidate, on arbitrary partial states, across ``capacity_bound`` ×
+  ``dynamic_pool`` × ``variants_resident``, and leaves the state
+  untouched: assignment order, violation counters, every knapsack
+  pool's Fenwick arrays and totals, and the dynamic elections;
+* **election flips** — a hardware probe that would re-elect a dynamic
+  pool takes the decide/read/undecide fallback and still agrees;
+* **backend selection** — ``None``/``"auto"``/``"python"`` name the
+  scalar kernel, ``"numpy"`` is refused as removed, and the removed
+  ``exact=`` flag stays a ``TypeError``.
 """
-
-import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import BACKENDS, HAS_NUMPY, resolve_backend
+from repro.synth.backend import resolve_backend
 from repro.synth.explorer import AnnealingExplorer, BranchBoundExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
-from repro.synth.ordering import FRONTIERS, ORDERINGS
+from repro.synth.ordering import FRONTIERS
 from repro.synth.parallel import RacingPortfolioExplorer
-from repro.synth.state import ReferenceSearchState, SearchState
-
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend not available"
+from repro.synth.state import (
+    ReferenceSearchState,
+    SearchState,
+    _KnapsackBound,
 )
-
 
 @st.composite
 def small_problems(draw):
@@ -120,12 +115,14 @@ def partial_scenarios(draw):
     return problem, prefix, unit, capacity_bound, dynamic_pool
 
 
-def _build(problem, prefix, backend, capacity_bound, dynamic_pool):
+def _build(
+    problem, prefix, capacity_bound, dynamic_pool, variants_resident=True
+):
     state = SearchState(
         problem,
+        variants_resident=variants_resident,
         capacity_bound=capacity_bound,
         dynamic_pool=dynamic_pool,
-        backend=backend,
     )
     for unit, target in prefix:
         state.assign(unit, target)
@@ -144,28 +141,118 @@ def _scalar_oracle(state, unit, targets):
     return scored
 
 
+def _kernel_snapshot(state):
+    """Everything scoring must leave untouched, in comparable form."""
+    pools = list(state._pools)
+    dyn = state._dyn
+    if dyn is not None:
+        pools += [dyn.joint, *dyn.cluster_pool.values()]
+    return (
+        list(state.assignment.items()),
+        state._util_viol,
+        state._mem_viol,
+        [
+            (list(p.bit_load), list(p.bit_cost), p.total_load, p.total_cost)
+            for p in pools
+        ],
+        None
+        if dyn is None
+        else (dict(dyn.elected), dyn.differs, dict(dyn.live)),
+    )
+
+
 class TestBatchEqualsScalar:
-    @given(partial_scenarios())
-    @settings(max_examples=120, deadline=None)
-    def test_score_candidates_matches_probe_loop(self, scenario):
+    @given(partial_scenarios(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_score_candidates_matches_probe_loop(
+        self, scenario, variants_resident
+    ):
         problem, prefix, unit, capacity_bound, dynamic_pool = scenario
         targets = _admissible_targets(problem, unit)
         assume(targets)
         oracle_state = _build(
-            problem, prefix, "python", capacity_bound, dynamic_pool
+            problem, prefix, capacity_bound, dynamic_pool, variants_resident
         )
         expected = _scalar_oracle(oracle_state, unit, targets)
-        for backend in BACKENDS if HAS_NUMPY else ("python",):
-            state = _build(
-                problem, prefix, backend, capacity_bound, dynamic_pool
-            )
-            before = (dict(state.assignment), state.lower_bound())
-            scored = state.score_candidates(unit, targets)
-            # Byte-identity: same floats, same feasibility flags.
-            assert scored == expected, backend
-            # Probing must restore the state exactly.
-            assert dict(state.assignment) == before[0]
-            assert state.lower_bound() == before[1]
+        state = _build(
+            problem, prefix, capacity_bound, dynamic_pool, variants_resident
+        )
+        before = _kernel_snapshot(state)
+        scored = state.score_candidates(unit, targets)
+        # Byte-identity: same floats, same feasibility flags.
+        assert scored == expected
+        # Scoring never mutates the state.
+        assert _kernel_snapshot(state) == before
+
+    def test_hardware_probe_that_flips_an_election(self):
+        # Cluster A (48/64 live) outweighs B (40/64), so A is elected.
+        # Sending a0 to hardware drains A to 16/64 and re-elects B,
+        # whose dense unit then competes with the common flexible unit
+        # f in the joint pool: only the re-elected bound forces
+        # hardware, so skipping the fallback would under-read it.
+        library = ComponentLibrary()
+        for name, load, cost in (
+            ("a0", 32, 1),
+            ("a1", 16, 1),
+            ("b0", 40, 100),
+            ("f", 30, 50),
+        ):
+            library.component(name, sw_utilization=load / 64, hw_cost=cost)
+        problem = SynthesisProblem(
+            name="flip",
+            units=("a0", "a1", "b0", "f"),
+            library=library,
+            architecture=ArchitectureTemplate(
+                max_processors=1, processor_cost=5, processor_capacity=1.0
+            ),
+            origins={
+                "a0": VariantOrigin("t1", "A"),
+                "a1": VariantOrigin("t1", "A"),
+                "b0": VariantOrigin("t1", "B"),
+            },
+            use_exclusion=True,
+        )
+        state = SearchState(problem)
+        assert state._dyn.flips("a0")
+        assert not state._dyn.flips("b0")
+        targets = [Target.sw(0), Target.sw(1), Target.hw()]
+        before = _kernel_snapshot(state)
+        scored = state.score_candidates("a0", targets)
+        assert _kernel_snapshot(state) == before
+        assert scored == _scalar_oracle(state, "a0", targets)
+        # Read without the re-election, nothing is forced beyond a0's
+        # own cost 1; the re-elected pool adds about 10 of f's cost
+        # (the capacity slack shaves a few quanta off).
+        assert state._forced_term("a0", False) == 0
+        assert 10.99 < scored[2][0] < 11
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=64),
+                st.integers(min_value=0, max_value=40),
+            ),
+            min_size=1,
+            max_size=19,
+        ),
+        st.integers(min_value=0, max_value=600),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_forced_cost_skip_equals_removal(self, entries, budget, data):
+        entries = sorted(entries, key=lambda e: -(e[1] / e[0]))
+        pool = _KnapsackBound(entries)
+        removed = data.draw(
+            st.sets(st.integers(min_value=1, max_value=len(entries)))
+        )
+        for slot in removed:
+            pool.remove(slot)
+        present = [s for s in range(1, len(entries) + 1) if s not in removed]
+        for skip in present:
+            probed = pool.forced_cost(budget, skip)
+            pool.remove(skip)
+            assert probed == pool.forced_cost(budget), skip
+            pool.add(skip)
 
     @given(partial_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -182,17 +269,12 @@ class TestBatchEqualsScalar:
         ]
         unit = prefix[len(prefix) // 2][0]
         targets = _admissible_targets(problem, unit)
-        for backend in BACKENDS if HAS_NUMPY else ("python",):
-            state = _build(
-                problem, prefix, backend, capacity_bound, dynamic_pool
-            )
-            for target in targets:
-                probed = state.probe_move(unit, target)
-                oracle = _build(
-                    problem, prefix, "python", capacity_bound, dynamic_pool
-                )
-                oracle.reassign(unit, target)
-                assert probed == oracle.evaluation(), backend
+        state = _build(problem, prefix, capacity_bound, dynamic_pool)
+        for target in targets:
+            probed = state.probe_move(unit, target)
+            oracle = _build(problem, prefix, capacity_bound, dynamic_pool)
+            oracle.reassign(unit, target)
+            assert probed == oracle.evaluation()
 
     @given(partial_scenarios())
     @settings(max_examples=40, deadline=None)
@@ -212,50 +294,6 @@ class TestBatchEqualsScalar:
         assert scored == expected
 
 
-@needs_numpy
-class TestExplorerByteIdentity:
-    @given(small_problems())
-    @settings(max_examples=12, deadline=None)
-    def test_branch_and_bound_identical_across_backends(self, problem):
-        for frontier, ordering, dynamic_pool in itertools.product(
-            FRONTIERS, ORDERINGS, (True, False)
-        ):
-            results = [
-                BranchBoundExplorer(
-                    ordering=ordering,
-                    frontier=frontier,
-                    dynamic_pool=dynamic_pool,
-                    backend=backend,
-                ).explore(problem)
-                for backend in ("python", "numpy")
-            ]
-            scalar, batched = results
-            combo = (frontier, ordering, dynamic_pool)
-            assert batched.cost == scalar.cost, combo
-            assert batched.feasible == scalar.feasible, combo
-            assert batched.mapping == scalar.mapping, combo
-            assert batched.nodes_explored == scalar.nodes_explored, combo
-            assert batched.evaluations == scalar.evaluations, combo
-            assert batched.proof_floor == scalar.proof_floor, combo
-            assert batched.provenance == scalar.provenance, combo
-
-    @given(small_problems(), st.integers(min_value=0, max_value=3))
-    @settings(max_examples=10, deadline=None)
-    def test_annealing_trajectory_identical_across_backends(
-        self, problem, seed
-    ):
-        results = [
-            AnnealingExplorer(
-                seed=seed, iterations=300, backend=backend
-            ).explore(problem)
-            for backend in ("python", "numpy")
-        ]
-        scalar, batched = results
-        assert batched.cost == scalar.cost
-        assert batched.mapping == scalar.mapping
-        assert batched.evaluations == scalar.evaluations
-
-
 def _tiny_problem():
     library = ComponentLibrary()
     library.component("u0", sw_utilization=0.5, hw_cost=4)
@@ -268,57 +306,51 @@ def _tiny_problem():
 
 
 class TestBackendSelection:
-    def test_auto_resolution_tracks_numpy_availability(self):
-        expected = "numpy" if HAS_NUMPY else "python"
-        assert resolve_backend(None) == expected
-        assert resolve_backend("auto") == expected
-        assert resolve_backend("python") == "python"
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError, match="unknown backend"):
             resolve_backend("cupy")
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError, match="unknown backend"):
             SearchState(_tiny_problem(), backend="cupy")
-
-    @needs_numpy
-    def test_auto_detection_dispatches_to_numpy(self):
-        assert SearchState(_tiny_problem()).backend == "numpy"
-        assert SearchState(_tiny_problem(), backend="auto").backend == "numpy"
+        # The removed array backend is refused by name, everywhere a
+        # backend is accepted.
+        with pytest.raises(SynthesisError, match="numpy' was removed"):
+            resolve_backend("numpy")
+        with pytest.raises(SynthesisError, match="numpy' was removed"):
+            SearchState(_tiny_problem(), backend="numpy")
+        with pytest.raises(SynthesisError, match="numpy' was removed"):
+            BranchBoundExplorer(backend="numpy")
 
     def test_explicit_python_bypasses_dispatch(self):
-        state = SearchState(_tiny_problem(), backend="python")
-        assert state.backend == "python"
-        assert type(state) is SearchState
+        for request in (None, "auto", "python"):
+            assert resolve_backend(request) == "python"
+            state = SearchState(_tiny_problem(), backend=request)
+            assert state.backend == "python"
+            assert type(state) is SearchState
 
     def test_explorer_auto_policy_is_scalar_on_every_frontier(self):
-        # Sibling batches are a few targets wide, so every search is
-        # mutation-bound and auto resolves to the scalar backend on
-        # every frontier.  An explicit request is always honored.
-        explicit = ("python", "numpy") if HAS_NUMPY else ("python",)
         for frontier in FRONTIERS:
-            for request in (None, "auto") + explicit:
+            for request in (None, "auto", "python"):
                 explorer = BranchBoundExplorer(
                     frontier=frontier, backend=request
                 )
-                want = "numpy" if request == "numpy" else "python"
-                assert explorer.backend == want
-                assert explorer._new_state(_tiny_problem()).backend == want
-        for request in (None, "auto") + explicit:
-            want = "numpy" if request == "numpy" else "python"
-            assert AnnealingExplorer(backend=request).backend == want
+                assert explorer.backend == "python"
+                state = explorer._new_state(_tiny_problem())
+                assert type(state) is SearchState
+        for request in (None, "auto", "python"):
+            assert AnnealingExplorer(backend=request).backend == "python"
 
     def test_racing_members_resolve_auto_to_scalar(self):
-        explicit = ("python", "numpy") if HAS_NUMPY else ("python",)
         for frontier in FRONTIERS:
-            for request in (None, "auto") + explicit:
-                want = "numpy" if request == "numpy" else "python"
+            for request in (None, "auto", "python"):
                 racing = RacingPortfolioExplorer(
                     frontier=frontier, backend=request
                 )
                 for name, member in racing.members():
-                    assert member.backend == want, name
+                    assert member.backend == "python", name
 
     def test_forced_fallback_when_numpy_invisible(self, monkeypatch):
+        # NumPy's presence is informational only: nothing dispatches on
+        # it, so hiding it changes no resolution.
         monkeypatch.setattr("repro.synth.backend.HAS_NUMPY", False)
         assert resolve_backend(None) == "python"
         assert resolve_backend("auto") == "python"

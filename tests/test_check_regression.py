@@ -42,6 +42,13 @@ def bench_payload(nodes_per_sec=1000.0, quick=False):
                 {"jobs": 4, "selections_per_sec": 8.0},
             ]
         },
+        "batch_kernel": {
+            "workload": "batch",
+            "max_processors": 32,
+            "scalar_probes_per_sec": 800000.0,
+            "bnb_frontier": "best-first",
+            "bnb": {"python": {"probe_cost_per_node_us": 40.0}},
+        },
     }
 
 
@@ -60,10 +67,49 @@ class TestMetricExtraction:
             "annealing_incremental_evals_per_sec": 500.0,
             "microbench_incremental_evals_per_sec": 9000.0,
             "parallel_jobs1_selections_per_sec": 4.0,
+            "batch_scalar_probes_per_sec": 800000.0,
         }
 
     def test_missing_sections_are_skipped(self):
         assert check_regression.extract_metrics({}) == {}
+
+
+class TestScorerGate:
+    """The candidate scorer's probe rate gates higher-is-better; the
+    retired batch-vs-scalar speedup is neither extracted nor gated
+    (old baselines that still carry it are simply not compared)."""
+
+    def test_direction_and_retired_speedup(self):
+        gated = check_regression.GATED_METRICS
+        assert gated["batch_scalar_probes_per_sec"] == "higher"
+        assert "batch_probe_speedup" not in gated
+        payload = bench_payload()
+        payload["batch_kernel"]["batch_probe_speedup"] = 7.0
+        metrics = check_regression.extract_metrics(payload)
+        assert "batch_probe_speedup" not in metrics
+
+    def test_probe_rate_collapse_fails_gate(self, tmp_path, capsys):
+        history = tmp_path / "bench_history"
+        fast = write_current(tmp_path, bench_payload())
+        check_regression.main(
+            ["--current", str(fast), "--history", str(history),
+             "--write"]
+        )
+        payload = bench_payload()
+        payload["batch_kernel"]["scalar_probes_per_sec"] = 90000.0
+        slow = write_current(tmp_path, payload)
+        code = check_regression.main(
+            ["--current", str(slow), "--history", str(history)]
+        )
+        assert code == 1
+        assert "batch_scalar_probes_per_sec" in capsys.readouterr().out
+
+    def test_summary_lines(self):
+        lines = "\n".join(bench_summary.batch_kernel_lines(bench_payload()))
+        assert "candidate scorer (batch, 32 processors)" in lines
+        assert "800000.0 probes/s" in lines
+        assert "(best-first frontier): 40.0us" in lines
+        assert bench_summary.batch_kernel_lines({}) == []
 
 
 class TestGate:

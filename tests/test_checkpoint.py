@@ -18,7 +18,6 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import HAS_NUMPY
 from repro.synth.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpointer,
@@ -29,10 +28,6 @@ from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem
 from repro.synth.ordering import FRONTIERS, ORDERINGS
-
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend not available"
-)
 
 #: The full driver matrix: every frontier x every ordering x both
 #: dynamic-pool modes.  Eighteen drivers sharing one checkpoint layer.
@@ -159,20 +154,93 @@ def test_multi_segment_relay_reaches_optimum(problem, oracle):
     assert result.evaluations == plain.evaluations
 
 
-@needs_numpy
-def test_numpy_backend_checkpoint_parity(problem):
-    plain = BranchBoundExplorer(backend="numpy").explore(problem)
+def test_python_backend_checkpoint_parity(problem):
+    plain = BranchBoundExplorer(backend="python").explore(problem)
     ck = Checkpointer()
     partial = BranchBoundExplorer(
-        backend="numpy", node_budget=max(1, plain.nodes_explored // 2)
+        backend="python", node_budget=max(1, plain.nodes_explored // 2)
     ).explore(problem, checkpoint=ck)
     assert not partial.optimal
-    resumed = BranchBoundExplorer(backend="numpy").explore(
+    resumed = BranchBoundExplorer(backend="python").explore(
         problem, checkpoint=Checkpointer(resume=ck.latest)
     )
     assert resumed.optimal
     assert resumed.cost == plain.cost
     assert resumed.nodes_explored == plain.nodes_explored
+
+
+# ----------------------------------------------------------------------
+# The depth-indexed DFS stack: entries store their depth and last
+# decision, and snapshots rebuild full paths from the applied trail.
+# ----------------------------------------------------------------------
+def _dfs_snapshots(problem, ordering):
+    snaps = []
+    result = BranchBoundExplorer(ordering=ordering).explore(
+        problem, checkpoint=Checkpointer(every_nodes=1, sink=snaps.append)
+    )
+    return result, [snap.to_json() for snap in snaps]
+
+
+@pytest.mark.parametrize("ordering", ["adaptive", "density", "static"])
+def test_dfs_resume_from_every_snapshot(ordering):
+    problem = make_problem(n_units=9, cap=0.75)
+    plain = BranchBoundExplorer(ordering=ordering).explore(problem)
+    driven, blobs = _dfs_snapshots(problem, ordering)
+    assert driven.nodes_explored == plain.nodes_explored
+    assert len(blobs) > 10
+    for index, blob in enumerate(blobs[:-1]):
+        later = []
+        resumed = BranchBoundExplorer(ordering=ordering).explore(
+            problem,
+            checkpoint=Checkpointer(
+                every_nodes=1,
+                sink=later.append,
+                resume=SearchCheckpoint.from_json(blob),
+            ),
+        )
+        assert resumed.optimal, index
+        assert resumed.cost == plain.cost, index
+        assert resumed.nodes_explored == plain.nodes_explored, index
+        assert resumed.evaluations == plain.evaluations, index
+        assert resumed.mapping.assignment == plain.mapping.assignment
+        # The resumed segment re-emits the uninterrupted run's blobs.
+        assert [snap.to_json() for snap in later] == blobs[index + 1:]
+
+
+def test_unchecked_dfs_rows_encode_no_scores():
+    problem = make_problem(n_units=9, cap=0.75)
+    _result, blobs = _dfs_snapshots(problem, "static")
+    unchecked = 0
+    for blob in blobs:
+        payload = SearchCheckpoint.from_json(blob).to_payload()
+        for row in payload["frontier_state"]["stack"]:
+            if row["kind"] == "node" and not row["checked"]:
+                assert row["bound"] is None and row["feasible"] is None
+                if payload["best_cost"] != "inf":
+                    unchecked += 1
+    # Rows pushed once an incumbent exists were pre-scored in memory.
+    assert unchecked
+
+
+def test_dfs_stack_not_prefix_consistent_refused():
+    problem = make_problem(n_units=9, cap=0.75)
+    _result, blobs = _dfs_snapshots(problem, "static")
+    # A snapshot with an open entry two or more decisions deep.
+    for blob in blobs:
+        payload = SearchCheckpoint.from_json(blob).to_payload()
+        stack = payload["frontier_state"]["stack"]
+        if any(len(row["path"]) > 1 for row in stack):
+            break
+    deepest = max(stack, key=lambda row: len(row["path"]))
+    unit, target = deepest["path"][0]
+    deepest["path"][0] = [unit, "sw:0" if target == "hw" else "hw"]
+    with pytest.raises(SynthesisError, match="prefix-consistent"):
+        BranchBoundExplorer(ordering="static").explore(
+            problem,
+            checkpoint=Checkpointer(
+                resume=SearchCheckpoint.from_payload(payload)
+            ),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.synth.backend import HAS_NUMPY
-from repro.zoo.fuzz import (
-    CASE_VERSION,
-    config_requires_numpy,
-    load_corpus,
-    replay_case,
-)
+from repro.zoo.fuzz import CASE_VERSION, load_corpus, replay_case
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CASES = load_corpus(CORPUS_DIR)
@@ -48,7 +42,5 @@ def test_portfolio_regression_case_present():
     "case", CASES, ids=[case.id for case in CASES]
 )
 def test_replay(case):
-    if config_requires_numpy(case.config) and not HAS_NUMPY:
-        pytest.skip("case needs the numpy backend")
     failures = replay_case(case)
     assert not failures, failures

@@ -25,15 +25,12 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import BACKENDS, HAS_NUMPY
 from repro.synth.cost import evaluate
 from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
 from repro.synth.ordering import FRONTIERS, ORDERINGS
 from repro.synth.state import PathTrail, SearchState
-
-TRAIL_BACKENDS = BACKENDS if HAS_NUMPY else ("python",)
 
 
 @st.composite
@@ -216,17 +213,15 @@ def _net_distance(applied, path):
 
 
 class TestPathTrailReplay:
-    @given(trail_scenarios(), st.sampled_from(TRAIL_BACKENDS))
+    @given(trail_scenarios())
     @settings(max_examples=80, deadline=None)
-    def test_trail_restores_bounds_and_feasibility_exactly(
-        self, scenario, backend
-    ):
+    def test_trail_restores_bounds_and_feasibility_exactly(self, scenario):
         """Hopping between arbitrary nodes reads the same state a
         fresh replay of each node would — bounds, feasibility, leaf,
         processors and the assignment's iteration order — the property
         the best-first frontier's snapshot/restore leans on."""
         problem, paths = scenario
-        state = SearchState(problem, backend=backend)
+        state = SearchState(problem)
         trail = PathTrail(state)
         for path in paths:
             distance = _replay_distance(trail.path, path)
@@ -235,7 +230,7 @@ class TestPathTrailReplay:
             trail.restore(path)
             assert trail.moves - moves == expected <= distance
             assert trail.path == path
-            fresh = SearchState(problem, backend=backend)
+            fresh = SearchState(problem)
             for unit, target in path:
                 fresh.assign(unit, target)
             assert list(state.assignment.items()) == list(
@@ -268,13 +263,50 @@ class TestPathTrailReplay:
         right = (("a", Target.hw()), ("b", Target.hw()), ("c", Target.sw(0)))
         # ``a`` flips, ``b`` is kept and ``c`` is no longer decided.
         shallow = (("a", Target.sw(0)), ("b", Target.hw()))
-        for backend in TRAIL_BACKENDS:
-            state = SearchState(problem, backend=backend)
-            trail = PathTrail(state)
-            trail.restore(left)
-            for path, moves in ((right, 1), (shallow, 2)):
-                before, applied = trail.moves, trail.path
-                trail.restore(path)
-                assert trail.moves - before == moves
-                assert moves < _replay_distance(applied, path)
-                assert list(state.assignment.items()) == list(path)
+        state = SearchState(problem)
+        trail = PathTrail(state)
+        trail.restore(left)
+        for path, moves in ((right, 1), (shallow, 2)):
+            before, applied = trail.moves, trail.path
+            trail.restore(path)
+            assert trail.moves - before == moves
+            assert moves < _replay_distance(applied, path)
+            assert list(state.assignment.items()) == list(path)
+
+    def test_step_enters_a_child_of_an_applied_prefix(self):
+        """``step(depth, pair)`` unwinds to ``depth - 1`` and assigns
+        one decision: the state reads as a fresh replay of the path."""
+        library = ComponentLibrary()
+        for name in ("a", "b", "c"):
+            library.component(name, sw_utilization=16 / 64, hw_cost=5)
+        problem = SynthesisProblem(
+            name="steps",
+            units=("a", "b", "c"),
+            library=library,
+            architecture=ArchitectureTemplate(
+                max_processors=2, processor_cost=3, processor_capacity=0.5
+            ),
+        )
+        state = SearchState(problem)
+        trail = PathTrail(state)
+        walk = [
+            (1, ("a", Target.sw(0))),
+            (2, ("b", Target.sw(0))),
+            (3, ("c", Target.sw(1))),
+            (3, ("c", Target.hw())),
+            (2, ("b", Target.hw())),
+            (1, ("a", Target.hw())),
+            (2, ("c", Target.sw(0))),
+        ]
+        for depth, pair in walk:
+            before, applied = trail.moves, trail.path
+            trail.step(depth, pair)
+            path = applied[: depth - 1] + (pair,)
+            assert trail.path == path
+            assert trail.moves - before == len(applied) - depth + 2
+            fresh = SearchState(problem)
+            for unit, target in path:
+                fresh.assign(unit, target)
+            assert list(state.assignment.items()) == list(path)
+            assert state.lower_bound() == fresh.lower_bound()
+            assert state.feasible == fresh.feasible

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import BACKENDS, HAS_NUMPY
+from repro.synth.backend import BACKENDS
 from repro.synth.cost import (
     evaluate,
     lower_bound,
@@ -256,7 +256,7 @@ def _foreign_targets(problem, unit):
 class TestReassignMatchesUnassignAssign:
     @given(
         scenarios(),
-        st.sampled_from(BACKENDS if HAS_NUMPY else ("python",)),
+        st.sampled_from(BACKENDS),
         st.booleans(),
         st.booleans(),
         st.integers(min_value=0, max_value=6),

@@ -336,6 +336,10 @@ def test_http_error_paths(serve_client):
     assert err.value.status == 400
     assert repr(FRONTIERS) in err.value.body
     with pytest.raises(ServeClientError) as err:
+        client.submit({"explorer": {"backend": "numpy"}})
+    assert err.value.status == 400
+    assert "null or 'python'" in err.value.body
+    with pytest.raises(ServeClientError) as err:
         client.job("job-999999")
     assert err.value.status == 404
     with pytest.raises(ServeClientError) as err:

@@ -189,6 +189,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
     # Schema drift: a journaled job this build rejects is dropped.
     drifted = persist.Journal(persist.journal_path(state))
     drifted.submit("job-000900", {"explorer": {"frontier": "lds"}})
+    drifted.submit("job-000901", {"explorer": {"backend": "numpy"}})
     drifted.close()
 
     async def second_life():
@@ -196,6 +197,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         await engine.start()
         assert engine.jobs_recovered == 1
         assert "job-000900" not in engine.jobs
+        assert "job-000901" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

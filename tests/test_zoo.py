@@ -3,15 +3,13 @@
 import pytest
 
 from repro.errors import SynthesisError
-from repro.synth.backend import HAS_NUMPY
-from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
-from repro.zoo import FAMILIES, SIZES, generate
+from repro.synth.explorer import ExhaustiveExplorer
+from repro.zoo import FAMILIES, generate
 from repro.zoo.base import check_size, grid64
 from repro.zoo.fuzz import (
     build_explorer,
     check_against_oracle,
     config_matrix,
-    config_requires_numpy,
     cross_check,
     describe,
     restrict_problem,
@@ -173,12 +171,16 @@ class TestScenarioViews:
 
 class TestFuzzHarness:
     def test_describe_stable_and_unique(self):
-        labels = [describe(c) for c in config_matrix(full=True)]
+        configs = list(config_matrix(full=True))
+        labels = [describe(c) for c in configs]
         assert len(labels) == len(set(labels))
-
-    def test_config_requires_numpy(self):
-        assert config_requires_numpy({"kind": "bnb", "backend": "numpy"})
-        assert not config_requires_numpy({"kind": "portfolio"})
+        # 4 non-bnb configs + frontier x ordering x pool x bound x cap,
+        # every bnb one on the only backend (its id segment kept).
+        assert len(configs) == 4 + 3 * 3 * 2 * 2 * 2 == 76
+        for config in configs:
+            if config["kind"] == "bnb":
+                assert config["backend"] == "python"
+                assert "-python-" in describe(config)
 
     def test_build_explorer_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown explorer"):
@@ -266,16 +268,3 @@ class TestPortfolioCertificate:
         result = build_explorer({"kind": "portfolio"}).explore(problem)
         assert result.optimal
         assert result.proof_floor == result.cost
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not available")
-class TestNumpyParity:
-    def test_backends_agree_on_zoo(self):
-        for family in ("hetero_multiproc", "chained"):
-            problem = generate(family, 3, "small").joint_problem()
-            py = BranchBoundExplorer(backend="python").explore(problem)
-            np_ = BranchBoundExplorer(
-                backend="numpy", frontier="best-first"
-            ).explore(problem)
-            assert py.cost == np_.cost
-            assert py.optimal and np_.optimal
