@@ -36,7 +36,11 @@ from ..synth.explorer import (
     PortfolioExplorer,
 )
 from ..synth.mapping import Mapping, Target
-from ..synth.methods import ProblemFamily, SelectionResult
+from ..synth.methods import (
+    ProblemFamily,
+    SelectionResult,
+    selection_units,
+)
 from ..synth.ordering import validate_frontier, validate_ordering
 from ..synth.parallel import (
     DEFAULT_LINEAGE_SIZE,
@@ -403,10 +407,10 @@ def _build_space_uncached(
 class Workload:
     """A spec resolved into live objects plus its cache addresses.
 
-    Task binding is **lazy**: the cache keys are pure functions of
+    Task derivation is **lazy**: the cache keys are pure functions of
     the space's axes (O(axes)), so an exact cache hit never pays the
-    O(selections) cost of binding every selection into a task — the
-    10x-hit-latency contract depends on this.  ``tasks`` binds on
+    O(selections) cost of deriving every selection's task — the
+    10x-hit-latency contract depends on this.  ``tasks`` derives on
     first access and is only touched by jobs that actually run.
     """
 
@@ -423,31 +427,24 @@ class Workload:
 
     @property
     def tasks(self) -> List[SelectionTask]:
-        """The bound task list (built on first access)."""
+        """The task list (derived on first access)."""
         if self._tasks is None:
             spec = self.spec
             if spec.selection is None:
                 self._tasks = tasks_from_space(self.family, self.space)
             else:
-                graph = self.space.vgraph.bind(
-                    spec.selection, name=f"{self.family.name}.selection"
+                units, origins = selection_units(self.space.vgraph)(
+                    spec.selection
                 )
-                from ..synth.mapping import (
-                    origins_of_graph,
-                    units_of_graph,
-                )
-
                 self._tasks = [
                     SelectionTask(
                         index=0,
                         selection=VariantSpace.selection_key(
                             spec.selection
                         ),
-                        name=graph.name,
-                        units=units_of_graph(graph),
-                        origins=tuple(
-                            sorted(origins_of_graph(graph).items())
-                        ),
+                        name=f"{self.family.name}.selection",
+                        units=units,
+                        origins=origins,
                     )
                 ]
         return self._tasks

@@ -66,6 +66,7 @@ from .methods import (
     independent_flow,
     superposition_flow,
     synthesize_application,
+    selection_units,
     variant_aware_flow,
     variant_units,
 )
@@ -161,6 +162,7 @@ __all__ = [
     "processor_memory",
     "processor_utilization",
     "resolve_backend",
+    "selection_units",
     "serialization_flow",
     "shard_lineages",
     "sharing_saving",

@@ -19,9 +19,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..errors import SynthesisError
+from ..errors import ModelError, SynthesisError
 from ..spi.graph import ModelGraph
 from ..variants.variant_space import VariantSpace
 from ..variants.vgraph import VariantGraph
@@ -33,6 +41,7 @@ from .mapping import (
     SynthesisProblem,
     Target,
     VariantOrigin,
+    origin_from_name,
     origins_of_graph,
     problem_for_graph,
     units_of_graph,
@@ -234,35 +243,95 @@ def variant_units(
     interface contributes its processes under
     ``<interface>.<cluster>.<process>`` namespacing — each considered
     exactly once, which is where the design-time saving comes from.
-    Nested interfaces recurse with path-extended names.
+    Nested interfaces recurse with path-extended names and take the
+    innermost interface/cluster pair as origin.
     """
     units: List[str] = list(units_of_graph(vgraph.base))
     origins: Dict[str, VariantOrigin] = {}
-
-    def add_cluster(prefix: str, interface_name: str, cluster) -> None:
+    for path, interface, cluster in vgraph.spliced_clusters():
+        origin = VariantOrigin(interface=interface, cluster=cluster.name)
         for process_name, process in sorted(cluster.graph.processes.items()):
             if process.virtual:
                 continue
-            unit = f"{prefix}{cluster.name}.{process_name}"
+            unit = f"{path}.{cluster.name}.{process_name}"
             units.append(unit)
-            origins[unit] = VariantOrigin(
-                interface=interface_name, cluster=cluster.name
-            )
-        for nested_name, nested in sorted(cluster.interfaces.items()):
-            for nested_cluster_name in nested.cluster_names():
-                add_cluster(
-                    f"{prefix}{cluster.name}.{nested_name}.",
-                    nested_name,
-                    nested.cluster(nested_cluster_name),
-                )
-
-    for iface_name in sorted(vgraph.interfaces):
-        interface = vgraph.interface(iface_name)
-        for cluster_name in interface.cluster_names():
-            add_cluster(
-                f"{iface_name}.", iface_name, interface.cluster(cluster_name)
-            )
+            origins[unit] = origin
     return tuple(units), origins
+
+
+SelectionUnits = Tuple[
+    Tuple[str, ...], Tuple[Tuple[str, VariantOrigin], ...]
+]
+
+
+def selection_units(
+    vgraph: VariantGraph,
+) -> Callable[[Mapping[str, str]], SelectionUnits]:
+    """Derive selections' synthesis units without binding their graphs.
+
+    A selection's application is the common part plus one cluster per
+    interface, so its units are the common part's non-virtual
+    processes plus each spliced cluster's, namespaced as
+    :meth:`~repro.variants.vgraph.VariantGraph.bind` names them.  The
+    returned function maps a selection to ``(units, origins)`` equal
+    to :func:`units_of_graph` and the sorted :func:`origins_of_graph`
+    items of ``vgraph.bind(selection)``; origins come from
+    :func:`origin_from_name` (the outermost pair, unlike
+    :func:`variant_units`).
+
+    Each cluster's row of unit names is built on first use and kept
+    for the life of the function.  ``bind``'s name checks stay on the
+    path: a row whose elements collide with the common part's, or a
+    selection whose units repeat a name, raises its
+    :class:`~repro.errors.ModelError`.
+    """
+    base = vgraph.base
+    common_names = set(base.processes) | set(base.channels)
+    common = units_of_graph(base)
+    origin_of: Dict[str, Optional[VariantOrigin]] = {
+        unit: origin_from_name(unit) for unit in common
+    }
+    rows: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+
+    def row(path: str, cluster) -> Tuple[str, ...]:
+        units = rows.get((path, cluster.name))
+        if units is None:
+            prefix = f"{path}.{cluster.name}."
+            graph = cluster.graph
+            ports = set(cluster.ports)
+            spliced = [*graph.processes] + [
+                name for name in graph.channels if name not in ports
+            ]
+            for name in spliced:
+                if prefix + name in common_names:
+                    raise ModelError(
+                        f"node name {prefix + name!r} already used in graph"
+                    )
+            units = tuple(
+                prefix + name
+                for name, process in graph.processes.items()
+                if not process.virtual
+            )
+            for unit in units:
+                origin_of[unit] = origin_from_name(unit)
+            rows[(path, cluster.name)] = units
+        return units
+
+    def derive(selection: Mapping[str, str]) -> SelectionUnits:
+        units = list(common)
+        for path, _interface, cluster in vgraph.spliced_clusters(selection):
+            units.extend(row(path, cluster))
+        units.sort()
+        for previous, unit in zip(units, units[1:]):
+            if previous == unit:
+                raise ModelError(f"node name {unit!r} already used in graph")
+        return tuple(units), tuple(
+            (unit, origin_of[unit])
+            for unit in units
+            if origin_of[unit] is not None
+        )
+
+    return derive
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ module exploits that:
   initializer elsewhere), and each lineage crosses the process
   boundary as a tiny :class:`LineageShard` — ``(start_index, count)``
   into the space's canonical selection enumeration.  Workers
-  re-enumerate their shard locally (:func:`tasks_for_range`, binding
-  only their own selections), rebuild each
+  re-enumerate their shard locally (:func:`tasks_for_range`, deriving
+  only their own selections' units), rebuild each
   :class:`~repro.synth.mapping.SynthesisProblem` (and through it the
   delta-cost :class:`~repro.synth.state.SearchState`), and stream
   lineage results back; the parent merges them in lineage-index
@@ -90,8 +90,6 @@ from .mapping import (
     Mapping,
     SynthesisProblem,
     VariantOrigin,
-    origins_of_graph,
-    units_of_graph,
 )
 from .ordering import validate_frontier
 
@@ -200,9 +198,9 @@ def attach_incumbent(explorer: Explorer, incumbent) -> Explorer:
 class SelectionTask:
     """One selection's synthesis problem, reduced to picklable parts.
 
-    The parent binds the graph (cheap) and keeps only what a worker
-    needs to rebuild the problem from the shared family: the unit
-    names and their variant origins.
+    Only what a worker needs to rebuild the problem from the shared
+    family: the unit names and their variant origins, derived from
+    the variant structure without binding the selection's graph.
     """
 
     index: int
@@ -239,7 +237,7 @@ class LineageShard:
 def tasks_for_range(
     family, space: VariantSpace, start: int, count: Optional[int] = None
 ) -> List[SelectionTask]:
-    """Bind one contiguous selection range into picklable tasks.
+    """Derive one contiguous selection range as picklable tasks.
 
     Decodes each index directly via
     :meth:`VariantSpace.selection_at` (mixed-radix, O(axes) per
@@ -249,28 +247,33 @@ def tasks_for_range(
     and with it the task indices and application names — is identical
     to :meth:`VariantSpace.selections`, which is what keeps the index
     protocol byte-compatible with shipping the tasks themselves.
+    Units and origins come from
+    :func:`~repro.synth.methods.selection_units`: the common part's
+    units plus one table row per chosen cluster, equal to what binding
+    each selection's graph would yield, with no graph built.
     """
+    from .methods import selection_units
+
+    derive = selection_units(space.vgraph)
     stop = space.count() if count is None else start + count
     tasks: List[SelectionTask] = []
     for index in range(start, stop):
         selection = space.selection_at(index)
-        graph = space.vgraph.bind(
-            selection, name=f"{family.name}.app{index + 1}"
-        )
+        units, origins = derive(selection)
         tasks.append(
             SelectionTask(
                 index=index,
                 selection=VariantSpace.selection_key(selection),
-                name=graph.name,
-                units=units_of_graph(graph),
-                origins=tuple(sorted(origins_of_graph(graph).items())),
+                name=f"{family.name}.app{index + 1}",
+                units=units,
+                origins=origins,
             )
         )
     return tasks
 
 
 def tasks_from_space(family, space: VariantSpace) -> List[SelectionTask]:
-    """Bind every consistent selection into a picklable task list."""
+    """Derive every consistent selection as a picklable task list."""
     return tasks_for_range(family, space, 0)
 
 

@@ -635,6 +635,10 @@ class SearchState:
     ``dynamic_pool=False`` keeps the capacity bound but freezes the
     joint pool's per-interface cluster choice to the static election
     (the PR 3 behavior) — the ablation lever of the re-elected bound.
+    The re-elected family is only built when some interface has two or
+    more software-capable clusters among the units: with one per
+    interface (every per-selection problem) each election is the
+    static choice, so the family could never be read.
 
     ``backend`` is validated by :func:`~repro.synth.backend.resolve_backend`
     (``None``, ``"auto"`` and ``"python"`` all name this kernel).
@@ -806,7 +810,10 @@ class SearchState:
         self._iassigned_sw = [0] * n_pools
         #: common flexible load currently assigned to software.
         self._icommon_sw = 0
-        if self.dynamic_pool and cluster_loads:
+        # Re-election needs a rival: with one software-capable cluster
+        # per interface every election is the static choice, so the
+        # family would never be read.
+        if self.dynamic_pool and len(chosen) < len(cluster_loads):
             self._init_dynamic_pools(icap_total, chosen)
 
     def _init_dynamic_pools(

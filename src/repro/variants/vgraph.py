@@ -23,7 +23,7 @@ Two transformations take a variant graph back into plain SPI:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import VariantError
 from ..spi.channels import Channel
@@ -209,6 +209,36 @@ class VariantGraph:
                 f"(candidates: {list(interface.cluster_names())})"
             )
         return interface.cluster(chosen)
+
+    def spliced_clusters(
+        self, selection: Optional[Mapping[str, str]] = None
+    ) -> Iterator[Tuple[str, str, Cluster]]:
+        """Walk the clusters whose elements a binding splices in.
+
+        Yields ``(path, interface, cluster)`` depth first, interfaces
+        and clusters in name order: the cluster's elements are
+        namespaced ``<path>.<cluster>.<element>`` and ``interface`` is
+        the name of the (possibly nested) interface it belongs to.
+
+        With a ``selection`` the walk follows the one cluster per
+        interface that :meth:`bind` splices, raising the same
+        :class:`~repro.errors.VariantError` when an interface has no
+        selectable cluster.  Without one it visits every cluster of
+        every interface: the joint view of the whole representation.
+        """
+        for iface_name in sorted(self._interfaces):
+            interface = self._interfaces[iface_name]
+            if selection is None:
+                clusters = [
+                    interface.cluster(name)
+                    for name in interface.cluster_names()
+                ]
+            else:
+                clusters = [self._chosen_cluster(interface, selection)]
+            for cluster in clusters:
+                yield from _walk_cluster(
+                    iface_name, iface_name, cluster, selection
+                )
 
     # ------------------------------------------------------------------
     # Interface abstraction (dynamic variants)
@@ -452,6 +482,58 @@ def _splice_cluster(
             resolved_bindings,
             selection,
         )
+
+
+def _nested_cluster(
+    nested_iface: Interface, selection: Mapping[str, str]
+) -> Cluster:
+    """The cluster ``selection`` picks for a nested interface.
+
+    The same choice :func:`_splice_cluster` makes, kept apart so that
+    :meth:`VariantGraph.bind` stays an independent oracle for the walk.
+    """
+    chosen_name = selection.get(nested_iface.name)
+    if chosen_name is None:
+        chosen_name = nested_iface.initial_cluster
+    if chosen_name is None and nested_iface.variant_count == 1:
+        chosen_name = next(iter(nested_iface.clusters))
+    if chosen_name is None:
+        raise VariantError(
+            f"no cluster selected for nested interface "
+            f"{nested_iface.name!r}"
+        )
+    return nested_iface.cluster(chosen_name)
+
+
+def _walk_cluster(
+    path: str,
+    iface_name: str,
+    cluster: Cluster,
+    selection: Optional[Mapping[str, str]],
+) -> Iterator[Tuple[str, str, Cluster]]:
+    """:meth:`VariantGraph.spliced_clusters` below one cluster."""
+    yield path, iface_name, cluster
+    for nested_name, nested in sorted(cluster.interfaces.items()):
+        nested_iface: Interface = nested  # type: ignore[assignment]
+        if selection is None:
+            chosen = [
+                nested_iface.cluster(name)
+                for name in nested_iface.cluster_names()
+            ]
+        else:
+            if nested_name not in cluster.interface_bindings:
+                raise VariantError(
+                    f"cluster {cluster.name!r}: embedded interface "
+                    f"{nested_name!r} has no port bindings"
+                )
+            chosen = [_nested_cluster(nested_iface, selection)]
+        for nested_cluster in chosen:
+            yield from _walk_cluster(
+                f"{path}.{cluster.name}.{nested_iface.name}",
+                nested_iface.name,
+                nested_cluster,
+                selection,
+            )
 
 
 def _rename_activation(activation, renaming: Mapping[str, str]):

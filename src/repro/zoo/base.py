@@ -11,7 +11,8 @@ off it:
 * :meth:`ZooScenario.selection_problems` — one
   :class:`~repro.synth.mapping.SynthesisProblem` per consistent
   selection (the ``explore_space`` shape; exclusion is inert here
-  because a bound application carries one cluster per interface);
+  because an application carries one cluster per interface), with
+  units derived from the variant structure rather than a bound graph;
 * :meth:`ZooScenario.joint_problem` — the variant-aware joint problem
   over the whole graph (the paper's flow), where the exclusion and
   memory structure actually bites.
@@ -33,7 +34,7 @@ from ..errors import SynthesisError
 from ..spi.builder import GraphBuilder
 from ..spi.virtuality import sink, source
 from ..synth.mapping import SynthesisProblem
-from ..synth.methods import ProblemFamily, variant_units
+from ..synth.methods import ProblemFamily, selection_units, variant_units
 from ..variants.cluster import Cluster
 from ..variants.selection import ClusterSelectionFunction
 from ..variants.variant_space import VariantSpace
@@ -86,10 +87,18 @@ class ZooScenario:
         self,
     ) -> Iterator[Tuple[Dict[str, str], SynthesisProblem]]:
         """Yield ``(selection, problem)`` per consistent selection."""
-        for selection, graph in self.space.iter_applications(
-            prefix=self.name
-        ):
-            yield selection, self.problem_family.problem_for(graph)
+        derive = selection_units(self.space.vgraph)
+        for index, selection in enumerate(self.space.selections()):
+            yield selection, self._selection_problem(derive, index, selection)
+
+    def _selection_problem(
+        self, derive, index: int, selection: Dict[str, str]
+    ) -> SynthesisProblem:
+        """The ``sel<index>`` problem, units derived without binding."""
+        units, origins = derive(selection)
+        return self.problem_family.problem_for_units(
+            f"{self.name}.app{index + 1}", units, origins=origins
+        )
 
     def joint_problem(self) -> SynthesisProblem:
         """The variant-aware joint problem over the whole graph."""
@@ -118,11 +127,11 @@ class ZooScenario:
             return self.joint_problem()
         if label.startswith("sel"):
             index = int(label[3:])
-            selection = self.space.selection_at(index)
-            graph = self.space.vgraph.bind(
-                selection, name=f"{self.name}.app{index + 1}"
+            return self._selection_problem(
+                selection_units(self.space.vgraph),
+                index,
+                self.space.selection_at(index),
             )
-            return self.problem_family.problem_for(graph)
         raise SynthesisError(f"unknown zoo problem label {label!r}")
 
     def stats(self) -> Dict[str, object]:

@@ -17,6 +17,7 @@ from repro.synth.state import (
     ReferenceSearchState,
     SearchState,
 )
+from repro.zoo import FAMILIES, generate
 
 
 def variant_problem(**overrides):
@@ -486,3 +487,39 @@ class TestCapacityAwareBound:
         state = SearchState(self.knapsack_problem(), capacity_bound=False)
         assert state.lower_bound() == state.basic_lower_bound()
         assert state.lower_bound() == 0.0
+
+
+class TestDynamicPoolGate:
+    """The re-elected pools exist only where an election can change."""
+
+    def test_single_cluster_interfaces_skip_the_pools(self):
+        problem = variant_problem(
+            units=("K", "A1"),
+            origins={"A1": VariantOrigin("theta", "A")},
+        )
+        state = SearchState(problem)
+        assert state._dyn is None
+        state.assign("A1", Target.hw())
+        state.assign("K", Target.sw(0))
+        assert state.lower_bound() == state.leaf()[1]
+
+    def test_two_software_clusters_build_the_pools(self):
+        assert SearchState(variant_problem())._dyn is not None
+        assert (
+            SearchState(variant_problem(), dynamic_pool=False)._dyn is None
+        )
+
+    def test_hardware_only_rival_is_no_election(self):
+        library = ComponentLibrary()
+        library.component("K", sw_utilization=0.3, hw_cost=30)
+        library.component("A1", sw_utilization=0.5, hw_cost=10)
+        library.component("B1", hw_cost=12)
+        problem = variant_problem(library=library)
+        assert SearchState(problem)._dyn is None
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_zoo_selection_problems_skip_and_joint_builds(self, family):
+        scenario = generate(family, 0, "small")
+        assert SearchState(scenario.joint_problem())._dyn is not None
+        for _selection, problem in scenario.selection_problems():
+            assert SearchState(problem)._dyn is None
