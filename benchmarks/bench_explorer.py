@@ -32,12 +32,7 @@ from repro.apps import figure2
 from repro.apps.generators import generate_system
 from repro.report.tables import render_table
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.explorer import (
-    AnnealingExplorer,
-    BranchBoundExplorer,
-    ExhaustiveExplorer,
-    PortfolioExplorer,
-)
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.cost import evaluate
 from repro.synth.mapping import Mapping, SynthesisProblem, Target
 from repro.synth.methods import ProblemFamily, explore_space, variant_units
@@ -69,8 +64,6 @@ def run_all_explorers():
     explorers = {
         "exhaustive": ExhaustiveExplorer(),
         "branch_and_bound": BranchBoundExplorer(),
-        "annealing": AnnealingExplorer(seed=5, iterations=4000),
-        "portfolio": PortfolioExplorer(seed=5, iterations=4000),
     }
     results = {}
     for name, explorer in explorers.items():
@@ -96,8 +89,6 @@ def test_explorers_agree_on_table1_optimum(benchmark):
     costs = {name: cost for name, (cost, _, _) in results.items()}
     assert costs["exhaustive"] == 41.0
     assert costs["branch_and_bound"] == 41.0
-    assert costs["annealing"] == 41.0
-    assert costs["portfolio"] == 41.0
     nodes = {name: n for name, (_, n, _) in results.items()}
     assert nodes["branch_and_bound"] < nodes["exhaustive"]
 
@@ -107,28 +98,6 @@ def test_branch_bound_timing(benchmark):
     explorer = BranchBoundExplorer()
     result = benchmark(lambda: explorer.explore(problem))
     assert result.cost == 41.0
-
-
-def test_annealing_on_larger_space(benchmark):
-    system = generate_system(seed=3, n_variants=4, cluster_size=3)
-    units, origins = variant_units(system.vgraph)
-    problem = SynthesisProblem(
-        name="large",
-        units=units,
-        library=system.library,
-        architecture=system.architecture,
-        origins=origins,
-    )
-    annealing = AnnealingExplorer(seed=1, iterations=3000)
-
-    def run():
-        return annealing.explore(problem)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    reference = BranchBoundExplorer().explore(problem)
-    assert result.feasible
-    # heuristic stays within 25% of the optimum on this space
-    assert result.cost <= reference.cost * 1.25 + 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +245,7 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
     ``capacity_bound=False``: this bench isolates the *evaluation*
     path (``reassign`` + ``leaf()``), which never reads the lower
     bound — knapsack-pool upkeep is exercised (and measured) by the
-    branch-and-bound sections instead.  This is also how the real
-    evaluation-heavy consumer (annealing) constructs its state.
+    branch-and-bound sections instead.
 
     The incremental side runs on the scalar kernel
     (``backend_evals_per_sec`` keeps its per-backend shape for the
@@ -475,7 +443,7 @@ def run_batch_kernel(rounds: int, node_budget: int):
     }
 
 
-def run_throughput_comparison(node_budget: int, iterations: int):
+def run_throughput_comparison(node_budget: int):
     # The branch-and-bound rows pin the PR 3 configuration (static
     # order, static pool, scalar backend): adaptive ordering proves
     # optimality in so few nodes that a rate would be statistical
@@ -510,18 +478,6 @@ def run_throughput_comparison(node_budget: int, iterations: int):
                 node_budget=node_budget,
                 incremental=False,
                 ordering="static",
-            ),
-            problem,
-            repeats=3,
-        ),
-        "annealing_incremental": _timed(
-            AnnealingExplorer(seed=1, iterations=iterations),
-            problem,
-            repeats=3,
-        ),
-        "annealing_reference": _timed(
-            AnnealingExplorer(
-                seed=1, iterations=iterations, incremental=False
             ),
             problem,
             repeats=3,
@@ -834,9 +790,8 @@ def run_dispatch_volume(lineage_size: int = 2):
 
 def test_incremental_speedup_recorded(benchmark):
     node_budget = 10_000 if quick_mode() else 30_000
-    iterations = 1_000 if quick_mode() else 3_000
     problem, report = benchmark.pedantic(
-        lambda: run_throughput_comparison(node_budget, iterations),
+        lambda: run_throughput_comparison(node_budget),
         rounds=1,
         iterations=1,
     )
@@ -845,10 +800,6 @@ def test_incremental_speedup_recorded(benchmark):
     bnb_ref = report["branch_and_bound_reference"]
     node_speedup = _ratio_or_none(
         bnb_inc["nodes_per_sec"], bnb_ref["nodes_per_sec"]
-    )
-    eval_ratio = _ratio_or_none(
-        report["annealing_incremental"]["evals_per_sec"],
-        report["annealing_reference"]["evals_per_sec"],
     )
     microbench = run_evaluation_microbench(
         problem, steps=2_000 if quick_mode() else 10_000
@@ -880,7 +831,6 @@ def test_incremental_speedup_recorded(benchmark):
             "max_processors": problem.architecture.max_processors,
             "processor_capacity": problem.architecture.processor_capacity,
             "node_budget": node_budget,
-            "annealing_iterations": iterations,
         },
         "explorers": report,
         # End-to-end search-stack throughput under the same node
@@ -889,12 +839,6 @@ def test_incremental_speedup_recorded(benchmark):
         # side's rate was withheld (below the sample threshold).
         "speedup_nodes_per_sec": (
             round(node_speedup, 2) if node_speedup is not None else None
-        ),
-        # The integer kernel replays annealing moves as O(1) deltas on
-        # both sides of the comparison; this ratio isolates the
-        # order-independent evaluation path.
-        "annealing_evals_per_sec_ratio": (
-            round(eval_ratio, 2) if eval_ratio is not None else None
         ),
         # Same-work microbench: identical move sequence through the
         # delta-mode state and the from-scratch oracle.
@@ -1020,23 +964,6 @@ def test_incremental_speedup_recorded(benchmark):
     if node_speedup is not None:
         assert node_speedup >= 2.0
     assert microbench["speedup"] >= 5.0
-    # The integer kernel must beat the full-recompute reference on the
-    # annealing move loop (the ROADMAP item this PR closes: the ratio
-    # was ~0.96 when exact mode re-aggregated per move).  Annealing
-    # always runs >= MIN_RATE_SAMPLES evaluations, so this ratio is
-    # never withheld.
-    assert eval_ratio is not None and eval_ratio > 1.0
-    # Both annealing paths walk the same trajectory on this workload
-    # (energies differ only by quantization, far below its move gaps).
-    assert report["annealing_incremental"]["nodes"] == (
-        report["annealing_reference"]["nodes"]
-    )
-    assert report["annealing_incremental"]["cost"] is not None
-    assert report["annealing_reference"]["cost"] is not None
-    assert abs(
-        report["annealing_incremental"]["cost"]
-        - report["annealing_reference"]["cost"]
-    ) <= 1e-6 * max(1.0, abs(report["annealing_reference"]["cost"]))
     # The capacity-aware bound must shrink the knapsack-hard tree by
     # at least 2x (it measures ~36x here).
     assert bound_tightness["capacity_bound"]["optimal"]

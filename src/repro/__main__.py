@@ -77,45 +77,21 @@ def _make_explorer(
     reference: bool,
     ordering: str = "adaptive",
     dynamic_pool: bool = True,
-    share_incumbent: bool = False,
     frontier: str = "dfs",
     max_open: Optional[int] = None,
 ):
-    from .synth.explorer import (
-        AnnealingExplorer,
-        BranchBoundExplorer,
-        ExhaustiveExplorer,
-        PortfolioExplorer,
-    )
-    from .synth.parallel import RacingPortfolioExplorer
+    from .synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 
     incremental = not reference
-    factories = {
-        "exhaustive": lambda: ExhaustiveExplorer(incremental=incremental),
-        "bnb": lambda: BranchBoundExplorer(
-            incremental=incremental,
-            ordering=ordering,
-            dynamic_pool=dynamic_pool,
-            frontier=frontier,
-            max_open=max_open,
-        ),
-        "annealing": lambda: AnnealingExplorer(
-            seed=0, iterations=4000, incremental=incremental
-        ),
-        "portfolio": lambda: PortfolioExplorer(
-            incremental=incremental, max_open=max_open
-        ),
-        # --share-incumbent also wires the racing members to each
-        # other (annealing publishes, branch-and-bound prunes), not
-        # just the cross-lineage cell of explore_space.  --frontier
-        # adds a second exact member racing the DFS one.
-        "racing": lambda: RacingPortfolioExplorer(
-            incremental=incremental,
-            share_incumbent=share_incumbent,
-            frontier=frontier,
-        ),
-    }
-    return factories[name]()
+    if name == "exhaustive":
+        return ExhaustiveExplorer(incremental=incremental)
+    return BranchBoundExplorer(
+        incremental=incremental,
+        ordering=ordering,
+        dynamic_pool=dynamic_pool,
+        frontier=frontier,
+        max_open=max_open,
+    )
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -148,7 +124,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         args.reference,
         ordering=args.ordering,
         dynamic_pool=not args.no_dynamic_pool,
-        share_incumbent=args.share_incumbent,
         frontier=args.frontier,
         max_open=args.max_open,
     )
@@ -212,6 +187,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
+    from .errors import ReproError
     from .synth.ordering import FRONTIERS
 
     parser = argparse.ArgumentParser(
@@ -254,7 +230,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     explore.add_argument(
         "--explorer",
-        choices=["exhaustive", "bnb", "annealing", "portfolio", "racing"],
+        choices=["exhaustive", "bnb"],
         default="bnb",
     )
     explore.add_argument("--variants", type=int, default=3)
@@ -305,9 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "branch-and-bound search frontier: depth-first (default, "
             "byte-identical to previous releases), best-first over "
             "the incremental lower bound, or hybrid (one greedy "
-            "dive for an incumbent, then best-first); "
-            "with --explorer racing a non-default frontier races a "
-            "second exact member against the DFS one"
+            "dive for an incumbent, then best-first)"
         ),
     )
     explore.add_argument(
@@ -428,7 +402,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.set_defaults(run=_cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

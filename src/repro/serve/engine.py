@@ -151,8 +151,7 @@ def result_is_cacheable(
       run is stored only when every selection still proved optimality
       (then its bytes match the budget-free search exactly).
 
-    Deterministic truncation (node budgets) and deterministic
-    heuristics (seeded annealing) remain cacheable.
+    Deterministic truncation (node budgets) remains cacheable.
     """
     if warm_seeded:
         return False
@@ -508,7 +507,7 @@ class ServeEngine:
     def _seed_for(self, workload: Workload):
         """The warm-adjacent incumbent of this job's family, if sound."""
         spec = workload.spec
-        if not (spec.warm_cache and spec.is_exact):
+        if not spec.warm_cache:
             return None
         seed = self.cache.warm_seed(workload.family_key)
         if seed is None:

@@ -24,17 +24,12 @@ Key invariants:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
-from ..synth.explorer import (
-    AnnealingExplorer,
-    BranchBoundExplorer,
-    ExhaustiveExplorer,
-    Explorer,
-    PortfolioExplorer,
-)
+from ..synth.explorer import BranchBoundExplorer, ExhaustiveExplorer, Explorer
 from ..synth.mapping import Mapping, Target
 from ..synth.methods import (
     ProblemFamily,
@@ -55,15 +50,10 @@ class JobValidationError(SynthesisError):
     """A submitted job payload is malformed (HTTP 400 at the edge)."""
 
 
-#: Explorers a job may request.  Process-racing portfolios are
-#: deliberately absent: the service parallelizes across jobs (the
-#: worker fleet), not by forking inside a worker thread.
-EXPLORER_NAMES = ("bnb", "exhaustive", "annealing", "portfolio")
-
-#: Explorers whose final cost is invariant under warm-start seeding
-#: (a warm incumbent only prunes; it never changes the proven
-#: optimum).  Only these jobs take warm-start-adjacent cache seeds.
-EXACT_EXPLORERS = frozenset({"bnb", "exhaustive"})
+#: Explorers a job may request.  Both are exact: a warm incumbent
+#: only prunes, it never changes the proven optimum, so every job may
+#: take a warm-start-adjacent cache seed.
+EXPLORER_NAMES = ("bnb", "exhaustive")
 
 _SPACE_KINDS = ("figure2", "generated")
 
@@ -83,14 +73,34 @@ _EXPLORER_DEFAULTS = {
     "node_budget": None,
     "time_budget": None,
     "max_open": None,
+    # Read by no explorer, but accepted and part of the job key: a
+    # client can still vary it to force a distinct (cache-missing) job.
     "seed": 0,
-    "iterations": 4000,
 }
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise JobValidationError(message)
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    """A number with a finite float value.
+
+    Refuses bools, ``NaN``, ``Infinity`` and integers too large for a
+    float (JSON allows them; ``float()`` would overflow downstream).
+    """
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,7 @@ class JobSpec:
             for key, default in _GENERATED_DEFAULTS.items():
                 value = space.get(key, default)
                 _require(
-                    isinstance(value, int) and not isinstance(value, bool)
-                    and value >= (0 if key == "seed" else 1),
+                    _is_int(value) and value >= (0 if key == "seed" else 1),
                     f"space.{key} must be a positive integer",
                 )
                 normalized_space[key] = value
@@ -157,9 +166,8 @@ class JobSpec:
                 if key in space:
                     value = space[key]
                     _require(
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool),
-                        f"space.{key} must be a number",
+                        _is_finite(value),
+                        f"space.{key} must be a finite number",
                     )
                     normalized_space[key] = value
             extra = set(space) - set(normalized_space) - {"kind"}
@@ -199,61 +207,43 @@ class JobSpec:
         except SynthesisError as exc:
             raise JobValidationError(str(exc)) from None
         _require(
+            isinstance(explorer["dynamic_pool"], bool),
+            "explorer.dynamic_pool must be a boolean",
+        )
+        _require(
             explorer["backend"] in (None, "python"),
             "explorer.backend must be null or 'python'",
         )
         node_budget = explorer["node_budget"]
         _require(
-            node_budget is None
-            or (isinstance(node_budget, int) and node_budget >= 1),
+            node_budget is None or (_is_int(node_budget) and node_budget >= 1),
             "explorer.node_budget must be null or an integer >= 1",
         )
         max_open = explorer["max_open"]
         _require(
-            max_open is None
-            or (
-                isinstance(max_open, int)
-                and not isinstance(max_open, bool)
-                and max_open >= 1
-            ),
+            max_open is None or (_is_int(max_open) and max_open >= 1),
             "explorer.max_open must be null or an integer >= 1",
         )
-        for key in ("seed", "iterations"):
-            _require(
-                isinstance(explorer[key], int)
-                and not isinstance(explorer[key], bool),
-                f"explorer.{key} must be an integer",
-            )
+        _require(_is_int(explorer["seed"]), "explorer.seed must be an integer")
 
         lineage_size = payload.get("lineage_size", DEFAULT_LINEAGE_SIZE)
         _require(
-            isinstance(lineage_size, int) and lineage_size >= 1,
+            _is_int(lineage_size) and lineage_size >= 1,
             "lineage_size must be an integer >= 1",
         )
         priority = payload.get("priority", 0)
-        _require(
-            isinstance(priority, int) and not isinstance(priority, bool),
-            "priority must be an integer",
-        )
+        _require(_is_int(priority), "priority must be an integer")
         time_budget = payload.get("time_budget")
         _require(
             time_budget is None
-            or (
-                isinstance(time_budget, (int, float))
-                and not isinstance(time_budget, bool)
-                and time_budget > 0
-            ),
-            "time_budget must be null or a positive number of seconds",
+            or (_is_finite(time_budget) and time_budget > 0),
+            "time_budget must be null or finite positive seconds",
         )
         explorer_time = explorer["time_budget"]
         _require(
             explorer_time is None
-            or (
-                isinstance(explorer_time, (int, float))
-                and not isinstance(explorer_time, bool)
-                and explorer_time > 0
-            ),
-            "explorer.time_budget must be null or positive seconds",
+            or (_is_finite(explorer_time) and explorer_time > 0),
+            "explorer.time_budget must be null or finite positive seconds",
         )
         flags = {}
         for key, default in (
@@ -277,11 +267,6 @@ class JobSpec:
             ),
             **flags,
         )
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether warm seeding cannot change this job's final cost."""
-        return self.explorer["name"] in EXACT_EXPLORERS
 
 
 def spec_payload(spec: JobSpec) -> Dict[str, object]:
@@ -310,32 +295,15 @@ def spec_payload(spec: JobSpec) -> Dict[str, object]:
 
 def build_explorer(config: Dict[str, object]) -> Explorer:
     """The live explorer of one normalized explorer config."""
-    name = config["name"]
-    if name == "bnb":
-        return BranchBoundExplorer(
-            ordering=config["ordering"],
-            frontier=config["frontier"],
-            dynamic_pool=config["dynamic_pool"],
-            backend=config["backend"],
-            node_budget=config["node_budget"],
-            time_budget=config["time_budget"],
-            max_open=config["max_open"],
-        )
-    if name == "exhaustive":
+    if config["name"] == "exhaustive":
         return ExhaustiveExplorer(backend=config["backend"])
-    if name == "annealing":
-        return AnnealingExplorer(
-            seed=config["seed"],
-            iterations=config["iterations"],
-            backend=config["backend"],
-        )
-    node_budget = config["node_budget"]
-    return PortfolioExplorer(
-        node_budget=node_budget if node_budget is not None else 200_000,
-        time_budget=config["time_budget"],
-        seed=config["seed"],
-        iterations=config["iterations"],
+    return BranchBoundExplorer(
+        ordering=config["ordering"],
+        frontier=config["frontier"],
+        dynamic_pool=config["dynamic_pool"],
         backend=config["backend"],
+        node_budget=config["node_budget"],
+        time_budget=config["time_budget"],
         max_open=config["max_open"],
     )
 

@@ -32,12 +32,10 @@ from .design_time import (
     variant_aware_design_time,
 )
 from .explorer import (
-    AnnealingExplorer,
     BranchBoundExplorer,
     ExhaustiveExplorer,
     ExplorationResult,
     Explorer,
-    PortfolioExplorer,
     SearchExplorer,
 )
 from .library import (
@@ -81,7 +79,6 @@ from .parallel import (
     Lineage,
     LocalIncumbent,
     ParallelSpaceExplorer,
-    RacingPortfolioExplorer,
     SelectionTask,
     SharedIncumbent,
     attach_incumbent,
@@ -99,7 +96,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "AnnealingExplorer",
     "ApplicationResult",
     "ArchitectureTemplate",
     "BACKENDS",
@@ -123,9 +119,7 @@ __all__ = [
     "Mapping",
     "ORDERINGS",
     "ParallelSpaceExplorer",
-    "PortfolioExplorer",
     "ProblemFamily",
-    "RacingPortfolioExplorer",
     "ReferenceSearchState",
     "Schedule",
     "ScheduledTask",

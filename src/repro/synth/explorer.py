@@ -1,6 +1,6 @@
 """Design-space exploration.
 
-Four interchangeable optimizers over :class:`SynthesisProblem`, all
+Two interchangeable optimizers over :class:`SynthesisProblem`, both
 built on the :class:`SearchExplorer` scaffold (candidate-target
 generation, processor-symmetry breaking, node accounting, and the
 delta-cost :class:`~repro.synth.state.SearchState`):
@@ -11,11 +11,6 @@ delta-cost :class:`~repro.synth.state.SearchState`):
   admissible lower bound and by monotone partial-mapping
   infeasibility; provably optimal, far fewer nodes.  Accepts node/time
   budgets and a warm-start incumbent.
-* :class:`AnnealingExplorer` — simulated annealing for spaces where
-  enumeration is hopeless; returns the best feasible mapping found.
-* :class:`PortfolioExplorer` — races annealing against budgeted
-  branch-and-bound (annealing's best seeds the exact search as its
-  incumbent) and returns the winner with provenance.
 
 Every explorer accepts ``incremental=False`` to run on the
 full-recompute :class:`~repro.synth.state.ReferenceSearchState` (the
@@ -32,8 +27,6 @@ Table 1 space.
 from __future__ import annotations
 
 import heapq
-import math
-import random
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping as TMapping, Optional, Tuple, Union
@@ -224,9 +217,8 @@ class SearchExplorer(Explorer):
         #: per-lineage copy.  Deliberately outside every canonical
         #: job key — it is operational, like ``retries``.  Budgeted
         #: searches fold it into their :class:`_BudgetClock`;
-        #: exhaustive and annealing runs poll it every 256 nodes /
-        #: iterations and report a deadline-truncated, non-optimal
-        #: result when it fires.
+        #: exhaustive runs poll it every 256 nodes and report a
+        #: deadline-truncated, non-optimal result when it fires.
         self.deadline: Optional[float] = None
 
     # -- state ----------------------------------------------------------
@@ -278,21 +270,22 @@ class SearchExplorer(Explorer):
         return _targets_from_used(problem, unit, state.used_processors())
 
     # -- warm starts ----------------------------------------------------
-    def _warm_assignment(
+    def _warm_incumbent(
         self,
         problem: SynthesisProblem,
         warm_start: Optional[Mapping],
-    ) -> Optional[Dict[str, Target]]:
-        """Adapt a warm-start mapping to this problem's unit set.
+    ) -> Tuple[Optional[Mapping], float]:
+        """Reference-evaluated feasible incumbent from a warm start.
 
-        Keeps every admissible target the warm mapping has for a
-        problem unit, completes missing units (hardware first — it
-        never violates capacity — else processor 0), and lets
-        ``problem.fixed`` override.  Returns None when no warm start
-        was given.
+        Adapts the warm mapping to this problem's unit set: keeps every
+        admissible target it has for a problem unit, completes missing
+        units (hardware first — it never violates capacity — else
+        processor 0), and lets ``problem.fixed`` override.  Returns
+        ``(None, inf)`` when no warm start was given or the adapted
+        mapping is infeasible.
         """
         if warm_start is None:
-            return None
+            return None, float("inf")
         source = warm_start.restricted_to(problem.units).assignment
         assignment: Dict[str, Target] = {}
         for unit in problem.units:
@@ -310,17 +303,6 @@ class SearchExplorer(Explorer):
             else:
                 assignment[unit] = Target.sw(0)
         assignment.update(problem.fixed)
-        return assignment
-
-    def _warm_incumbent(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping],
-    ) -> Tuple[Optional[Mapping], float]:
-        """Reference-evaluated feasible incumbent from a warm start."""
-        assignment = self._warm_assignment(problem, warm_start)
-        if assignment is None:
-            return None, float("inf")
         mapping = Mapping(assignment)
         result = evaluate(problem, mapping)
         if result.feasible:
@@ -1086,245 +1068,3 @@ class BranchBoundExplorer(SearchExplorer):
             if bound >= best_cost or bound >= clock.shared_floor:
                 return best, best_cost, evaluations
             path += ((unit, target),)
-
-
-class AnnealingExplorer(SearchExplorer):
-    """Simulated annealing with an infeasibility penalty.
-
-    Deterministic for a given ``seed``: repeated runs (and separate
-    process invocations) produce byte-identical results — the integer
-    cost kernel makes every move energy order-independent, so the
-    trajectory no longer depends on how the state was mutated into
-    place.  ``optimal`` is reported False: the result is a (usually
-    excellent) heuristic solution.  A ``warm_start`` replaces the
-    random initial configuration.
-
-    ``shared_incumbent`` is publish-only: every improved feasible cost
-    is offered to the fleet (so concurrent branch-and-bound searches
-    can prune against it), but the annealing trajectory itself never
-    reads the cell — the walk stays byte-deterministic for a seed.
-    """
-
-    accepts_shared_incumbent = True
-
-    def __init__(
-        self,
-        seed: int = 0,
-        iterations: int = 5000,
-        initial_temperature: float = 10.0,
-        cooling: float = 0.995,
-        penalty: float = 1000.0,
-        incremental: bool = True,
-        shared_incumbent=None,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(incremental=incremental, backend=backend)
-        if iterations < 1:
-            raise SynthesisError("iterations must be >= 1")
-        if not 0 < cooling < 1:
-            raise SynthesisError("cooling must be in (0, 1)")
-        self.seed = seed
-        self.iterations = iterations
-        self.initial_temperature = initial_temperature
-        self.cooling = cooling
-        self.penalty = penalty
-        self.shared_incumbent = shared_incumbent
-
-    def _energy_of(
-        self, problem: SynthesisProblem, result: Evaluation
-    ) -> float:
-        """Move energy of one (possibly probed) evaluation."""
-        if result.feasible:
-            return result.total_cost
-        overload = 0.0
-        capacity = problem.architecture.processor_capacity
-        for load in result.utilizations:
-            overload += max(0.0, load - capacity)
-        return self.penalty * (1.0 + overload) + result.hardware_cost
-
-    def _energy(self, state: _SearchStateT) -> Tuple[float, Evaluation]:
-        result = state.evaluation()
-        return self._energy_of(state.problem, result), result
-
-    def explore(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        rng = random.Random(self.seed)
-        free = list(problem.free_units)
-        # The integer kernel makes every accept/reject energy
-        # order-independent, so repeated runs (and separate processes)
-        # replay the identical trajectory; annealing never reads the
-        # lower bound, so its knapsack maintenance is skipped.
-        state = self._new_state(problem, capacity_bound=False)
-        warm = self._warm_assignment(problem, warm_start)
-        if warm is not None:
-            for unit in free:
-                state.assign(unit, warm[unit])
-        else:
-            for unit in free:
-                state.assign(
-                    unit, rng.choice(self.state_targets(problem, unit, state))
-                )
-        current_energy, current_eval = self._energy(state)
-        best_mapping: Optional[Mapping] = (
-            state.to_mapping() if current_eval.feasible else None
-        )
-        best_energy = (
-            current_energy if current_eval.feasible else float("inf")
-        )
-        shared = self.shared_incumbent
-        if shared is not None and best_mapping is not None:
-            shared.offer(best_energy)
-        temperature = self.initial_temperature
-        nodes = 1
-        evaluations = 1
-        deadline = self.deadline
-        truncated = False
-
-        for iteration in range(self.iterations):
-            if not free:
-                break
-            if (
-                deadline is not None
-                and (iteration & 255) == 0
-                and time.monotonic() > deadline
-            ):
-                # Same poll granularity as the exact frontiers: the
-                # serve deadline cuts the walk mid-run instead of
-                # letting it finish all remaining iterations.
-                truncated = True
-                break
-            unit = rng.choice(free)
-            old = state.assignment[unit]
-            options = [
-                t
-                for t in self.state_targets(problem, unit, state)
-                if t != old
-            ]
-            if not options:
-                continue
-            # Probe-then-commit through the batch evaluation API:
-            # rejected proposals never mutate the state.  The probed
-            # evaluation is byte-identical to reassign-and-evaluate
-            # (same integer accumulators), so the accept/reject
-            # trajectory — including the rng stream, which only draws
-            # on uphill energies — is unchanged.
-            proposal = rng.choice(options)
-            evaluation = state.probe_move(unit, proposal)
-            energy = self._energy_of(problem, evaluation)
-            nodes += 1
-            evaluations += 1
-            accept = energy <= current_energy or rng.random() < math.exp(
-                (current_energy - energy) / max(temperature, 1e-9)
-            )
-            if accept:
-                state.reassign(unit, proposal)
-                current_energy = energy
-                if evaluation.feasible and energy < best_energy:
-                    best_mapping = state.to_mapping()
-                    best_energy = energy
-                    if shared is not None:
-                        shared.offer(best_energy)
-            temperature *= self.cooling
-
-        provenance = f"annealing(seed={self.seed})"
-        if truncated:
-            provenance += " (deadline-truncated)"
-        return self._finish(
-            problem,
-            best_mapping,
-            nodes,
-            evaluations,
-            optimal=False,
-            provenance=provenance,
-        )
-
-
-class PortfolioExplorer(SearchExplorer):
-    """Race annealing against budgeted branch-and-bound.
-
-    Annealing runs first; its best feasible mapping seeds
-    branch-and-bound as the incumbent, tightening pruning from node
-    one.  Branch-and-bound runs under the configured node/time budget;
-    if it completes, the portfolio result is provably optimal.  The
-    returned :class:`ExplorationResult` carries provenance naming the
-    winning member and each member's cost.
-    """
-
-    def __init__(
-        self,
-        node_budget: Optional[int] = 200_000,
-        time_budget: Optional[float] = None,
-        seed: int = 0,
-        iterations: int = 4000,
-        incremental: bool = True,
-        backend: Optional[str] = None,
-        max_open: Optional[int] = None,
-    ) -> None:
-        super().__init__(incremental=incremental, backend=backend)
-        self.node_budget = node_budget
-        self.time_budget = time_budget
-        self.seed = seed
-        self.iterations = iterations
-        self.max_open = max_open
-
-    def explore(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        annealing = AnnealingExplorer(
-            seed=self.seed,
-            iterations=self.iterations,
-            incremental=self.incremental,
-            backend=self.backend,
-        )
-        annealing.deadline = self.deadline
-        heuristic = annealing.explore(problem, warm_start=warm_start)
-        exact_member = BranchBoundExplorer(
-            incremental=self.incremental,
-            node_budget=self.node_budget,
-            time_budget=self.time_budget,
-            backend=self.backend,
-            max_open=self.max_open,
-        )
-        exact_member.deadline = self.deadline
-        exact = exact_member.explore(
-            problem,
-            warm_start=heuristic.mapping
-            if heuristic.feasible
-            else warm_start,
-        )
-        members = [("annealing", heuristic), ("branch_and_bound", exact)]
-        winner_name, winner = min(
-            members, key=lambda item: (item[1].cost, item[1].optimal is False)
-        )
-        provenance = (
-            f"portfolio[{winner_name}]: "
-            + ", ".join(
-                f"{name} cost={result.cost:g}" for name, result in members
-            )
-            + (
-                " (branch_and_bound complete)"
-                if exact.optimal
-                else " (branch_and_bound budget-truncated)"
-            )
-        )
-        return ExplorationResult(
-            problem=problem,
-            mapping=winner.mapping,
-            evaluation=winner.evaluation,
-            nodes_explored=heuristic.nodes_explored + exact.nodes_explored,
-            optimal=exact.optimal,
-            evaluations=heuristic.evaluations + exact.evaluations,
-            provenance=provenance,
-            # The exact member searched the whole space (the annealing
-            # result only seeded its incumbent), so its certificate is
-            # the portfolio's certificate — without this, a complete
-            # run would claim optimal=True with proof_floor at -inf.
-            proof_floor=exact.proof_floor,
-            open_high_water=exact.open_high_water,
-            evicted_subtrees=exact.evicted_subtrees,
-        )

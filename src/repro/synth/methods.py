@@ -128,11 +128,10 @@ def independent_flow(
     targets, so each exploration starts from a near-feasible
     incumbent), and ``jobs`` shards the chain into parallel lineages.
 
-    With an *exact* explorer (the default branch-and-bound) a warm
-    start only shrinks the search, so each application's outcome
-    matches synthesizing it from scratch.  A heuristic explorer
-    (annealing) is trajectory-sensitive: pass ``warm_start=False`` to
-    keep its per-application runs strictly independent of each other.
+    Both built-in explorers are exact, so a warm start only shrinks the
+    search and each application's cost matches synthesizing it from
+    scratch; ``warm_start=False`` makes the per-application runs
+    strictly independent, node counts included.
     """
     from .parallel import (
         DEFAULT_LINEAGE_SIZE,

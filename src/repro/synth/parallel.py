@@ -1,4 +1,4 @@
-"""Process-parallel variant-space exploration and racing portfolios.
+"""Process-parallel variant-space exploration.
 
 The variant-space representation makes each selection's mapping
 problem independent — only the warm-start chaining of
@@ -29,12 +29,6 @@ module exploits that:
   sequential chain's.  Pre-materialized task lists (e.g. the
   independent flow's applications, which have no backing space) keep
   the per-task shipping path via :meth:`ParallelSpaceExplorer.explore_tasks`.
-* :class:`RacingPortfolioExplorer` runs annealing and budgeted
-  branch-and-bound as **racing** process members on one problem:
-  the first member to return a *provably optimal* result cancels the
-  rest; otherwise the cheapest finisher wins (deterministic member-
-  order tie-break).  Provenance records each member's fate, including
-  cancellation.
 * :func:`parallel_map` is the shared order-preserving process map with
   worker-crash surfacing, reused by the flows (e.g.
   :func:`~repro.synth.baselines.incremental_order_spread`).
@@ -44,14 +38,13 @@ module exploits that:
   cost, published by every worker's search and read back as an extra
   pruning threshold.  ``share_incumbent=True`` on
   :class:`ParallelSpaceExplorer`/:func:`~repro.synth.methods.explore_space`
-  (across selections) and on :class:`RacingPortfolioExplorer` (between
-  racing members on one problem) turns it on; the default stays off
-  because fleet pruning makes per-search *node counts* — never the
-  proven best cost — timing-dependent.
+  turns it on; the default stays off because fleet pruning makes
+  per-search *node counts* — never the proven best cost —
+  timing-dependent.
 
 A worker exception never vanishes into the pool: it is captured with
 its traceback and re-raised in the parent as a
-:class:`~repro.errors.SynthesisError` naming the lineage/member.
+:class:`~repro.errors.SynthesisError` naming the lineage or item.
 """
 
 from __future__ import annotations
@@ -60,7 +53,6 @@ import collections
 import copy
 import heapq
 import multiprocessing
-import queue as queue_module
 from multiprocessing import connection as mp_connection
 import random
 import sys
@@ -80,11 +72,9 @@ from .. import faults
 from ..errors import SynthesisError
 from ..variants.variant_space import VariantSpace
 from .explorer import (
-    AnnealingExplorer,
     BranchBoundExplorer,
     ExplorationResult,
     Explorer,
-    SearchExplorer,
 )
 from .mapping import (
     Mapping,
@@ -178,8 +168,8 @@ def attach_incumbent(explorer: Explorer, incumbent) -> Explorer:
     """A shallow copy of ``explorer`` wired to the incumbent cell.
 
     Explorers opt in via the ``accepts_shared_incumbent`` marker
-    (branch-and-bound prunes against the cell, annealing publishes to
-    it); anything else is returned unchanged.  The copy keeps the
+    (branch-and-bound publishes to the cell and prunes against it);
+    anything else is returned unchanged.  The copy keeps the
     caller's explorer reusable without a lingering cell reference.
     """
     if incumbent is None or not getattr(
@@ -904,293 +894,3 @@ class ParallelSpaceExplorer:
             for sel_result in collected[index]:
                 sel_result.exploration.retries = count
         return [collected[index] for index in range(len(payloads))]
-
-
-# ----------------------------------------------------------------------
-# Racing portfolio
-# ----------------------------------------------------------------------
-def _race_member(result_queue, name, explorer, problem, warm_start):
-    try:
-        result = explorer.explore(problem, warm_start=warm_start)
-        result_queue.put((name, None, result))
-    except Exception as exc:
-        detail = (
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        )
-        result_queue.put((name, detail, None))
-
-
-class RacingPortfolioExplorer(SearchExplorer):
-    """Race portfolio members as parallel processes.
-
-    Unlike the sequential :class:`~repro.synth.explorer.PortfolioExplorer`
-    (annealing first, its best seeding branch-and-bound), the racing
-    mode runs the members *independently and concurrently*:
-
-    * the first member to return a **provably optimal** result wins
-      immediately and the remaining members are cancelled;
-    * if no member proves optimality, every member finishes and the
-      cheapest result wins (ties broken by member order, so the
-      returned mapping is deterministic).
-
-    Only branch-and-bound can prove optimality (annealing always
-    reports ``optimal=False``), so a proof-cancelled race returns a
-    deterministic result as well; which losers got as far as finishing
-    is timing-dependent and recorded in the provenance only.
-
-    With ``parallel=False`` the members run sequentially in member
-    order with the same first-to-prove-optimal early exit — the
-    single-core fallback with identical result semantics.
-
-    With ``share_incumbent=True`` the members race *cooperatively*:
-    annealing publishes every improved feasible cost to a
-    :class:`SharedIncumbent` cell and branch-and-bound prunes against
-    it, so the exact member proves the same optimum over a (typically
-    much) smaller tree.  The winning cost is unchanged; per-member
-    node counts become timing-dependent, so the default stays off.
-
-    ``frontier`` (``"dfs"`` default) adds a second exact member when
-    non-default: a branch-and-bound search on that frontier racing
-    the DFS member under the same budgets — on spaces where the first
-    dive is misled, the best-first member typically proves the
-    optimum first and cancels the rest.  Both exact members prove the
-    identical optimal *cost*; under ``parallel=True`` which one
-    finishes its proof first (and therefore whose optimal mapping is
-    returned) is timing-dependent, exactly like the existing
-    cancellation provenance.
-    """
-
-    def __init__(
-        self,
-        node_budget: Optional[int] = 200_000,
-        time_budget: Optional[float] = None,
-        seed: int = 0,
-        iterations: int = 4000,
-        incremental: bool = True,
-        parallel: bool = True,
-        share_incumbent: bool = False,
-        frontier: str = "dfs",
-        mp_context: Optional[str] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(incremental=incremental, backend=backend)
-        self.node_budget = node_budget
-        self.time_budget = time_budget
-        self.seed = seed
-        self.iterations = iterations
-        self.parallel = parallel
-        self.share_incumbent = share_incumbent
-        self.frontier = validate_frontier(frontier)
-        self.mp_context = mp_context
-
-    def members(self) -> Tuple[Tuple[str, Explorer], ...]:
-        """The racing members, in deterministic tie-break order."""
-        members = [
-            (
-                "branch_and_bound",
-                BranchBoundExplorer(
-                    incremental=self.incremental,
-                    node_budget=self.node_budget,
-                    time_budget=self.time_budget,
-                    backend=self.backend,
-                ),
-            ),
-        ]
-        if self.frontier != "dfs":
-            members.append(
-                (
-                    f"branch_and_bound_{self.frontier.replace('-', '_')}",
-                    BranchBoundExplorer(
-                        incremental=self.incremental,
-                        node_budget=self.node_budget,
-                        time_budget=self.time_budget,
-                        frontier=self.frontier,
-                        backend=self.backend,
-                    ),
-                )
-            )
-        members.append(
-            (
-                "annealing",
-                AnnealingExplorer(
-                    seed=self.seed,
-                    iterations=self.iterations,
-                    incremental=self.incremental,
-                    backend=self.backend,
-                ),
-            )
-        )
-        return tuple(members)
-
-    def explore(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        members = self.members()
-        # Daemonic pool workers may not spawn children; inside one
-        # (e.g. racing per selection under ParallelSpaceExplorer) the
-        # race degrades to the sequential early-exit with identical
-        # result semantics.
-        in_daemon = multiprocessing.current_process().daemon
-        if self.parallel and not in_daemon:
-            finished, cancelled = self._race_processes(
-                members, problem, warm_start
-            )
-        else:
-            finished, cancelled = self._race_sequential(
-                members, problem, warm_start
-            )
-        return self._assemble(problem, members, finished, cancelled)
-
-    # -- member execution ----------------------------------------------
-    def _race_sequential(self, members, problem, warm_start):
-        if self.share_incumbent:
-            incumbent = LocalIncumbent()
-            members = [
-                (name, attach_incumbent(explorer, incumbent))
-                for name, explorer in members
-            ]
-        finished: Dict[str, ExplorationResult] = {}
-        cancelled: List[str] = []
-        proven = False
-        for name, explorer in members:
-            if proven:
-                cancelled.append(name)
-                continue
-            result = explorer.explore(problem, warm_start=warm_start)
-            finished[name] = result
-            if result.optimal:
-                proven = True
-        return finished, cancelled
-
-    def _race_processes(self, members, problem, warm_start):
-        ctx = _mp_context(self.mp_context)
-        if self.share_incumbent:
-            incumbent = SharedIncumbent(ctx)
-            members = [
-                (name, attach_incumbent(explorer, incumbent))
-                for name, explorer in members
-            ]
-        result_queue = ctx.Queue()
-        processes = {}
-        for name, explorer in members:
-            process = ctx.Process(
-                target=_race_member,
-                args=(result_queue, name, explorer, problem, warm_start),
-            )
-            process.daemon = True
-            process.start()
-            processes[name] = process
-        finished: Dict[str, ExplorationResult] = {}
-
-        def consume(message) -> bool:
-            """Record one member message; True = optimality proved."""
-            name, error, result = message
-            if error is not None:
-                raise SynthesisError(
-                    f"racing portfolio member {name!r} failed on "
-                    f"problem {problem.name!r}: {error}"
-                )
-            finished[name] = result
-            return result.optimal
-
-        try:
-            proved = False
-            while len(finished) < len(members) and not proved:
-                try:
-                    proved = consume(result_queue.get(timeout=0.05))
-                    continue
-                except queue_module.Empty:
-                    pass
-                if any(
-                    processes[n].is_alive()
-                    for n, _ in members
-                    if n not in finished
-                ):
-                    continue
-                # Every unfinished member has exited.  A result may
-                # still be in flight (put just after our get timed
-                # out), so drain the queue before judging them dead.
-                while len(finished) < len(members) and not proved:
-                    try:
-                        proved = consume(result_queue.get(timeout=0.25))
-                    except queue_module.Empty:
-                        pending = [
-                            n for n, _ in members if n not in finished
-                        ]
-                        raise SynthesisError(
-                            f"racing portfolio member(s) {pending} "
-                            f"died without reporting a result on "
-                            f"problem {problem.name!r}"
-                        )
-        finally:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-            for process in processes.values():
-                process.join()
-            result_queue.close()
-        cancelled = [n for n, _ in members if n not in finished]
-        return finished, cancelled
-
-    # -- result assembly ------------------------------------------------
-    def _assemble(self, problem, members, finished, cancelled):
-        if not finished:
-            raise SynthesisError(
-                f"racing portfolio produced no result for problem "
-                f"{problem.name!r}"
-            )
-        proved = [
-            name for name, _ in members
-            if name in finished and finished[name].optimal
-        ]
-        if proved:
-            winner_name = proved[0]
-        else:
-            winner_name = min(
-                (name for name, _ in members if name in finished),
-                key=lambda name: (
-                    finished[name].cost,
-                    [n for n, _ in members].index(name),
-                ),
-            )
-        winner = finished[winner_name]
-        # Combine the members' proofs: a branch-and-bound member that
-        # was pruned by a foreign (shared-incumbent) cost still
-        # certifies that nothing beats the lowest threshold it used,
-        # so a heuristic winner matching that floor is fleet-proved.
-        proof_floor = max(
-            (r.proof_floor for r in finished.values()),
-            default=float("-inf"),
-        )
-        fleet_proved = (
-            not winner.optimal
-            and winner.feasible
-            and winner.cost <= proof_floor
-        )
-        parts = []
-        for name, _ in members:
-            if name in finished:
-                result = finished[name]
-                note = " (proved optimal)" if result.optimal else ""
-                parts.append(f"{name} cost={result.cost:g}{note}")
-            else:
-                parts.append(f"{name} cancelled")
-        provenance = (
-            f"racing_portfolio[{winner_name}]: " + ", ".join(parts)
-        )
-        if fleet_proved:
-            provenance += " (fleet-proved optimal)"
-        return ExplorationResult(
-            problem=problem,
-            mapping=winner.mapping,
-            evaluation=winner.evaluation,
-            nodes_explored=sum(
-                r.nodes_explored for r in finished.values()
-            ),
-            optimal=winner.optimal or fleet_proved,
-            evaluations=sum(r.evaluations for r in finished.values()),
-            provenance=provenance,
-            proof_floor=proof_floor,
-        )

@@ -631,7 +631,8 @@ class SearchState:
     maintained aggregates.
 
     ``capacity_bound=False`` skips the knapsack maintenance (useful for
-    explorers that never read ``lower_bound()``, e.g. annealing).
+    explorers that never read ``lower_bound()``, e.g. exhaustive
+    enumeration).
     ``dynamic_pool=False`` keeps the capacity bound but freezes the
     joint pool's per-interface cluster choice to the static election
     (the PR 3 behavior) — the ablation lever of the re-elected bound.
@@ -878,14 +879,13 @@ class SearchState:
         """Move one unit to a new target.
 
         Equivalent to ``unassign(unit); assign(unit, target)`` — the
-        hot operation of simulated annealing moves and of
-        :class:`PathTrail` restores — but pool-preserving: the unit
-        stays decided, so its knapsack slots are never returned and
-        re-taken.  A software→software move only shifts processor
-        columns; a hardware↔software flip shifts the pools' committed
-        software load and re-elects once.  The target is validated
-        before anything mutates, so a rejected move leaves the state
-        untouched.
+        hot operation of :class:`PathTrail` restores — but
+        pool-preserving: the unit stays decided, so its knapsack slots
+        are never returned and re-taken.  A software→software move only
+        shifts processor columns; a hardware↔software flip shifts the
+        pools' committed software load and re-elects once.  The target
+        is validated before anything mutates, so a rejected move leaves
+        the state untouched.
         """
         old = self.assignment.get(unit)
         if old is None:
@@ -1445,23 +1445,6 @@ class SearchState:
             base + ihw + self._processor_floor() * self._ipcost + forced
         ) / QUANT_SCALE, self.feasible
 
-    def probe_move(self, unit: str, target: Target) -> Evaluation:
-        """Evaluation after hypothetically reassigning one unit.
-
-        The move-proposal probe of simulated annealing: returns
-        exactly what ``reassign(unit, target); evaluation()`` would,
-        with the state restored on return — callers commit accepted
-        moves with a single :meth:`reassign`.
-        """
-        old = self.assignment.get(unit)
-        if old is None:
-            raise SynthesisError(f"unit {unit!r} is not assigned")
-        self.reassign(unit, target)
-        try:
-            return self.evaluation()
-        finally:
-            self.reassign(unit, old)
-
 
 #: Public alias — the delta-cost search state *is* the incremental
 #: evaluator of the subsystem.
@@ -1721,14 +1704,3 @@ class ReferenceSearchState:
             finally:
                 self.unassign(unit)
         return results
-
-    def probe_move(self, unit: str, target: Target) -> Evaluation:
-        """Batch-API twin of :meth:`SearchState.probe_move`."""
-        old = self.assignment.get(unit)
-        if old is None:
-            raise SynthesisError(f"unit {unit!r} is not assigned")
-        self.reassign(unit, target)
-        try:
-            return self.evaluation()
-        finally:
-            self.reassign(unit, old)

@@ -1,8 +1,8 @@
 """Differential fuzzing of the explorer stack against the oracle.
 
 The harness runs every explorer configuration — frontier × ordering ×
-pool × bound × ``max_open``, plus the exhaustive, annealing
-and portfolio explorers — on zoo scenarios and checks each result
+pool × bound × ``max_open``, plus the exhaustive explorer — on zoo
+scenarios and checks each result
 against :class:`~repro.synth.explorer.ExhaustiveExplorer` ground
 truth.  Because every zoo workload lives on the 1/64 binary grid (see
 :mod:`repro.zoo.base`), the checks are *exact*:
@@ -38,12 +38,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..synth.cost import evaluate
 from ..synth.explorer import (
-    AnnealingExplorer,
     BranchBoundExplorer,
     ExhaustiveExplorer,
     ExplorationResult,
     Explorer,
-    PortfolioExplorer,
 )
 from ..synth.mapping import SynthesisProblem
 from ..synth.ordering import FRONTIERS, ORDERINGS
@@ -70,9 +68,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
     corpus ids keep their backend segment.
     """
     yield {"kind": "exhaustive"}
-    yield {"kind": "annealing", "seed": 0}
-    yield {"kind": "annealing", "seed": 7}
-    yield {"kind": "portfolio"}
     if full:
         for frontier, ordering, pool, bound, open_cap in (
             itertools.product(
@@ -136,8 +131,6 @@ def describe(config: Dict[str, object]) -> str:
         open_cap = config.get("max_open")
         parts.append("openinf" if open_cap is None else f"open{open_cap}")
         return "bnb:" + "-".join(parts)
-    if kind == "annealing":
-        return f"annealing:s{config.get('seed', 0)}"
     return str(kind)
 
 
@@ -146,12 +139,6 @@ def build_explorer(config: Dict[str, object]) -> Explorer:
     kind = config["kind"]
     if kind == "exhaustive":
         return ExhaustiveExplorer()
-    if kind == "annealing":
-        return AnnealingExplorer(
-            seed=int(config.get("seed", 0)), iterations=1500
-        )
-    if kind == "portfolio":
-        return PortfolioExplorer(node_budget=50_000, iterations=800)
     if kind == "bnb":
         return BranchBoundExplorer(
             frontier=str(config.get("frontier", "dfs")),
@@ -190,14 +177,13 @@ def check_against_oracle(
             f"{label}: claims optimal at {result.cost}, oracle says "
             f"{oracle.cost}"
         )
-    if config["kind"] in ("exhaustive", "bnb") and not result.optimal:
-        # Exact explorers may only give up under an explicit budget;
-        # none is set here, so non-optimal means a pruning bug.
-        if config.get("max_open") is None:
-            failures.append(
-                f"{label}: exact run without budget reports "
-                f"optimal=False"
-            )
+    if not result.optimal and config.get("max_open") is None:
+        # Both explorers are exact and may only give up under an
+        # explicit budget; none is set here, so non-optimal means a
+        # pruning bug.
+        failures.append(
+            f"{label}: exact run without budget reports optimal=False"
+        )
     return failures
 
 
@@ -219,8 +205,6 @@ def _check_self_consistency(
             f"{label}: proof floor {result.proof_floor} above own "
             f"cost {result.cost}"
         )
-    if config["kind"] == "annealing" and result.optimal:
-        failures.append(f"{label}: annealing may not claim optimality")
     if result.mapping is not None and result.cost != _INF:
         check = evaluate(problem, result.mapping)
         if not check.feasible:
@@ -243,8 +227,8 @@ def cross_check(
     """Cost-only agreement among optimal-claiming runs (no oracle).
 
     For scenarios too large to enumerate, any two configurations that
-    both claim a proven optimum must agree exactly; heuristic runs
-    must not beat the proven optimum.
+    both claim a proven optimum must agree exactly; runs that stop
+    short of a proof (node budgets, capped frontiers) must not beat it.
     """
     failures: List[str] = []
     proven = [
@@ -557,8 +541,7 @@ def cross_sweep(
             if config["kind"] == "exhaustive":
                 continue  # no oracle at this size — that's the point
             explorer = build_explorer(config)
-            if isinstance(explorer, BranchBoundExplorer):
-                explorer.node_budget = node_budget
+            explorer.node_budget = node_budget
             results.append((config, explorer.explore(problem)))
             report.checks += 1
             disagreements.extend(

@@ -24,11 +24,10 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
 from repro.synth.backend import resolve_backend
-from repro.synth.explorer import AnnealingExplorer, BranchBoundExplorer
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
 from repro.synth.ordering import FRONTIERS
-from repro.synth.parallel import RacingPortfolioExplorer
 from repro.synth.state import (
     ReferenceSearchState,
     SearchState,
@@ -255,28 +254,6 @@ class TestBatchEqualsScalar:
             pool.add(skip)
 
     @given(partial_scenarios())
-    @settings(max_examples=60, deadline=None)
-    def test_probe_move_matches_mutate_oracle(self, scenario):
-        problem, prefix, _unit, capacity_bound, dynamic_pool = scenario
-        # probe_move evaluates a complete mapping (the annealing use
-        # case): extend the drawn prefix to cover every unit, then
-        # probe moves of one assigned unit.
-        assigned = {u for u, _ in prefix}
-        prefix = list(prefix) + [
-            (u, _admissible_targets(problem, u)[0])
-            for u in problem.units
-            if u not in assigned
-        ]
-        unit = prefix[len(prefix) // 2][0]
-        targets = _admissible_targets(problem, unit)
-        state = _build(problem, prefix, capacity_bound, dynamic_pool)
-        for target in targets:
-            probed = state.probe_move(unit, target)
-            oracle = _build(problem, prefix, capacity_bound, dynamic_pool)
-            oracle.reassign(unit, target)
-            assert probed == oracle.evaluation()
-
-    @given(partial_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_reference_state_batch_api_matches_loop(self, scenario):
         problem, prefix, unit, _capacity, _pool = scenario
@@ -337,16 +314,7 @@ class TestBackendSelection:
                 state = explorer._new_state(_tiny_problem())
                 assert type(state) is SearchState
         for request in (None, "auto", "python"):
-            assert AnnealingExplorer(backend=request).backend == "python"
-
-    def test_racing_members_resolve_auto_to_scalar(self):
-        for frontier in FRONTIERS:
-            for request in (None, "auto", "python"):
-                racing = RacingPortfolioExplorer(
-                    frontier=frontier, backend=request
-                )
-                for name, member in racing.members():
-                    assert member.backend == "python", name
+            assert ExhaustiveExplorer(backend=request).backend == "python"
 
     def test_forced_fallback_when_numpy_invisible(self, monkeypatch):
         # NumPy's presence is informational only: nothing dispatches on

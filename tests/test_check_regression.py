@@ -31,7 +31,6 @@ def bench_payload(nodes_per_sec=1000.0, quick=False):
                 "nodes_per_sec": nodes_per_sec,
                 "evals_per_sec": nodes_per_sec / 10,
             },
-            "annealing_incremental": {"evals_per_sec": 500.0},
         },
         "evaluation_microbench": {
             "incremental_evals_per_sec": 9000.0
@@ -64,7 +63,6 @@ class TestMetricExtraction:
         assert metrics == {
             "bnb_incremental_nodes_per_sec": 1000.0,
             "bnb_incremental_evals_per_sec": 100.0,
-            "annealing_incremental_evals_per_sec": 500.0,
             "microbench_incremental_evals_per_sec": 9000.0,
             "parallel_jobs1_selections_per_sec": 4.0,
             "batch_scalar_probes_per_sec": 800000.0,

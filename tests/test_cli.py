@@ -47,13 +47,14 @@ class TestCommands:
         assert "34" in out
         assert "best selection" in out
 
-    def test_explore_generated_portfolio(self, capsys):
+    def test_explore_generated_exhaustive(self, capsys):
         assert main(
             ["explore", "--space", "generated", "--variants", "2",
-             "--explorer", "portfolio"]
+             "--explorer", "exhaustive"]
         ) == 0
         out = capsys.readouterr().out
         assert "theta=var0" in out
+        assert "(exhaustive)" in out
         assert "total nodes" in out
 
     def test_explore_reference_mode(self, capsys):
@@ -92,14 +93,30 @@ class TestCommands:
         assert "theta1=gamma1" in out
         assert "34" in out
 
-    def test_explore_racing_explorer(self, capsys):
-        assert main(
-            ["explore", "--space", "generated", "--variants", "2",
-             "--explorer", "racing", "--jobs", "2", "--lineage-size", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "theta=var0" in out
-        assert "racing" in out
+    @pytest.mark.parametrize("name", ["annealing", "portfolio", "racing"])
+    def test_removed_explorers_rejected(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--explorer", name])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--jobs", "jobs must be >= 1"),
+            ("--lineage-size", "lineage_size must be >= 1"),
+            ("--max-open", "max_open must be"),
+        ],
+    )
+    def test_library_validation_error_is_a_clean_exit(
+        self, flag, message, capsys
+    ):
+        assert main(["explore", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,12 @@
-"""Determinism regression: annealing is byte-reproducible.
+"""Determinism regression: exact searches are byte-reproducible.
 
-``AnnealingExplorer(seed=k)`` must yield byte-identical
-``ExplorationResult`` fields across repeated in-process runs *and*
-across separate process invocations (fresh hash randomization, fresh
-float state) — the incremental evaluator's exact mode keeps every
-float bit-identical to the reference oracle, so the trajectory cannot
-drift.
+``BranchBoundExplorer`` on the DFS and best-first frontiers must yield
+byte-identical ``ExplorationResult`` fields — cost, mapping, node and
+evaluation counts, certificate, provenance — across repeated
+in-process runs *and* across separate process invocations (fresh hash
+randomization, fresh float state).  The integer kernel makes every
+bound and cost order-independent, and the frontiers break ties on
+insertion order, never on set or dict hashing.
 """
 
 import hashlib
@@ -14,26 +15,20 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
-from repro.apps.generators import generate_system
-from repro.synth.explorer import AnnealingExplorer
-from repro.synth.mapping import SynthesisProblem
-from repro.synth.methods import variant_units
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
+from repro.zoo import generate
 
-SEED = 11
-ITERATIONS = 600
+#: A scenario whose searches take tens to hundreds of nodes, so tie
+#: order has room to matter.
+FAMILY, SEED, SIZE = "memory_ladder", 3, "medium"
+FRONTIERS = ("dfs", "best-first")
 
 
-def _problem():
-    system = generate_system(seed=7, n_variants=3)
-    units, origins = variant_units(system.vgraph)
-    return SynthesisProblem(
-        name="det",
-        units=units,
-        library=system.library,
-        architecture=system.architecture,
-        origins=origins,
-    )
+def _problem(size=SIZE):
+    return generate(FAMILY, SEED, size).joint_problem()
 
 
 def _digest(result):
@@ -43,6 +38,8 @@ def _digest(result):
             result.nodes_explored,
             result.evaluations,
             result.optimal,
+            result.proof_floor,
+            result.provenance,
             sorted(
                 (unit, repr(target))
                 for unit, target in result.mapping.assignment.items()
@@ -56,62 +53,55 @@ def _digest(result):
 # Mirrors _problem()/_digest() above — keep the two in sync.
 _SUBPROCESS_SCRIPT = f"""
 import hashlib
-from repro.apps.generators import generate_system
-from repro.synth.explorer import AnnealingExplorer
-from repro.synth.mapping import SynthesisProblem
-from repro.synth.methods import variant_units
+from repro.synth.explorer import BranchBoundExplorer
+from repro.zoo import generate
 
-system = generate_system(seed=7, n_variants=3)
-units, origins = variant_units(system.vgraph)
-problem = SynthesisProblem(name="det", units=units, library=system.library,
-                           architecture=system.architecture, origins=origins)
-result = AnnealingExplorer(seed={SEED}, iterations={ITERATIONS}).explore(problem)
-payload = repr((result.cost, result.nodes_explored, result.evaluations,
-                result.optimal,
-                sorted((unit, repr(target))
-                       for unit, target in result.mapping.assignment.items()),
-                result.evaluation))
-print(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+problem = generate({FAMILY!r}, {SEED}, {SIZE!r}).joint_problem()
+for frontier in {FRONTIERS!r}:
+    result = BranchBoundExplorer(frontier=frontier).explore(problem)
+    payload = repr((result.cost, result.nodes_explored, result.evaluations,
+                    result.optimal, result.proof_floor, result.provenance,
+                    sorted((unit, repr(target)) for unit, target
+                           in result.mapping.assignment.items()),
+                    result.evaluation))
+    print(hashlib.sha256(payload.encode("utf-8")).hexdigest())
 """
 
 
-class TestAnnealingDeterminism:
-    def test_repeated_runs_are_byte_identical(self):
+class TestSearchDeterminism:
+    @pytest.mark.parametrize("frontier", FRONTIERS)
+    def test_repeated_runs_are_byte_identical(self, frontier):
         problem = _problem()
-        first = AnnealingExplorer(seed=SEED, iterations=ITERATIONS).explore(
-            problem
-        )
-        second = AnnealingExplorer(seed=SEED, iterations=ITERATIONS).explore(
-            problem
-        )
+        first = BranchBoundExplorer(frontier=frontier).explore(problem)
+        second = BranchBoundExplorer(frontier=frontier).explore(problem)
+        assert first.optimal
         assert _digest(first) == _digest(second)
         assert first.evaluation == second.evaluation
         assert dict(first.mapping.assignment) == dict(
             second.mapping.assignment
         )
 
-    def test_incremental_matches_reference_trajectory(self):
-        problem = _problem()
-        incremental = AnnealingExplorer(
-            seed=SEED, iterations=ITERATIONS
-        ).explore(problem)
-        reference = AnnealingExplorer(
-            seed=SEED, iterations=ITERATIONS, incremental=False
-        ).explore(problem)
+    def test_incremental_matches_reference_enumeration(self):
+        # Enumeration visits the same leaves in the same order on both
+        # states, so everything down to the first-found optimum agrees.
+        problem = _problem("small")
+        incremental = ExhaustiveExplorer().explore(problem)
+        reference = ExhaustiveExplorer(incremental=False).explore(problem)
         assert _digest(incremental) == _digest(reference)
 
     def test_process_invocations_are_byte_identical(self):
         problem = _problem()
-        expected = _digest(
-            AnnealingExplorer(seed=SEED, iterations=ITERATIONS).explore(
-                problem
-            )
-        )
+        expected = [
+            _digest(BranchBoundExplorer(frontier=frontier).explore(problem))
+            for frontier in FRONTIERS
+        ]
         src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src_dir] + env.get("PYTHONPATH", "").split(os.pathsep)
         ).rstrip(os.pathsep)
+        # Unset so every child draws its own random hash seed.
+        env.pop("PYTHONHASHSEED", None)
         for _ in range(2):
             output = subprocess.run(
                 [sys.executable, "-c", _SUBPROCESS_SCRIPT],
@@ -119,5 +109,5 @@ class TestAnnealingDeterminism:
                 text=True,
                 env=env,
                 check=True,
-            ).stdout.strip()
+            ).stdout.split()
             assert output == expected

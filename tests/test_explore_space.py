@@ -1,16 +1,11 @@
-"""Tests for batch variant-space exploration and the portfolio explorer."""
+"""Tests for batch variant-space exploration and warm starts."""
 
 import pytest
 
 from repro.apps import figure2
 from repro.apps.generators import generate_system
 from repro.errors import SynthesisError
-from repro.synth.explorer import (
-    AnnealingExplorer,
-    BranchBoundExplorer,
-    ExhaustiveExplorer,
-    PortfolioExplorer,
-)
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.mapping import SynthesisProblem
 from repro.synth.methods import (
     ProblemFamily,
@@ -82,15 +77,6 @@ class TestExploreSpace:
             r.cost for r in exhaustive.results
         ]
         assert len(bnb) == space.count()
-
-    def test_annealing_warm_start_matches_optimum_here(self):
-        family, space = generated_space()
-        annealed = explore_space(
-            family, space, AnnealingExplorer(seed=2, iterations=2000)
-        )
-        optimal = explore_space(family, space, BranchBoundExplorer())
-        for heuristic, exact in zip(annealed.results, optimal.results):
-            assert heuristic.cost >= exact.cost - 1e-9
 
     def test_summary_rows_and_totals(self):
         family, space = generated_space()
@@ -170,48 +156,3 @@ class TestBudgets:
         assert truncated.cost == optimum.cost
         assert not truncated.optimal
 
-
-class TestPortfolio:
-    def test_matches_branch_bound_optimum_on_table1(self):
-        vgraph = figure2.build_variant_graph()
-        units, origins = variant_units(vgraph)
-        problem = SynthesisProblem(
-            name="table1",
-            units=units,
-            library=figure2.table1_library(),
-            architecture=figure2.table1_architecture(),
-            origins=origins,
-        )
-        exact = BranchBoundExplorer().explore(problem)
-        portfolio = PortfolioExplorer().explore(problem)
-        assert portfolio.cost == exact.cost == 41.0
-        assert portfolio.optimal
-        assert dict(portfolio.mapping.assignment) == dict(
-            exact.mapping.assignment
-        )
-
-    def test_provenance_names_members_and_winner(self):
-        family, space = generated_space()
-        _, graph = next(iter(space.iter_applications()))
-        problem = family.problem_for(graph)
-        result = PortfolioExplorer().explore(problem)
-        assert result.provenance.startswith("portfolio[")
-        assert "annealing cost=" in result.provenance
-        assert "branch_and_bound cost=" in result.provenance
-
-    def test_budget_truncated_portfolio_reports_heuristic(self):
-        family, space = generated_space()
-        _, graph = next(iter(space.iter_applications()))
-        problem = family.problem_for(graph)
-        result = PortfolioExplorer(node_budget=1).explore(problem)
-        assert not result.optimal
-        assert result.feasible  # annealing's solution survives
-        assert "budget-truncated" in result.provenance
-
-    def test_portfolio_in_explore_space(self):
-        family, space = generated_space()
-        outcome = explore_space(family, space, PortfolioExplorer())
-        exact = explore_space(family, space, BranchBoundExplorer())
-        assert [r.cost for r in outcome.results] == [
-            r.cost for r in exact.results
-        ]

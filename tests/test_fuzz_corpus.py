@@ -33,7 +33,9 @@ def test_corpus_versions_current():
 
 
 def test_portfolio_regression_case_present():
-    """The fuzz-found portfolio certificate bug stays in the corpus."""
+    """The fuzz-found certificate bug (found against the removed
+    portfolio explorer, now replayed on branch-and-bound) stays in the
+    corpus under its original id."""
     ids = {case.id for case in CASES}
     assert "portfolio-proof-floor" in ids
 

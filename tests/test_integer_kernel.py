@@ -8,8 +8,8 @@ Contract under test (see :mod:`repro.synth.state`):
   shipped workload — and **bit for bit** on binary-fraction grids;
 * its reads are **byte-identical across mutation orders**: any
   assign/unassign/reassign history reaching the same assignment
-  produces exactly equal floats, which is what makes annealing
-  trajectories and parallel lineage results machine-deterministic.
+  produces exactly equal floats, which is what makes search results
+  and parallel lineage results machine-deterministic.
 """
 
 import random

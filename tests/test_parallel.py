@@ -1,4 +1,4 @@
-"""Tests for process-parallel exploration and the racing portfolio.
+"""Tests for process-parallel exploration and incumbent sharing.
 
 The contract under test: the lineage decomposition — never the worker
 count — defines the results.  ``jobs`` may only change wall-clock, so
@@ -18,10 +18,9 @@ from repro.apps.generators import generate_system
 from repro.errors import SynthesisError
 from repro.synth.baselines import incremental_order_spread
 from repro.synth.explorer import (
-    AnnealingExplorer,
     BranchBoundExplorer,
+    ExhaustiveExplorer,
     Explorer,
-    PortfolioExplorer,
 )
 from repro.synth.mapping import Mapping, SynthesisProblem, Target
 from repro.synth.methods import (
@@ -36,7 +35,6 @@ from repro.synth.parallel import (
     DEFAULT_LINEAGE_SIZE,
     LocalIncumbent,
     ParallelSpaceExplorer,
-    RacingPortfolioExplorer,
     SelectionTask,
     SharedIncumbent,
     attach_incumbent,
@@ -150,9 +148,8 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(family)).name == family.name
         for explorer in (
             BranchBoundExplorer(node_budget=10),
-            AnnealingExplorer(seed=2),
-            PortfolioExplorer(),
-            RacingPortfolioExplorer(),
+            BranchBoundExplorer(frontier="hybrid", max_open=4),
+            ExhaustiveExplorer(),
         ):
             pickle.loads(pickle.dumps(explorer))
         result = BranchBoundExplorer().explore(table1_problem())
@@ -358,119 +355,6 @@ class TestWorkerCrashes:
             parallel_map(str, items, jobs=0)
 
 
-class TestRacingPortfolio:
-    def test_proof_cancels_losers_with_provenance(self):
-        problem = table1_problem()
-        # An annealing budget far beyond the race horizon: the only way
-        # it leaves the race is cancellation by branch-and-bound's
-        # optimality proof.
-        racing = RacingPortfolioExplorer(iterations=2_000_000)
-        result = racing.explore(problem)
-        assert result.cost == 41.0
-        assert result.optimal
-        assert result.provenance.startswith(
-            "racing_portfolio[branch_and_bound]"
-        )
-        assert "proved optimal" in result.provenance
-        assert "annealing cancelled" in result.provenance
-
-    def test_sequential_fallback_same_result(self):
-        problem = table1_problem()
-        parallel = RacingPortfolioExplorer(iterations=2_000_000).explore(
-            problem
-        )
-        sequential = RacingPortfolioExplorer(
-            iterations=2_000_000, parallel=False
-        ).explore(problem)
-        assert sequential.cost == parallel.cost == 41.0
-        assert dict(sequential.mapping.assignment) == dict(
-            parallel.mapping.assignment
-        )
-        assert "annealing cancelled" in sequential.provenance
-
-    def test_no_proof_waits_for_all_members(self):
-        problem = table1_problem()
-        # node_budget=1 truncates branch-and-bound: no proof, so both
-        # members finish and the cheapest feasible result wins.
-        racing = RacingPortfolioExplorer(node_budget=1, iterations=500)
-        result = racing.explore(problem)
-        sequential = RacingPortfolioExplorer(
-            node_budget=1, iterations=500, parallel=False
-        ).explore(problem)
-        assert not result.optimal
-        assert result.feasible
-        assert "cancelled" not in result.provenance
-        assert result.cost == sequential.cost
-        assert dict(result.mapping.assignment) == dict(
-            sequential.mapping.assignment
-        )
-
-    def test_racing_inside_pool_worker_degrades_gracefully(self):
-        """Racing under ParallelSpaceExplorer (daemonic workers)."""
-        family, space = generated_space(n_variants=3)
-        outcome = ParallelSpaceExplorer(
-            explorer=RacingPortfolioExplorer(),
-            jobs=2,
-            lineage_size=1,
-        ).explore(family, space)
-        exact = explore_space(family, space)
-        assert [r.cost for r in outcome.results] == [
-            r.cost for r in exact.results
-        ]
-
-    def test_frontier_member_joins_the_race(self):
-        """A non-default frontier adds a second exact member racing
-        the DFS one; member order stays deterministic."""
-        racing = RacingPortfolioExplorer(frontier="best-first")
-        names = [name for name, _ in racing.members()]
-        assert names == [
-            "branch_and_bound",
-            "branch_and_bound_best_first",
-            "annealing",
-        ]
-        explorers = dict(racing.members())
-        assert explorers["branch_and_bound"].frontier == "dfs"
-        assert (
-            explorers["branch_and_bound_best_first"].frontier
-            == "best-first"
-        )
-        assert [n for n, _ in RacingPortfolioExplorer().members()] == [
-            "branch_and_bound",
-            "annealing",
-        ]
-        with pytest.raises(SynthesisError):
-            RacingPortfolioExplorer(frontier="zigzag")
-
-    def test_frontier_race_proves_the_same_optimum(self):
-        problem = table1_problem()
-        sequential = RacingPortfolioExplorer(
-            frontier="best-first", iterations=400, parallel=False
-        ).explore(problem)
-        assert sequential.optimal
-        assert sequential.cost == 41.0
-        # sequential fallback runs members in order: the DFS member
-        # proves first and cancels both the best-first member and
-        # annealing.
-        assert "branch_and_bound_best_first cancelled" in (
-            sequential.provenance
-        )
-        parallel = RacingPortfolioExplorer(
-            frontier="best-first", iterations=400
-        ).explore(problem)
-        assert parallel.optimal
-        assert parallel.cost == 41.0
-
-    def test_racing_in_explore_space(self):
-        family, space = generated_space(n_variants=3)
-        outcome = explore_space(
-            family, space, RacingPortfolioExplorer()
-        )
-        exact = explore_space(family, space, BranchBoundExplorer())
-        assert [r.cost for r in outcome.results] == [
-            r.cost for r in exact.results
-        ]
-
-
 class TestIncumbentSharing:
     """share_incumbent=True: fleet pruning may shrink the per-search
     trees but never changes the best selection or its proven cost."""
@@ -491,11 +375,7 @@ class TestIncumbentSharing:
         assert wired is not bnb
         assert wired.shared_incumbent is cell
         assert bnb.shared_incumbent is None
-        annealing = AnnealingExplorer()
-        assert attach_incumbent(annealing, cell).shared_incumbent is cell
         # explorers without the marker pass through untouched
-        from repro.synth.explorer import ExhaustiveExplorer
-
         exhaustive = ExhaustiveExplorer()
         assert attach_incumbent(exhaustive, cell) is exhaustive
         assert attach_incumbent(bnb, None) is bnb
@@ -538,19 +418,6 @@ class TestIncumbentSharing:
             assert canonical_bytes(
                 explore_space(family, space, jobs=jobs, lineage_size=2)
             ) == reference
-
-    def test_racing_share_incumbent_proves_same_optimum(self):
-        problem = table1_problem()
-        plain = RacingPortfolioExplorer(iterations=400).explore(problem)
-        shared = RacingPortfolioExplorer(
-            iterations=400, share_incumbent=True
-        ).explore(problem)
-        sequential = RacingPortfolioExplorer(
-            iterations=400, share_incumbent=True, parallel=False
-        ).explore(problem)
-        assert plain.cost == shared.cost == sequential.cost == 41.0
-        assert shared.optimal
-        assert sequential.optimal
 
     def test_foreign_floor_below_optimum_is_reported_honestly(self):
         """A search pruned below its own optimum must not claim a

@@ -4,11 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.synth.architecture import ArchitectureTemplate
 from repro.synth.cost import evaluate
-from repro.synth.explorer import (
-    AnnealingExplorer,
-    BranchBoundExplorer,
-    ExhaustiveExplorer,
-)
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, VariantOrigin
 
@@ -59,17 +55,6 @@ class TestOptimality:
         assert bnb.feasible == exhaustive.feasible
         if exhaustive.feasible:
             assert bnb.cost == exhaustive.cost
-
-    @given(problems())
-    @settings(max_examples=25, deadline=None)
-    def test_annealing_never_beats_optimum(self, problem):
-        exhaustive = ExhaustiveExplorer().explore(problem)
-        annealing = AnnealingExplorer(seed=0, iterations=800).explore(
-            problem
-        )
-        if annealing.feasible:
-            assert exhaustive.feasible
-            assert annealing.cost >= exhaustive.cost - 1e-9
 
     @given(problems())
     @settings(max_examples=40, deadline=None)

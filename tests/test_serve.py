@@ -8,6 +8,7 @@ same path ``curl`` takes.
 """
 
 import asyncio
+import math
 import socket
 import subprocess
 import sys
@@ -174,17 +175,21 @@ def test_terminal_jobs_evicted_beyond_max_jobs():
     asyncio.run(main())
 
 
-def test_warm_seeding_skipped_for_heuristic_explorers():
+def test_warm_seeding_skipped_when_warm_cache_off():
+    exhaustive = {
+        "space": {"kind": "figure2"},
+        "explorer": {"name": "exhaustive"},
+    }
+
     async def main():
         engine = ServeEngine(workers=1)
         await engine.start()
         await _run_job(engine, FIG2)
-        job, _ = await _run_job(
-            engine,
-            {"space": {"kind": "figure2"}, "explorer": {"name": "annealing"}},
-        )
-        # A warm seed could change the annealing trajectory, so
-        # heuristic jobs never take one.
+        # Both explorers are exact, so either takes the family's seed...
+        seeded, _ = await _run_job(engine, exhaustive)
+        assert seeded.cache_status == "warm"
+        # ...unless the job opts out.
+        job, _ = await _run_job(engine, {**exhaustive, "warm_cache": False})
         assert job.cache_status == "miss"
         await engine.shutdown()
 
@@ -339,6 +344,22 @@ def test_http_error_paths(serve_client):
         client.submit({"explorer": {"backend": "numpy"}})
     assert err.value.status == 400
     assert "null or 'python'" in err.value.body
+    # The client's json.dumps sends NaN/Infinity literals, which the
+    # server's parser accepts: the spec must refuse them (and bools
+    # posing as integers, and removed explorers) with a 400 rather
+    # than drop the connection.
+    for payload in (
+        {"space": {"kind": "generated", "processor_capacity": math.nan}},
+        {"explorer": {"time_budget": math.inf}},
+        {"time_budget": math.inf},
+        {"explorer": {"node_budget": True}},
+        {"lineage_size": True},
+        {"explorer": {"name": "annealing"}},
+        {"explorer": {"iterations": 4000}},
+    ):
+        with pytest.raises(ServeClientError) as err:
+            client.submit(payload)
+        assert err.value.status == 400, payload
     with pytest.raises(ServeClientError) as err:
         client.job("job-999999")
     assert err.value.status == 404

@@ -1,6 +1,7 @@
 """Canonical hashing and result-cache semantics of the serve layer."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,12 +170,44 @@ def test_job_key_stable_across_processes():
         {"lineage_size": 0},
         {"time_budget": -1},
         {"warm_start": "yes"},
+        # Removed explorers and their knob.
+        {"explorer": {"name": "annealing"}},
+        {"explorer": {"name": "portfolio"}},
+        {"explorer": {"iterations": 4000}},
+        # Booleans are not integers (JSON true would parse as 1).
+        {"explorer": {"node_budget": True}},
+        {"explorer": {"max_open": True}},
+        {"explorer": {"seed": True}},
+        {"lineage_size": True},
+        {"priority": True},
+        {"space": {"kind": "generated", "seed": True}},
+        {"explorer": {"dynamic_pool": 1}},
+        # Non-finite numbers (json.loads accepts NaN and Infinity) must
+        # be refused before canonical_json (allow_nan=False) sees them.
+        {"space": {"kind": "generated", "processor_capacity": math.nan}},
+        {"space": {"kind": "generated", "processor_cost": math.inf}},
+        {"space": {"kind": "generated", "max_processors": -math.inf}},
+        {"space": {"kind": "generated", "memory_capacity": math.nan}},
+        {"explorer": {"time_budget": math.inf}},
+        {"time_budget": math.inf},
+        {"time_budget": 10**400},  # an int no float can hold
         "not an object",
     ],
 )
 def test_spec_validation_rejects(payload):
     with pytest.raises(JobValidationError):
         JobSpec.from_payload(payload)
+
+
+def test_explorer_seed_is_accepted_and_keyed():
+    # Read by no explorer, but accepted: clients vary it to make a
+    # fresh cache-missing job key.
+    base = build_workload(JobSpec.from_payload({}))
+    seeded = build_workload(JobSpec.from_payload({"explorer": {"seed": 5}}))
+    assert seeded.job_key != base.job_key
+    assert build_workload(
+        JobSpec.from_payload({"explorer": {"seed": 0}})
+    ).job_key == base.job_key
 
 
 def test_workload_rejects_unknown_selection():
@@ -234,8 +267,8 @@ def test_result_is_cacheable_gate():
     complete = {"selections": [{"optimal": True}, {"optimal": True}]}
     truncated = {"selections": [{"optimal": True}, {"optimal": False}]}
 
-    # No wall clock in play: even non-optimal (annealing, node-budget
-    # truncated) results are deterministic, hence cacheable.
+    # No wall clock in play: even non-optimal (node-budget truncated)
+    # results are deterministic, hence cacheable.
     assert result_is_cacheable(free, truncated, warm_seeded=False)
     # A budgeted run is cacheable only when it still proved
     # optimality everywhere (bytes equal the budget-free search).

@@ -190,6 +190,10 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
     drifted = persist.Journal(persist.journal_path(state))
     drifted.submit("job-000900", {"explorer": {"frontier": "lds"}})
     drifted.submit("job-000901", {"explorer": {"backend": "numpy"}})
+    drifted.submit("job-000902", {"explorer": {"name": "annealing"}})
+    # An older daemon journaled the whole normalized explorer config,
+    # iterations included.
+    drifted.submit("job-000903", {"explorer": {"iterations": 4000}})
     drifted.close()
 
     async def second_life():
@@ -198,6 +202,8 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         assert engine.jobs_recovered == 1
         assert "job-000900" not in engine.jobs
         assert "job-000901" not in engine.jobs
+        assert "job-000902" not in engine.jobs
+        assert "job-000903" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

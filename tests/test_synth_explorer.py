@@ -5,11 +5,7 @@ import pytest
 from repro.apps.generators import generate_system
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.explorer import (
-    AnnealingExplorer,
-    BranchBoundExplorer,
-    ExhaustiveExplorer,
-)
+from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
 from repro.synth.methods import variant_units
@@ -92,39 +88,6 @@ class TestBranchBound:
         # two CPUs (cost 20) beat one CPU + cheapest HW (18)? No: 18 < 20,
         # optimum stays hw{a}.
         assert result.cost == 18.0
-
-
-class TestAnnealing:
-    def test_finds_feasible_solution(self):
-        result = AnnealingExplorer(seed=1, iterations=2000).explore(
-            toy_problem()
-        )
-        assert result.feasible
-        assert not result.optimal
-
-    def test_reaches_optimum_on_small_problem(self):
-        result = AnnealingExplorer(seed=3, iterations=4000).explore(
-            toy_problem()
-        )
-        assert result.cost == 18.0
-
-    def test_deterministic_for_seed(self):
-        first = AnnealingExplorer(seed=7, iterations=500).explore(
-            toy_problem()
-        )
-        second = AnnealingExplorer(seed=7, iterations=500).explore(
-            toy_problem()
-        )
-        assert first.cost == second.cost
-        assert dict(first.mapping.assignment) == dict(
-            second.mapping.assignment
-        )
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(SynthesisError):
-            AnnealingExplorer(iterations=0)
-        with pytest.raises(SynthesisError):
-            AnnealingExplorer(cooling=1.5)
 
 
 def knapsack_problem(n_variants=4, cluster_size=4):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.synth.explorer import ExhaustiveExplorer
+from repro.synth.parallel import ParallelSpaceExplorer
 from repro.zoo import FAMILIES, generate
 from repro.zoo.base import check_size, grid64
 from repro.zoo.fuzz import (
@@ -174,9 +175,9 @@ class TestFuzzHarness:
         configs = list(config_matrix(full=True))
         labels = [describe(c) for c in configs]
         assert len(labels) == len(set(labels))
-        # 4 non-bnb configs + frontier x ordering x pool x bound x cap,
-        # every bnb one on the only backend (its id segment kept).
-        assert len(configs) == 4 + 3 * 3 * 2 * 2 * 2 == 76
+        # exhaustive + frontier x ordering x pool x bound x cap, every
+        # bnb one on the only backend (its id segment kept).
+        assert len(configs) == 1 + 3 * 3 * 2 * 2 * 2 == 73
         for config in configs:
             if config["kind"] == "bnb":
                 assert config["backend"] == "python"
@@ -260,11 +261,26 @@ class TestFuzzHarness:
         assert result.cost < float("inf")
 
 
-class TestPortfolioCertificate:
-    """Fuzz-found regression: the portfolio must carry its proof."""
+class TestFleetCertificate:
+    """Fuzz-found regression (``portfolio-proof-floor``), kept on the
+    shared-incumbent fleet, the path that still combines floors: every
+    ``optimal=True`` carries its full proof."""
 
-    def test_complete_portfolio_has_proof_floor(self):
-        problem = generate("deep_chain", 0, "small").joint_problem()
-        result = build_explorer({"kind": "portfolio"}).explore(problem)
-        assert result.optimal
-        assert result.proof_floor == result.cost
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_incumbent_optimal_selections_have_proof_floor(
+        self, jobs
+    ):
+        scenario = generate("deep_chain", 0, "small")
+        outcome = ParallelSpaceExplorer(
+            jobs=jobs, lineage_size=1, share_incumbent=True
+        ).explore(scenario.problem_family, scenario.space)
+        proven = [
+            r.exploration for r in outcome.results if r.exploration.optimal
+        ]
+        assert proven
+        for result in proven:
+            assert result.proof_floor == result.cost
+        plain = ParallelSpaceExplorer(lineage_size=1).explore(
+            scenario.problem_family, scenario.space
+        )
+        assert outcome.best().cost == plain.best().cost
