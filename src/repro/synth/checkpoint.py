@@ -4,8 +4,10 @@ A multi-minute proof search that dies at 99% used to restart from
 node one.  This module serializes the *live* search state of a
 :class:`~repro.synth.explorer.BranchBoundExplorer` — incumbent, proof
 floor, node/evaluation counts, and the open frontier — to a versioned
-JSON blob, and drives checkpoint-capable twins of the three search
-frontiers that can resume from one.
+JSON blob, and reads it back.  The search loops themselves live in
+``explorer.py``: every frontier runs on one resumable stack driver,
+which calls this module only when a :class:`Checkpointer` asks for a
+snapshot or a resume.
 
 The open frontier serializes as **decision paths** (PR 5's
 :class:`~repro.synth.state.PathTrail` snapshot form): a search node is
@@ -18,26 +20,23 @@ there.  No evaluator state or Fenwick pool ever touches disk.
 
 Equivalence contract (property-tested against the exhaustive oracle):
 
-* With no resume, a checkpoint-driven search returns byte-identical
-  results — same best mapping, proven cost, node and evaluation
-  counts — as the plain recursive/heap drivers in ``explorer.py``.
+* A checkpointer never perturbs the search: with no resume, a run
+  with snapshots returns byte-identical results — same best mapping,
+  proven cost, node and evaluation counts — as a run without.
 * A search killed by its budget at an *arbitrary* node, then resumed
   from the emitted checkpoint, reaches the same proven optimum as an
   uninterrupted run, and the resumed run's final node count equals the
   uninterrupted one's (node budgets are **totals across segments**:
   the clock resumes from the recorded count).
 
-The depth-first driver replays the recursive control flow with an
-explicit stack whose entries are either open *nodes* or resumable
-*sibling groups* — a group re-applies the recursion's loop-time
-incumbent checks when it is popped, not when it was pushed, which is
-what keeps node counts identical when an earlier sibling's subtree
-improves the incumbent in between.
-
 What is **not** byte-identical after a resume: provenance strings
 (a truncated segment reports itself truncated) and wall-clock timing.
 Shared-incumbent runs checkpoint the fleet floor they last saw, but
 their node counts are timing-dependent with or without checkpoints.
+
+Blobs are read from disk, so they are outside input: a malformed one
+is refused with a :class:`~repro.errors.SynthesisError` naming the
+bad field, never a ``KeyError`` from deep inside a driver.
 """
 
 from __future__ import annotations
@@ -47,19 +46,12 @@ import heapq
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
 from .mapping import Mapping, SynthesisProblem, Target
-from .ordering import (
-    STRONG_BRANCH_DEPTH,
-    probe_targets,
-    strong_branch,
-    validate_frontier,
-    validate_ordering,
-)
-from .state import EvictionLog, PathTrail
+from .ordering import validate_frontier, validate_ordering
 
 #: Blob format version.  Bump on any change to the payload shape; a
 #: mismatched resume is refused, never misread.  Version 2 added the
@@ -83,7 +75,7 @@ def _encode_target(target: Target) -> str:
 def _decode_target(text: str) -> Target:
     if text == "hw":
         return Target.hw()
-    if text.startswith("sw:"):
+    if isinstance(text, str) and text.startswith("sw:"):
         return Target.sw(int(text[3:]))
     raise SynthesisError(f"unknown target encoding {text!r}")
 
@@ -115,6 +107,61 @@ def _decode_num(value) -> Optional[float]:
     if value == "-inf":
         return -_INF
     return float(value)
+
+
+def encode_mapping(mapping: Optional[Mapping]) -> Optional[Dict[str, str]]:
+    """A mapping as a sorted ``unit -> "hw"/"sw:N"`` object."""
+    if mapping is None:
+        return None
+    return {
+        unit: _encode_target(target)
+        for unit, target in sorted(mapping.assignment.items())
+    }
+
+
+def decode_mapping(rows: Optional[Dict[str, str]]) -> Optional[Mapping]:
+    if rows is None:
+        return None
+    if not isinstance(rows, dict):
+        raise TypeError(f"expected an object, got {rows!r}")
+    return Mapping(
+        {unit: _decode_target(text) for unit, text in rows.items()}
+    )
+
+
+def _field(payload, key: str, decode=None, where="checkpoint"):
+    """``payload[key]``, decoded; a missing or malformed value is a
+    :class:`SynthesisError` naming the field."""
+    if not isinstance(payload, dict):
+        raise SynthesisError(f"{where} must be an object")
+    if key not in payload:
+        raise SynthesisError(f"{where} has no {key!r} field")
+    value = payload[key]
+    if decode is None:
+        return value
+    try:
+        return decode(value)
+    except (
+        TypeError,
+        ValueError,
+        KeyError,
+        IndexError,
+        SynthesisError,
+    ) as exc:
+        raise SynthesisError(
+            f"{where} field {key!r} is malformed: {exc}"
+        ) from None
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _mapping_rows(rows):
+    decode_mapping(rows)
+    return rows
 
 
 def problem_fingerprint(problem: SynthesisProblem) -> str:
@@ -199,23 +246,21 @@ class SearchCheckpoint:
                 f"(this build reads version {CHECKPOINT_VERSION})"
             )
         return cls(
-            frontier=validate_frontier(payload["frontier"]),
-            ordering=validate_ordering(payload["ordering"]),
-            fingerprint=payload["fingerprint"],
-            nodes=int(payload["nodes"]),
-            evaluations=int(payload["evaluations"]),
-            best_cost=_decode_num(payload["best_cost"]),
-            best_mapping=payload["best_mapping"],
-            warm_started=bool(payload["warm_started"]),
-            shared_floor=_decode_num(payload["shared_floor"]),
-            complete=bool(payload["complete"]),
-            frontier_state=payload["frontier_state"],
+            frontier=validate_frontier(_field(payload, "frontier")),
+            ordering=validate_ordering(_field(payload, "ordering")),
+            fingerprint=_field(payload, "fingerprint"),
+            nodes=_field(payload, "nodes", _int),
+            evaluations=_field(payload, "evaluations", _int),
+            best_cost=_field(payload, "best_cost", _decode_num),
+            best_mapping=_field(payload, "best_mapping", _mapping_rows),
+            warm_started=bool(_field(payload, "warm_started")),
+            shared_floor=_field(payload, "shared_floor", _decode_num),
+            complete=bool(_field(payload, "complete")),
+            frontier_state=_field(payload, "frontier_state"),
             version=version,
-            open_high_water=int(payload.get("open_high_water", 0)),
-            evicted_subtrees=int(payload.get("evicted_subtrees", 0)),
-            evicted_floor=_decode_num(
-                payload.get("evicted_floor", "inf")
-            ),
+            open_high_water=_field(payload, "open_high_water", _int),
+            evicted_subtrees=_field(payload, "evicted_subtrees", _int),
+            evicted_floor=_field(payload, "evicted_floor", _decode_num),
         )
 
     def to_json(self) -> str:
@@ -223,7 +268,13 @@ class SearchCheckpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SearchCheckpoint":
-        return cls.from_payload(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise SynthesisError(
+                f"checkpoint is not valid JSON: {exc}"
+            ) from None
+        return cls.from_payload(payload)
 
     def save(self, path: str) -> None:
         """Atomic write: tmp file + fsync + rename.
@@ -297,11 +348,12 @@ class Checkpointer:
         self.latest: Optional[SearchCheckpoint] = resume
         self._last_nodes = resume.nodes if resume is not None else 0
 
-    def due(self, nodes: int) -> bool:
-        return (
-            self.every_nodes > 0
-            and nodes - self._last_nodes >= self.every_nodes
-        )
+    def next_due(self) -> float:
+        """The node count at which the next periodic snapshot is due
+        (``inf`` when only the final snapshot is wanted)."""
+        if self.every_nodes > 0:
+            return self._last_nodes + self.every_nodes
+        return _INF
 
     def emit(self, checkpoint: SearchCheckpoint) -> None:
         self.latest = checkpoint
@@ -313,190 +365,33 @@ class Checkpointer:
 
 
 # ----------------------------------------------------------------------
-# Driver scaffolding
+# Frontier states: one encoding per frontier kind
 # ----------------------------------------------------------------------
-@dataclass
-class _Search:
-    """The live search context shared by the three drivers."""
-
-    explorer: object
-    problem: SynthesisProblem
-    free: List[str]
-    state: object
-    trail: PathTrail
-    clock: object
-    shared: object
-    best: Optional[Mapping]
-    best_cost: float
-    evaluations: int
-    warm_started: bool
-    fingerprint: str
-    adaptive: bool = field(init=False)
-    prune_infeasible: bool = field(init=False)
-    total: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.adaptive = self.explorer.ordering == "adaptive"
-        self.prune_infeasible = self.state.can_prune_infeasible
-        self.total = len(self.free)
-
-    def offer_leaf(self) -> None:
-        """Evaluate the restored full assignment as a leaf."""
-        self.evaluations += 1
-        feasible, cost = self.state.leaf()
-        if feasible and cost < self.best_cost:
-            self.best, self.best_cost = self.state.to_mapping(), cost
-            if self.shared is not None:
-                self.shared.offer(self.best_cost)
-
-    def limit(self) -> float:
-        floor = self.clock.shared_floor
-        return self.best_cost if self.best_cost < floor else floor
-
-    def snapshot(
-        self,
-        frontier_state: Dict[str, object],
-        nodes: int,
-        complete: bool,
-    ) -> SearchCheckpoint:
-        return SearchCheckpoint(
-            frontier=self.explorer.frontier,
-            ordering=self.explorer.ordering,
-            fingerprint=self.fingerprint,
-            nodes=nodes,
-            evaluations=self.evaluations,
-            best_cost=self.best_cost,
-            best_mapping=(
-                {
-                    unit: _encode_target(target)
-                    for unit, target in sorted(
-                        self.best.assignment.items()
-                    )
-                }
-                if self.best is not None
-                else None
-            ),
-            warm_started=self.warm_started,
-            shared_floor=self.clock.shared_floor,
-            complete=complete,
-            frontier_state=frontier_state,
-            open_high_water=self.clock.open_high_water,
-            evicted_subtrees=self.clock.evictions.count,
-            evicted_floor=self.clock.evictions.floor,
-        )
-
-
-def _begin(explorer, problem, warm_start, ck: Checkpointer) -> _Search:
-    """Shared prologue: plain search setup + resume reconciliation."""
-    free, state, best, best_cost, clock, shared = explorer._begin_search(
-        problem, warm_start
-    )
-    fingerprint = problem_fingerprint(problem)
-    search = _Search(
-        explorer=explorer,
-        problem=problem,
-        free=free,
-        state=state,
-        trail=PathTrail(state),
-        clock=clock,
-        shared=shared,
-        best=best,
-        best_cost=best_cost,
-        evaluations=0,
-        warm_started=best is not None,
-        fingerprint=fingerprint,
-    )
-    resume = ck.resume
-    if resume is None:
-        return search
-    if resume.frontier != explorer.frontier:
-        raise SynthesisError(
-            f"checkpoint was taken on frontier {resume.frontier!r}, "
-            f"cannot resume on {explorer.frontier!r}"
-        )
-    if resume.ordering != explorer.ordering:
-        raise SynthesisError(
-            f"checkpoint was taken under ordering {resume.ordering!r}, "
-            f"cannot resume under {explorer.ordering!r}"
-        )
-    if resume.fingerprint != fingerprint:
-        raise SynthesisError(
-            f"checkpoint does not belong to problem {problem.name!r} "
-            f"(problem fingerprint mismatch)"
-        )
-    clock.nodes = resume.nodes
-    clock.open_high_water = resume.open_high_water
-    clock.evictions = EvictionLog(
-        resume.evicted_subtrees, resume.evicted_floor
-    )
-    search.evaluations = resume.evaluations
-    search.warm_started = resume.warm_started
-    if resume.best_cost < search.best_cost:
-        search.best_cost = resume.best_cost
-        search.best = (
-            Mapping(
-                {
-                    unit: _decode_target(text)
-                    for unit, text in resume.best_mapping.items()
-                }
-            )
-            if resume.best_mapping is not None
-            else None
-        )
-        if shared is not None and search.best is not None:
-            shared.offer(search.best_cost)
-    # The recorded floor only ever tightens the live one; min keeps
-    # both segments' pruning thresholds honest.
-    if resume.shared_floor < clock.shared_floor:
-        clock.shared_floor = resume.shared_floor
-    return search
-
-
-def drive(explorer, problem, warm_start, ck: Checkpointer):
-    """Run one checkpointed exploration; the ``explore()`` twin."""
-    search = _begin(explorer, problem, warm_start, ck)
-    if explorer.frontier == "best-first":
-        truncated = _drive_best_first(search, ck)
-    elif explorer.frontier == "hybrid":
-        truncated = _drive_hybrid(search, ck)
-    else:
-        truncated = _drive_dfs(search, ck)
-    return explorer._finish_search(
-        problem,
-        search.best,
-        search.best_cost,
-        search.clock,
-        search.evaluations,
-        search.shared,
-        search.warm_started,
-        truncated,
-    )
-
-
-# ----------------------------------------------------------------------
-# Depth-first driver (stack of nodes + resumable sibling groups)
-# ----------------------------------------------------------------------
-# Stack entry shapes (bottom -> top, popped LIFO).  Entries are indexed
-# by depth, not by path: every open entry's parent path is a prefix of
-# the path the trail has applied (a depth-first stack only holds
-# children of the current node's ancestors), so an entry needs only its
-# depth and its own last decision, and the trail enters it with one
-# ``PathTrail.step``.
-#   ("node", depth, pair, checked, bound, feasible)
-#       An open node to enter: ``pair`` is its last decision (``None``
-#       at the root).  ``checked`` means the parent's probe already
-#       vetted it; otherwise a non-``None`` ``bound``/``feasible`` is
-#       the parent's non-mutating sibling score, checked against the
-#       limit of the moment without touching the trail, and ``None``
-#       means the node computes its entry reads itself.
-#   ("group", depth, unit, scored, pos)
-#       A probed sibling set of the node at ``depth`` mid-iteration:
-#       popping it re-applies the recursion's loop-time incumbent
-#       filter from ``pos`` on, pushes the next viable child plus its
-#       own continuation, and otherwise ends the group.  This is what
-#       keeps incumbent improvements made *inside* an earlier sibling's
-#       subtree visible to later siblings exactly as in the recursive
-#       driver.
+# The depth-first driver's stack holds *frames* (bottom -> top, the top
+# one yields the next node).  Frames are indexed by depth, not by path:
+# every open frame's parent path is a prefix of the applied path (a
+# depth-first stack only holds children of the current node's
+# ancestors), so a frame needs only its depth and its own decisions.
+#   (DFS_NODE, depth, pair, checked, bound)
+#       One open node to enter: ``pair`` is its last decision (``None``
+#       at the root); ``checked`` means its parent's probe already
+#       vetted it at ``bound``, otherwise it runs its own entry checks.
+#   [DFS_PLAIN, depth, unit, targets, scored, pos, index]
+#       The unprobed children of the node at ``depth``: ``targets[pos:]``
+#       are still open.  ``scored`` is the parent's non-mutating
+#       sibling score, taken when the first child meets a finite limit;
+#       ``index`` is the position of ``unit`` in the search's unit order.
+#   [DFS_GROUP, depth, unit, scored, pos]
+#       A probed sibling set of the node at ``depth``: ``scored`` holds
+#       ``(bound, index, target)`` triples, ``pos`` the next rank to
+#       reconsider.  The incumbent filter runs when a rank is taken, so
+#       an improvement found inside an earlier sibling's subtree prunes
+#       later siblings.
+# A blob lists the same frontier as rows of open nodes and groups: one
+# unchecked node row per open plain child (in stack order, last
+# target lowest), so the rows do not depend on how the frames group
+# them.
+DFS_NODE, DFS_PLAIN, DFS_GROUP = 0, 1, 2
 
 
 def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
@@ -507,9 +402,10 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
     """
     prefix = _encode_path(applied)
     rows: List[Dict[str, object]] = []
-    for entry in stack:
-        if entry[0] == "node":
-            _, depth, pair, checked, bound, feasible = entry
+    for frame in stack:
+        kind = frame[0]
+        if kind == DFS_NODE:
+            _, depth, pair, checked, bound = frame
             rows.append(
                 {
                     "kind": "node",
@@ -520,11 +416,24 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
                     ),
                     "checked": checked,
                     "bound": _encode_num(bound) if checked else None,
-                    "feasible": feasible if checked else None,
+                    "feasible": None,
                 }
             )
+        elif kind == DFS_PLAIN:
+            _, depth, unit, targets, _scored, pos, _index = frame
+            for position in range(len(targets) - 1, pos - 1, -1):
+                rows.append(
+                    {
+                        "kind": "node",
+                        "path": prefix[:depth]
+                        + [[unit, _encode_target(targets[position])]],
+                        "checked": False,
+                        "bound": None,
+                        "feasible": None,
+                    }
+                )
         else:
-            _, depth, unit, scored, pos = entry
+            _, depth, unit, scored, pos = frame
             rows.append(
                 {
                     "kind": "group",
@@ -532,7 +441,7 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
                     "unit": unit,
                     "scored": [
                         [_encode_num(bound), _encode_target(target)]
-                        for bound, target in scored
+                        for bound, _index, target in scored
                     ],
                     "pos": pos,
                 }
@@ -540,44 +449,47 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
     return rows
 
 
-def _decode_dfs_stack(rows, trail: PathTrail) -> List[tuple]:
-    """Decode stack rows and restore ``trail`` to their deepest parent.
+def encode_dfs_state(stack, units, assignment) -> Dict[str, object]:
+    """The DFS frontier state; ``units`` are the decided units of the
+    applied path, in order, and ``assignment`` holds their targets."""
+    applied = [(unit, assignment[unit]) for unit in units]
+    return {"stack": _encode_dfs_stack(stack, applied)}
 
-    Refuses a stack whose parent paths are not all prefixes of that
-    deepest one: no depth-first search can have produced it, and
-    entering its entries by depth would silently explore wrong nodes.
-    """
-    stack: List[tuple] = []
+
+def _decode_dfs_rows(rows) -> Tuple[list, tuple]:
+    stack: List[object] = []
     parents = []
     for row in rows:
         path = _decode_path(row["path"])
         depth = len(path)
         if row["kind"] == "node":
+            checked = bool(row["checked"])
             stack.append(
                 (
-                    "node",
+                    DFS_NODE,
                     depth,
                     path[-1] if path else None,
-                    bool(row["checked"]),
-                    _decode_num(row["bound"]),
-                    row["feasible"],
+                    checked,
+                    _decode_num(row["bound"]) if checked else None,
                 )
             )
             parents.append(path[:-1])
-        else:
+        elif row["kind"] == "group":
             stack.append(
-                (
-                    "group",
+                [
+                    DFS_GROUP,
                     depth,
                     row["unit"],
                     tuple(
-                        (_decode_num(bound), _decode_target(target))
-                        for bound, target in row["scored"]
+                        (_decode_num(bound), rank, _decode_target(target))
+                        for rank, (bound, target) in enumerate(row["scored"])
                     ),
-                    int(row["pos"]),
-                )
+                    _int(row["pos"]),
+                ]
             )
             parents.append(path)
+        else:
+            raise ValueError(f"unknown row kind {row['kind']!r}")
     deepest = max(parents, key=len, default=())
     for parent in parents:
         if deepest[: len(parent)] != parent:
@@ -585,352 +497,60 @@ def _decode_dfs_stack(rows, trail: PathTrail) -> List[tuple]:
                 "checkpoint DFS stack is not prefix-consistent: open "
                 "entries do not share one root path"
             )
-    trail.restore(deepest)
-    return stack
+    return stack, deepest
 
 
-def _probe_children(search: _Search, depth: int) -> Tuple[str, tuple]:
-    """The probed (unit, scored-children) of the restored state."""
-    state, problem = search.state, search.problem
-    assignment = state.assignment
-    if search.adaptive and depth < STRONG_BRANCH_DEPTH:
-        undecided = [u for u in search.free if u not in assignment]
-        unit, scored = strong_branch(
-            state, problem, undecided, search.explorer.state_targets
-        )
-    else:
-        unit = next(u for u in search.free if u not in assignment)
-        scored = probe_targets(
-            state,
-            unit,
-            search.explorer.state_targets(problem, unit, state),
-        )
-    return unit, tuple((bound, target) for bound, _i, target in scored)
+def decode_dfs_state(frontier_state) -> Tuple[list, tuple]:
+    """``(stack frames, deepest parent path)`` of a DFS frontier state.
 
-
-def _push_plain_children(search: _Search, stack, depth, unit) -> None:
-    """Push the children of the plain (unprobed) descent.
-
-    Once a limit exists the siblings are scored in one non-mutating
-    pass, so each child meets its entry checks without being entered.
+    Refuses a stack whose parent paths are not all prefixes of the
+    deepest one: no depth-first search can have produced it, and
+    entering its entries by depth would silently explore wrong nodes.
     """
-    state = search.state
-    targets = search.explorer.state_targets(search.problem, unit, state)
-    if search.limit() < _INF:
-        scored = state.score_candidates(unit, targets)
-    else:
-        scored = [(None, None)] * len(targets)
-    for position in range(len(targets) - 1, -1, -1):
-        bound, feasible = scored[position]
-        stack.append(
-            (
-                "node",
-                depth + 1,
-                (unit, targets[position]),
-                False,
-                bound,
-                feasible,
-            )
-        )
+    return _field(
+        frontier_state, "stack", _decode_dfs_rows, "checkpoint frontier_state"
+    )
 
 
-def _drive_dfs(search: _Search, ck: Checkpointer) -> bool:
-    from .explorer import _BudgetExceeded
-
-    trail = search.trail
-    resume = ck.resume
-    if resume is not None:
-        stack = _decode_dfs_stack(resume.frontier_state["stack"], trail)
-    else:
-        stack = [("node", 0, None, False, None, None)]
-
-    def enter(depth, checked) -> None:
-        # The node is applied; run its entry checks unless the
-        # parent's probe already vetted this exact state.
-        state = search.state
-        if not checked:
-            limit = search.limit()
-            # Mirrors the recursion: the adaptive entry reads the bound
-            # unconditionally, the non-adaptive one once a limit exists.
-            if search.adaptive or limit < _INF:
-                if state.lower_bound() >= limit:
-                    return
-            if search.prune_infeasible and not state.feasible:
-                return
-        expand(depth)
-
-    def expand(depth) -> None:
-        if depth == search.total:
-            search.offer_leaf()
-            return
-        if search.adaptive:
-            # Probing — and hence sibling groups — only while hunting
-            # the first incumbent.
-            if search.best is None:
-                unit, scored = _probe_children(search, depth)
-                stack.append(("group", depth, unit, scored, 0))
-                return
-            assignment = search.state.assignment
-            unit = next(u for u in search.free if u not in assignment)
-        else:
-            unit = search.free[depth]
-        _push_plain_children(search, stack, depth, unit)
-
-    truncated = False
-    entry = None
-    try:
-        while stack:
-            entry = stack.pop()
-            if entry[0] == "group":
-                _, depth, unit, scored, pos = entry
-                floor = search.clock.shared_floor
-                for rank in range(pos, len(scored)):
-                    bound, target = scored[rank]
-                    if bound >= search.best_cost or bound >= floor:
-                        continue
-                    stack.append(("group", depth, unit, scored, rank + 1))
-                    stack.append(
-                        ("node", depth + 1, (unit, target), True, bound, None)
-                    )
-                    break
-            else:
-                _, depth, pair, checked, bound, feasible = entry
-                search.clock.tick()
-                if checked or bound is None:
-                    if depth:
-                        trail.step(depth, pair)
-                    enter(depth, checked)
-                elif bound < search.limit() and (
-                    feasible or not search.prune_infeasible
-                ):
-                    # Pre-scored and within the limit: enter it checked.
-                    # A pruned one never touches the trail.
-                    trail.step(depth, pair)
-                    expand(depth)
-            if ck.due(search.clock.nodes):
-                ck.emit(
-                    search.snapshot(
-                        {"stack": _encode_dfs_stack(stack, trail.path)},
-                        search.clock.nodes,
-                        complete=False,
-                    )
-                )
-    except _BudgetExceeded:
-        # The in-flight node was counted by tick() but never expanded;
-        # push it back and record the pre-tick count so the resumed
-        # run's total matches an uninterrupted one exactly.
-        truncated = True
-        stack.append(entry)
-        ck.emit(
-            search.snapshot(
-                {"stack": _encode_dfs_stack(stack, trail.path)},
-                search.clock.nodes - 1,
-                complete=False,
-            )
-        )
-    else:
-        ck.emit(
-            search.snapshot(
-                {"stack": []}, search.clock.nodes, complete=True
-            )
-        )
-    return truncated
+def encode_heap_state(heap, pushes, phase=None) -> Dict[str, object]:
+    state: Dict[str, object] = {
+        "heap": [
+            [_encode_num(bound), tie, _encode_path(path)]
+            for bound, tie, path in heap
+        ],
+        "pushes": pushes,
+    }
+    if phase is not None:
+        state["phase"] = phase
+    return state
 
 
-# ----------------------------------------------------------------------
-# Best-first / hybrid drivers (heap-shaped frontiers)
-# ----------------------------------------------------------------------
-def _encode_heap(heap) -> List[List[object]]:
-    return [
-        [_encode_num(bound), tie, _encode_path(path)]
-        for bound, tie, path in heap
-    ]
-
-
-def _decode_heap(rows) -> List[tuple]:
+def _decode_heap_rows(rows) -> List[tuple]:
     heap = [
-        (_decode_num(bound), int(tie), _decode_path(path))
+        (_decode_num(bound), _int(tie), _decode_path(path))
         for bound, tie, path in rows
     ]
     heapq.heapify(heap)
     return heap
 
 
-def _heap_loop(search: _Search, ck: Checkpointer, heap, pushes, make_state):
-    """The heap pump shared by the best-first and hybrid drivers.
-
-    ``make_state(heap, pushes)`` builds the frontier_state dict of an
-    emitted checkpoint (the hybrid driver wraps it with its phase
-    tag).  Returns the truncation flag.
-    """
-    from .explorer import _BudgetExceeded, _cap_frontier
-
-    truncated = False
-    popped = None
-    try:
-        while heap:
-            popped = heapq.heappop(heap)
-            bound, _tie, path = popped
-            if bound >= search.limit():
-                # Bound-ordered heap: nothing left can beat the
-                # incumbent, the proof is complete.
-                break
-            search.clock.tick()
-            search.trail.restore(path)
-            if len(path) == search.total:
-                search.offer_leaf()
-            else:
-                unit, scored = _probe_children(search, len(path))
-                floor = search.clock.shared_floor
-                for child_bound, target in scored:
-                    if (
-                        child_bound >= search.best_cost
-                        or child_bound >= floor
-                    ):
-                        continue
-                    pushes += 1
-                    heapq.heappush(
-                        heap,
-                        (child_bound, pushes, path + ((unit, target),)),
-                    )
-                _cap_frontier(
-                    heap, search.clock, search.explorer.max_open
-                )
-                search.clock.note_open(len(heap))
-            if ck.due(search.clock.nodes):
-                ck.emit(
-                    search.snapshot(
-                        make_state(heap, pushes),
-                        search.clock.nodes,
-                        complete=False,
-                    )
-                )
-    except _BudgetExceeded:
-        truncated = True
-        heapq.heappush(heap, popped)
-        ck.emit(
-            search.snapshot(
-                make_state(heap, pushes),
-                search.clock.nodes - 1,
-                complete=False,
-            )
-        )
-    else:
-        ck.emit(
-            search.snapshot(
-                make_state([], pushes),
-                search.clock.nodes,
-                complete=True,
-            )
-        )
-    return truncated
+def decode_heap_state(frontier_state) -> Tuple[List[tuple], int]:
+    """``(heap, push counter)`` of a best-first/hybrid heap state."""
+    where = "checkpoint frontier_state"
+    heap = _field(frontier_state, "heap", _decode_heap_rows, where)
+    return heap, _field(frontier_state, "pushes", _int, where)
 
 
-def _drive_best_first(search: _Search, ck: Checkpointer) -> bool:
-    state = search.state
-    resume = ck.resume
-    if resume is not None:
-        frontier = resume.frontier_state
-        heap = _decode_heap(frontier["heap"])
-        pushes = int(frontier["pushes"])
-    else:
-        pushes = 0
-        root_bound = (
-            _INF
-            if search.prune_infeasible and not state.feasible
-            else state.lower_bound()
-        )
-        heap = [(root_bound, pushes, ())]
-
-    def bf_state(heap_now, pushes_now) -> Dict[str, object]:
-        return {"heap": _encode_heap(heap_now), "pushes": pushes_now}
-
-    return _heap_loop(search, ck, heap, pushes, bf_state)
+def encode_dive_state(path) -> Dict[str, object]:
+    return {"phase": "dive", "path": _encode_path(path)}
 
 
-def _drive_hybrid(search: _Search, ck: Checkpointer) -> bool:
-    """Dive-then-best-first: the dive is its own checkpoint phase.
-
-    A checkpoint emitted mid-dive records ``{"phase": "dive", "path"}``
-    — the single open node of the walk; one emitted afterwards records
-    the usual heap shape under ``{"phase": "heap"}``.  Resume re-enters
-    whichever phase the blob froze.
-    """
-    state = search.state
-    resume = ck.resume
-    pushes = 0
-    heap = None
-    dive_path = None
-    if resume is not None:
-        frontier = resume.frontier_state
-        if frontier["phase"] == "heap":
-            heap = _decode_heap(frontier["heap"])
-            pushes = int(frontier["pushes"])
-        else:
-            dive_path = _decode_path(frontier["path"])
-    elif search.best is None and not (
-        search.prune_infeasible and not state.feasible
-    ):
-        dive_path = ()
-
-    if dive_path is not None:
-        if _hybrid_dive(search, ck, dive_path):
-            return True
-        search.trail.restore(())
-    if heap is None:
-        root_bound = (
-            _INF
-            if search.prune_infeasible and not state.feasible
-            else state.lower_bound()
-        )
-        heap = [(root_bound, pushes, ())]
-
-    def hybrid_state(heap_now, pushes_now) -> Dict[str, object]:
-        return {
-            "phase": "heap",
-            "heap": _encode_heap(heap_now),
-            "pushes": pushes_now,
-        }
-
-    return _heap_loop(search, ck, heap, pushes, hybrid_state)
-
-
-def _hybrid_dive(search: _Search, ck: Checkpointer, path) -> bool:
-    """The hybrid frontier's incumbent-seeding greedy dive."""
-    from .explorer import _BudgetExceeded
-
-    def dive_state(path_now) -> Dict[str, object]:
-        return {"phase": "dive", "path": _encode_path(path_now)}
-
-    try:
-        while True:
-            search.clock.tick()
-            search.trail.restore(path)
-            if len(path) == search.total:
-                search.offer_leaf()
-                return False
-            unit, scored = _probe_children(search, len(path))
-            bound, target = scored[0]
-            if (
-                bound >= search.best_cost
-                or bound >= search.clock.shared_floor
-            ):
-                return False
-            path += ((unit, target),)
-            if ck.due(search.clock.nodes):
-                ck.emit(
-                    search.snapshot(
-                        dive_state(path),
-                        search.clock.nodes,
-                        complete=False,
-                    )
-                )
-    except _BudgetExceeded:
-        ck.emit(
-            search.snapshot(
-                dive_state(path),
-                search.clock.nodes - 1,
-                complete=False,
-            )
-        )
-        return True
+def decode_hybrid_phase(frontier_state):
+    """``(dive path, None)`` or ``(None, (heap, pushes))``."""
+    where = "checkpoint frontier_state"
+    phase = _field(frontier_state, "phase", where=where)
+    if phase == "dive":
+        return _field(frontier_state, "path", _decode_path, where), None
+    if phase == "heap":
+        return None, decode_heap_state(frontier_state)
+    raise SynthesisError(f"{where} field 'phase' is malformed: {phase!r}")

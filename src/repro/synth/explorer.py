@@ -10,7 +10,9 @@ delta-cost :class:`~repro.synth.state.SearchState`):
 * :class:`BranchBoundExplorer` — depth-first search pruned by an
   admissible lower bound and by monotone partial-mapping
   infeasibility; provably optimal, far fewer nodes.  Accepts node/time
-  budgets and a warm-start incumbent.
+  budgets and a warm-start incumbent.  Each search frontier has one
+  loop, an explicit-stack driver at the end of this module, which
+  ``synth/checkpoint.py`` can snapshot and resume.
 
 Every explorer accepts ``incremental=False`` to run on the
 full-recompute :class:`~repro.synth.state.ReferenceSearchState` (the
@@ -29,11 +31,27 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping as TMapping, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import SynthesisError
 from .backend import resolve_backend
+from .checkpoint import (
+    DFS_GROUP,
+    DFS_NODE,
+    DFS_PLAIN,
+    SearchCheckpoint,
+    decode_dfs_state,
+    decode_heap_state,
+    decode_hybrid_phase,
+    decode_mapping,
+    encode_dfs_state,
+    encode_dive_state,
+    encode_heap_state,
+    encode_mapping,
+    problem_fingerprint,
+)
 from .cost import Evaluation, evaluate
 from .mapping import Mapping, SynthesisProblem, Target
 from .ordering import (
@@ -52,6 +70,8 @@ from .state import (
 )
 
 _SearchStateT = Union[SearchState, ReferenceSearchState]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -78,8 +98,8 @@ class ExplorationResult:
     #: result payload, which stays byte-identical whether or not a
     #: crash was recovered along the way.
     retries: int = 0
-    #: Peak retained open-frontier size of the run (0 for frontiers
-    #: that keep their open set on the call stack, i.e. plain DFS).
+    #: Peak retained open-frontier size of the run (0 for DFS, whose
+    #: open set is one frame of siblings per depth).
     #: Operational metadata like :attr:`retries` — outside the
     #: canonical payload; the serve layer exports the daemon-wide
     #: maximum as a ``/stats`` gauge.
@@ -443,7 +463,7 @@ class _BudgetClock:
         self, node_budget, time_budget, shared, deadline=None
     ) -> None:
         self.nodes = 0
-        self._budget = node_budget
+        self._budget = node_budget if node_budget is not None else _INF
         relative = (
             time.monotonic() + time_budget
             if time_budget is not None
@@ -462,21 +482,20 @@ class _BudgetClock:
         self.open_high_water = 0
         self.evictions = EvictionLog()
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self._budget is not None and self.nodes > self._budget:
+    def tick(self) -> int:
+        """Count one entered node; returns the new node count."""
+        nodes = self.nodes = self.nodes + 1
+        if nodes > self._budget:
             raise _BudgetExceeded
         if (
             self._deadline is not None
-            and (self.nodes & 255) == 0
+            and (nodes & 255) == 0
             and time.monotonic() > self._deadline
         ):
             raise _BudgetExceeded
-        if (
-            self._shared is not None
-            and (self.nodes & _SHARED_REFRESH_MASK) == 0
-        ):
+        if self._shared is not None and (nodes & _SHARED_REFRESH_MASK) == 0:
             self.shared_floor = self._shared.get()
+        return nodes
 
     def note_open(self, count: int) -> None:
         """Track the peak retained open-frontier size."""
@@ -575,8 +594,8 @@ class BranchBoundExplorer(SearchExplorer):
       bounded-memory way to both a good answer *and* a proof.
 
     ``max_open`` bounds the retained open frontier of the heap frontiers
-    (best-first and hybrid; plain DFS keeps its frontier on the call
-    stack and ignores the cap).  When the open set would exceed it, the
+    (best-first and hybrid; DFS keeps one frame of siblings per depth
+    and ignores the cap).  When the open set would exceed it, the
     worst-bound nodes are evicted *deterministically* and their bounds
     recorded: the run degrades gracefully instead of aborting,
     ``proof_floor`` drops to the minimum evicted bound (everything below
@@ -645,65 +664,29 @@ class BranchBoundExplorer(SearchExplorer):
     ) -> ExplorationResult:
         """Search the mapping space of ``problem``.
 
-        ``checkpoint`` is an optional
-        :class:`~repro.synth.checkpoint.Checkpointer`: the search then
-        runs on the checkpointable stack drivers — byte-identical
-        results and node counts — emitting resumable snapshots
-        periodically and on budget exhaustion, and resuming from
-        ``checkpoint.resume`` when set (see ``synth/checkpoint.py``).
+        Every frontier runs on one explicit-stack driver, so search
+        depth is bounded by memory, not by the interpreter's recursion
+        limit.  ``checkpoint`` is an optional
+        :class:`~repro.synth.checkpoint.Checkpointer`: the driver then
+        emits resumable snapshots periodically and on completion or
+        budget exhaustion, and resumes from ``checkpoint.resume`` when
+        set (see ``synth/checkpoint.py``).  Snapshots never change the
+        search: results and node counts are byte-identical with or
+        without one.
         """
-        if checkpoint is not None:
-            from .checkpoint import drive
-
-            return drive(self, problem, warm_start, checkpoint)
-        if self.frontier == "best-first":
-            return self._explore_heap(problem, warm_start, dive=False)
-        if self.frontier == "hybrid":
-            return self._explore_heap(problem, warm_start, dive=True)
-        return self._explore_dfs(problem, warm_start)
-
-    def _begin_search(self, problem, warm_start):
-        """Shared search prologue of every frontier.
-
-        Builds the unit order and search state, reference-evaluates
-        the warm-start incumbent (publishing it to the fleet when
-        sharing), and arms the budget clock.
-        """
-        free = unit_order(problem, problem.free_units, self.ordering)
-        state = self._new_state(problem)
-        best, best_cost = self._warm_incumbent(problem, warm_start)
-        shared = self.shared_incumbent
-        if shared is not None and best is not None:
-            shared.offer(best_cost)
-        clock = _BudgetClock(
-            self.node_budget,
-            self.time_budget,
-            shared,
-            deadline=self.deadline,
-        )
-        return free, state, best, best_cost, clock, shared
-
-    def _finish_search(
-        self,
-        problem,
-        best,
-        best_cost,
-        clock,
-        evaluations,
-        shared,
-        warm_started,
-        truncated,
-    ) -> ExplorationResult:
-        """Shared search epilogue: proof bookkeeping + provenance.
-
-        Foreign thresholds can cut subtrees our own incumbent would
-        have kept, and ``max_open`` eviction can drop open subtrees
-        whose bounds were still below the returned cost; the
-        per-problem optimality claim survives only when that cost
-        meets every threshold used *and* every evicted bound.  An
-        eviction whose bound the final cost does meet loses nothing —
-        graceful degradation, not a silent lie.
-        """
+        search = _Search(self, problem, warm_start, checkpoint)
+        if self.frontier == "dfs":
+            truncated = _drive_dfs(search)
+        else:
+            truncated = _drive_heap(search, self.frontier == "hybrid")
+        # Foreign thresholds can cut subtrees our own incumbent would
+        # have kept, and ``max_open`` eviction can drop open subtrees
+        # whose bounds were still below the returned cost; the
+        # per-problem optimality claim survives only when that cost
+        # meets every threshold used *and* every evicted bound.  An
+        # eviction whose bound the final cost does meet loses nothing —
+        # graceful degradation, not a silent lie.
+        clock, best_cost = search.clock, search.best_cost
         evicted_floor = clock.evictions.floor
         proved = (
             not truncated
@@ -712,13 +695,17 @@ class BranchBoundExplorer(SearchExplorer):
         )
         memory_truncated = not truncated and evicted_floor < best_cost
         return self._finish(
-            problem,
-            best,
+            search.problem,
+            search.best,
             clock.nodes,
-            evaluations,
+            search.evaluations,
             optimal=proved,
             provenance=self._provenance(
-                warm_started, shared, truncated, proved, memory_truncated
+                search.warm_started,
+                search.shared,
+                truncated,
+                proved,
+                memory_truncated,
             ),
             proof_floor=(
                 float("-inf")
@@ -766,305 +753,460 @@ class BranchBoundExplorer(SearchExplorer):
             provenance += " (memory-truncated)"
         return provenance
 
-    def _explore_dfs(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-    ) -> ExplorationResult:
-        free, state, best, best_cost, clock, shared = (
-            self._begin_search(problem, warm_start)
+
+# ----------------------------------------------------------------------
+# The frontier drivers
+# ----------------------------------------------------------------------
+class _Search:
+    """The live context of one branch-and-bound run.
+
+    Built once per :meth:`BranchBoundExplorer.explore` call: the unit
+    order, the search state, the warm-start incumbent (published to
+    the fleet when sharing), the budget clock, and — when a
+    checkpointer resumes — the recorded counts, gauges and incumbent
+    of the earlier segment.  The depth-first driver keeps the incumbent
+    in locals while it runs and writes it back here before every
+    snapshot and when it returns.
+    """
+
+    def __init__(self, explorer, problem, warm_start, checkpoint) -> None:
+        self.explorer = explorer
+        self.problem = problem
+        self.free = unit_order(problem, problem.free_units, explorer.ordering)
+        self.state = state = explorer._new_state(problem)
+        self.best, self.best_cost = explorer._warm_incumbent(
+            problem, warm_start
         )
-        warm_started = best is not None
-        evaluations = 0
-        state_targets = self.state_targets
-        prune_infeasible = state.can_prune_infeasible
-        adaptive = self.ordering == "adaptive"
-        total = len(free)
-        inf = float("inf")
+        self.shared = explorer.shared_incumbent
+        if self.shared is not None and self.best is not None:
+            self.shared.offer(self.best_cost)
+        self.clock = _BudgetClock(
+            explorer.node_budget,
+            explorer.time_budget,
+            self.shared,
+            deadline=explorer.deadline,
+        )
+        self.evaluations = 0
+        self.warm_started = self.best is not None
+        self.adaptive = explorer.ordering == "adaptive"
+        self.prune_infeasible = state.can_prune_infeasible
+        self.total = len(self.free)
+        self.checkpoint = checkpoint
+        self.resume = None
+        #: Node count of the next periodic snapshot (``inf``: none).
+        self.due_at = _INF
+        if checkpoint is not None:
+            self.due_at = checkpoint.next_due()
+            if checkpoint.resume is not None:
+                self._resume(checkpoint.resume)
 
-        def _leaf() -> None:
-            nonlocal best, best_cost, evaluations
-            evaluations += 1
-            feasible, cost = state.leaf()
-            if feasible and cost < best_cost:
-                best, best_cost = state.to_mapping(), cost
-                if shared is not None:
-                    shared.offer(best_cost)
+    @cached_property
+    def fingerprint(self) -> str:
+        """The problem fingerprint, hashed once and only when read."""
+        return problem_fingerprint(self.problem)
 
-        def enter_root() -> None:
-            # The root's entry checks; every other node is checked by
-            # its parent's loop before it is entered.  The non-adaptive
-            # walk reads the bound only once a limit exists, the
-            # adaptive one always (an ``inf`` bound prunes there).
-            clock.tick()
-            shared_floor = clock.shared_floor
-            limit = best_cost if best_cost < shared_floor else shared_floor
-            if adaptive or limit < inf:
-                if state.lower_bound() >= limit:
-                    return
-            if prune_infeasible and not state.feasible:
-                return
-            expand(0)
-
-        def expand(depth: int) -> None:
-            # The current state is an entered node that passed its
-            # entry checks.
-            if depth == total:
-                _leaf()
-                return
-            assignment = state.assignment
-            if adaptive and best is None:
-                # Probing (strong branching + value ordering) serves
-                # the incumbent hunt: it steers the first dive onto a
-                # near-optimal leaf.  Probed bounds are admissible for
-                # the child subtree whenever they were computed, so
-                # comparing against the *current* incumbent is sound —
-                # skipped children never become nodes.
-                if depth < STRONG_BRANCH_DEPTH:
-                    undecided = [u for u in free if u not in assignment]
-                    unit, scored = strong_branch(
-                        state, problem, undecided, state_targets
-                    )
-                else:
-                    unit = next(u for u in free if u not in assignment)
-                    scored = probe_targets(
-                        state, unit, state_targets(problem, unit, state)
-                    )
-                for bound, _index, target in scored:
-                    if bound >= best_cost or bound >= clock.shared_floor:
-                        continue
-                    clock.tick()
-                    state.assign(unit, target)
-                    expand(depth + 1)
-                    state.unassign(unit)
-                return
-            # Plain descent in unit order (adaptive once an incumbent
-            # exists: entry-check pruning is cheaper than probing).
-            # Each child is a node: it ticks, then meets the limit of
-            # the moment it is reached.  Once a limit exists the
-            # siblings are scored in one non-mutating pass, so a pruned
-            # child is never assigned.
-            unit = (
-                next(u for u in free if u not in assignment)
-                if adaptive
-                else free[depth]
+    def _resume(self, resume: SearchCheckpoint) -> None:
+        """Adopt an earlier segment's counts, gauges and incumbent."""
+        explorer = self.explorer
+        if resume.frontier != explorer.frontier:
+            raise SynthesisError(
+                f"checkpoint was taken on frontier {resume.frontier!r}, "
+                f"cannot resume on {explorer.frontier!r}"
             )
-            targets = state_targets(problem, unit, state)
-            scored = None
-            for position, target in enumerate(targets):
-                clock.tick()
-                shared_floor = clock.shared_floor
-                limit = (
-                    best_cost if best_cost < shared_floor else shared_floor
-                )
-                if limit < inf:
-                    if scored is None:
-                        scored = state.score_candidates(unit, targets)
-                    bound, feasible = scored[position]
-                    if bound >= limit or (prune_infeasible and not feasible):
-                        continue
-                    state.assign(unit, target)
-                else:
-                    state.assign(unit, target)
-                    if prune_infeasible and not state.feasible:
-                        state.unassign(unit)
-                        continue
-                expand(depth + 1)
-                state.unassign(unit)
-
-        truncated = False
-        try:
-            enter_root()
-        except _BudgetExceeded:
-            truncated = True
-        return self._finish_search(
-            problem,
-            best,
-            best_cost,
-            clock,
-            evaluations,
-            shared,
-            warm_started,
-            truncated,
+        if resume.ordering != explorer.ordering:
+            raise SynthesisError(
+                f"checkpoint was taken under ordering {resume.ordering!r}, "
+                f"cannot resume under {explorer.ordering!r}"
+            )
+        if resume.fingerprint != self.fingerprint:
+            raise SynthesisError(
+                f"checkpoint does not belong to problem "
+                f"{self.problem.name!r} (problem fingerprint mismatch)"
+            )
+        clock = self.clock
+        clock.nodes = resume.nodes
+        clock.open_high_water = resume.open_high_water
+        clock.evictions = EvictionLog(
+            resume.evicted_subtrees, resume.evicted_floor
         )
+        self.evaluations = resume.evaluations
+        self.warm_started = resume.warm_started
+        if resume.best_cost < self.best_cost:
+            self.best_cost = resume.best_cost
+            self.best = decode_mapping(resume.best_mapping)
+            if self.shared is not None and self.best is not None:
+                self.shared.offer(self.best_cost)
+        # The recorded floor only ever tightens the live one; min keeps
+        # both segments' pruning thresholds honest.
+        if resume.shared_floor < clock.shared_floor:
+            clock.shared_floor = resume.shared_floor
+        self.resume = resume
 
-    def _explore_heap(
-        self,
-        problem: SynthesisProblem,
-        warm_start: Optional[Mapping] = None,
-        dive: bool = False,
-    ) -> ExplorationResult:
-        """Priority-queue search over the incremental lower bound.
+    def emit(self, frontier_state, nodes: int, complete: bool) -> float:
+        """Hand one snapshot to the checkpointer.
 
-        Every open node rides the heap as ``(bound, tie, path)``: the
-        bound probed when its parent pushed it, a monotone push
-        counter (equal bounds pop in deterministic push order), and
-        the decision path that :class:`PathTrail` replays to restore
-        the node's search state.  Expanding the cheapest bound first
-        means the moment the cheapest open bound meets the incumbent,
-        *every* open node is prunable — the search returns with a
-        complete optimality proof after expanding only nodes whose
-        bound beats the optimum.
-
-        ``dive=True`` is the ``hybrid`` frontier: a greedy depth-first
-        dive runs first to seed the incumbent (best-first finds its
-        first leaf late, so a capped heap otherwise evicts half the
-        tree before it has any prune threshold), then the heap pass
-        finishes the proof.  With ``max_open`` set, the heap is
-        truncated to the cheapest ``max_open`` entries after every
-        expansion — streaming top-K eviction is exact, an evicted
-        entry could never have re-entered a smaller frontier.
+        Returns the node count at which the next periodic snapshot is
+        due, which the calling driver keeps in a local.
         """
-        free, state, best, best_cost, clock, shared = (
-            self._begin_search(problem, warm_start)
-        )
-        warm_started = best is not None
-        evaluations = 0
-        state_targets = self.state_targets
-        prune_infeasible = state.can_prune_infeasible
-        adaptive = self.ordering == "adaptive"
-        total = len(free)
-        trail = PathTrail(state)
-        pushes = 0
-        truncated = False
-
-        try:
-            if dive and best is None:
-                best, best_cost, evaluations = self._greedy_dive(
-                    problem,
-                    free,
-                    state,
-                    trail,
-                    clock,
-                    shared,
-                    best,
-                    best_cost,
-                    evaluations,
-                )
-                trail.restore(())
-            root_bound = (
-                float("inf")
-                if prune_infeasible and not state.feasible
-                else state.lower_bound()
+        clock = self.clock
+        self.checkpoint.emit(
+            SearchCheckpoint(
+                frontier=self.explorer.frontier,
+                ordering=self.explorer.ordering,
+                fingerprint=self.fingerprint,
+                nodes=nodes,
+                evaluations=self.evaluations,
+                best_cost=self.best_cost,
+                best_mapping=encode_mapping(self.best),
+                warm_started=self.warm_started,
+                shared_floor=clock.shared_floor,
+                complete=complete,
+                frontier_state=frontier_state,
+                open_high_water=clock.open_high_water,
+                evicted_subtrees=clock.evictions.count,
+                evicted_floor=clock.evictions.floor,
             )
-            heap: List[tuple] = [(root_bound, pushes, ())]
-            while heap:
-                bound, _tie, path = heapq.heappop(heap)
-                shared_floor = clock.shared_floor
-                limit = (
-                    best_cost if best_cost < shared_floor else shared_floor
-                )
-                if bound >= limit:
-                    # The heap is bound-ordered: every other open node
-                    # is at least as expensive, so nothing left can
-                    # beat the incumbent — the proof is complete.  The
-                    # popped node is never restored or expanded, so it
-                    # does not count as a search node.
-                    break
-                clock.tick()
-                trail.restore(path)
-                if len(path) == total:
-                    evaluations += 1
-                    feasible, cost = state.leaf()
-                    if feasible and cost < best_cost:
-                        best, best_cost = state.to_mapping(), cost
-                        if shared is not None:
-                            shared.offer(best_cost)
+        )
+        self.due_at = self.checkpoint.next_due()
+        return self.due_at
+
+    def offer_leaf(self) -> None:
+        """Evaluate the applied full assignment as a leaf."""
+        self.evaluations += 1
+        feasible, cost = self.state.leaf()
+        if feasible and cost < self.best_cost:
+            self.best, self.best_cost = self.state.to_mapping(), cost
+            if self.shared is not None:
+                self.shared.offer(cost)
+
+
+def _probe(search: _Search, state_targets, depth: int):
+    """The next unit and its probed ``(bound, index, target)`` children:
+    strong branching near the root under ``adaptive``, a value-ordering
+    probe of the next undecided unit otherwise.  ``state_targets`` is
+    the explorer's bound method, fetched once per search."""
+    state, free = search.state, search.free
+    assignment = state.assignment
+    if search.adaptive and depth < STRONG_BRANCH_DEPTH:
+        undecided = [u for u in free if u not in assignment]
+        return strong_branch(state, search.problem, undecided, state_targets)
+    unit = next(u for u in free if u not in assignment)
+    return unit, probe_targets(
+        state, unit, state_targets(search.problem, unit, state)
+    )
+
+
+def _drive_dfs(search: _Search) -> bool:
+    """The depth-first frontier; returns the truncation flag.
+
+    An explicit stack of frames (shapes in ``checkpoint.py``) replays
+    the depth-first recursion: each entered node pushes one frame of
+    children, and the top frame yields the next child.  Every child
+    counts as a node and meets the limit of the moment it is reached.
+    While ``adaptive`` hunts the first incumbent, children are probed
+    (strong branching + value ordering) and skipped without becoming
+    nodes once their probed bound meets the incumbent.  Otherwise they
+    come in unit order, and once a limit exists the siblings are scored
+    in one non-mutating pass, so a pruned child is never assigned.
+    ``applied`` lists the units of the decision path on the state; a
+    frame's parent is always a prefix of it, so entering a child
+    unwinds to the frame's depth and assigns one decision.
+    """
+    problem, state, free, clock = (
+        search.problem,
+        search.state,
+        search.free,
+        search.clock,
+    )
+    shared, checkpoint = search.shared, search.checkpoint
+    best, best_cost = search.best, search.best_cost
+    evaluations = search.evaluations
+    state_targets = search.explorer.state_targets
+    assign, unassign = state.assign, state.unassign
+    score_candidates = state.score_candidates
+    tick = clock.tick
+    adaptive = search.adaptive
+    prune_infeasible = search.prune_infeasible
+    total = search.total
+    due_at = search.due_at
+    applied: List[str] = []
+    if search.resume is not None:
+        stack, deepest = decode_dfs_state(search.resume.frontier_state)
+        for unit, target in deepest:
+            assign(unit, target)
+            applied.append(unit)
+    else:
+        stack = [(DFS_NODE, 0, None, False, None)]
+    truncated = False
+    try:
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            # ``entered`` ends as the depth of the node to expand, or -1.
+            if kind == DFS_PLAIN:
+                # The siblings run in an inner loop, like the recursion's
+                # ``for``: a pruned child costs no frame round trip.
+                _, depth, unit, targets, scored, pos, start = frame
+                while len(applied) > depth:
+                    unassign(applied.pop())
+                count = len(targets)
+                entered = -1
+                while pos < count:
+                    nodes = tick()
+                    target = targets[pos]
+                    pos += 1
+                    floor = clock.shared_floor
+                    limit = best_cost if best_cost < floor else floor
+                    if limit < _INF:
+                        if scored is None:
+                            scored = frame[4] = score_candidates(unit, targets)
+                        bound, feasible = scored[pos - 1]
+                        if bound < limit and (
+                            feasible or not prune_infeasible
+                        ):
+                            assign(unit, target)
+                            entered = depth + 1
+                    else:
+                        assign(unit, target)
+                        if not prune_infeasible or state.feasible:
+                            entered = depth + 1
+                        else:
+                            unassign(unit)
+                    # Leave to expand an entered child, or to snapshot.
+                    if entered >= 0 or nodes >= due_at:
+                        break
+                else:
+                    stack.pop()
                     continue
-                assignment = state.assignment
-                if adaptive and len(path) < STRONG_BRANCH_DEPTH:
-                    undecided = [u for u in free if u not in assignment]
-                    unit, scored = strong_branch(
-                        state, problem, undecided, state_targets
-                    )
+                frame[5] = pos
+                if entered >= 0:
+                    applied.append(unit)
+                    start += 1
+            elif kind == DFS_GROUP:
+                _, depth, unit, scored, pos = frame
+                floor = clock.shared_floor
+                count = len(scored)
+                while pos < count:
+                    bound, _index, target = scored[pos]
+                    if bound < best_cost and bound < floor:
+                        break
+                    pos += 1
                 else:
-                    unit = next(u for u in free if u not in assignment)
-                    scored = probe_targets(
-                        state, unit, state_targets(problem, unit, state)
-                    )
-                for child_bound, _index, target in scored:
-                    # Probed child bounds are admissible for the child
-                    # subtree; one already at the incumbent (or fleet
-                    # floor) never enters the frontier.
-                    if (
-                        child_bound >= best_cost
-                        or child_bound >= clock.shared_floor
+                    stack.pop()
+                    continue
+                frame[4] = pos + 1
+                nodes = tick()
+                while len(applied) > depth:
+                    unassign(applied.pop())
+                assign(unit, target)
+                applied.append(unit)
+                entered = depth + 1
+                start = 0
+            else:
+                nodes = tick()
+                stack.pop()
+                _, entered, pair, checked, _bound = frame
+                start = 0
+                if entered:
+                    while len(applied) >= entered:
+                        unassign(applied.pop())
+                    assign(pair[0], pair[1])
+                    applied.append(pair[0])
+                if not checked:
+                    # The adaptive entry reads the bound unconditionally
+                    # (an ``inf`` bound prunes), the others once a limit
+                    # exists.
+                    floor = clock.shared_floor
+                    limit = best_cost if best_cost < floor else floor
+                    if (adaptive or limit < _INF) and (
+                        state.lower_bound() >= limit
                     ):
-                        continue
-                    pushes += 1
-                    heapq.heappush(
-                        heap,
-                        (child_bound, pushes, path + ((unit, target),)),
-                    )
-                # A sorted list is a valid min-heap, so capping (which
-                # sorts in place) preserves the pop order.
-                _cap_frontier(heap, clock, self.max_open)
-                clock.note_open(len(heap))
-        except _BudgetExceeded:
-            truncated = True
-        return self._finish_search(
-            problem,
-            best,
-            best_cost,
-            clock,
-            evaluations,
-            shared,
-            warm_started,
-            truncated,
-        )
-
-    def _greedy_dive(
-        self,
-        problem: SynthesisProblem,
-        free,
-        state,
-        trail,
-        clock,
-        shared,
-        best,
-        best_cost,
-        evaluations,
-    ):
-        """Root-to-leaf dive along the cheapest probed child.
-
-        The hybrid frontier's incumbent seed: one walk taking the
-        best-looking child at every level — the same path a DFS
-        explores first — so the subsequent (typically capped) heap
-        pass starts with a strong prune threshold instead of an
-        open-ended one.  A dead end (every child bound at or above
-        the incumbent/fleet floor) abandons the dive; the heap pass
-        still covers the whole space, so nothing is lost.
-        """
-        state_targets = self.state_targets
-        prune_infeasible = state.can_prune_infeasible
-        adaptive = self.ordering == "adaptive"
-        total = len(free)
-        if prune_infeasible and not state.feasible:
-            return best, best_cost, evaluations
-        path: tuple = ()
-        while True:
-            clock.tick()
-            trail.restore(path)
-            if len(path) == total:
+                        entered = -1
+                    elif prune_infeasible and not state.feasible:
+                        entered = -1
+            if entered == total:
                 evaluations += 1
                 feasible, cost = state.leaf()
                 if feasible and cost < best_cost:
                     best, best_cost = state.to_mapping(), cost
                     if shared is not None:
-                        shared.offer(best_cost)
-                return best, best_cost, evaluations
-            assignment = state.assignment
-            if adaptive and len(path) < STRONG_BRANCH_DEPTH:
-                undecided = [u for u in free if u not in assignment]
-                unit, scored = strong_branch(
-                    state, problem, undecided, state_targets
+                        shared.offer(cost)
+            elif entered >= 0:
+                if adaptive and best is None:
+                    unit, scored = _probe(search, state_targets, entered)
+                    stack.append([DFS_GROUP, entered, unit, scored, 0])
+                else:
+                    # The first undecided unit in ``free`` order; it lies
+                    # past the parent's own unit (``start``) when the
+                    # parent came from the same kind of frame.
+                    assignment = state.assignment
+                    while free[start] in assignment:
+                        start += 1
+                    unit = free[start]
+                    targets = state_targets(problem, unit, state)
+                    stack.append(
+                        [DFS_PLAIN, entered, unit, targets, None, 0, start]
+                    )
+            if nodes >= due_at:
+                search.best, search.best_cost = best, best_cost
+                search.evaluations = evaluations
+                frontier_state = encode_dfs_state(
+                    stack, applied, state.assignment
                 )
+                due_at = search.emit(frontier_state, nodes, False)
+    except _BudgetExceeded:
+        # The in-flight node was counted by tick() but never entered:
+        # leave it open on top and record the pre-tick count, so a
+        # resumed run's total matches an uninterrupted one exactly.
+        # ``kind`` and ``pos`` still describe the top frame's child.
+        truncated = True
+        if kind == DFS_PLAIN:
+            frame[5] = pos
+        elif kind == DFS_GROUP:
+            bound, _index, target = scored[pos]
+            stack.append((DFS_NODE, depth + 1, (unit, target), True, bound))
+    search.best, search.best_cost = best, best_cost
+    search.evaluations = evaluations
+    if checkpoint is not None:
+        frontier_state = encode_dfs_state(stack, applied, state.assignment)
+        nodes = clock.nodes - 1 if truncated else clock.nodes
+        search.emit(frontier_state, nodes, not truncated)
+    return truncated
+
+
+def _heap_loop(search: _Search, trail, heap, pushes: int, phase) -> bool:
+    """The heap pump of the best-first and hybrid frontiers.
+
+    Every open node rides the heap as ``(bound, tie, path)``: the
+    bound probed when its parent pushed it, a monotone push counter
+    (equal bounds pop in deterministic push order), and the decision
+    path that :class:`PathTrail` replays to restore the node's search
+    state.  Expanding the cheapest bound first means the moment the
+    cheapest open bound meets the incumbent, *every* open node is
+    prunable — the search returns with a complete optimality proof
+    after expanding only nodes whose bound beats the optimum.  With
+    ``max_open`` set, the heap is truncated to the cheapest
+    ``max_open`` entries after every expansion — streaming top-K
+    eviction is exact, an evicted entry could never have re-entered a
+    smaller frontier.  ``phase`` tags the snapshots (the hybrid
+    frontier's ``"heap"``); returns the truncation flag.
+    """
+    clock, restore = search.clock, trail.restore
+    state_targets = search.explorer.state_targets
+    max_open, total = search.explorer.max_open, search.total
+    truncated = False
+    popped = None
+    try:
+        while heap:
+            popped = heapq.heappop(heap)
+            bound, _tie, path = popped
+            best_cost, floor = search.best_cost, clock.shared_floor
+            if bound >= (best_cost if best_cost < floor else floor):
+                # The heap is bound-ordered: every other open node is
+                # at least as expensive, so nothing left can beat the
+                # incumbent — the proof is complete.  The popped node
+                # is never restored or expanded, so it does not count
+                # as a search node.
+                break
+            nodes = clock.tick()
+            restore(path)
+            if len(path) == total:
+                search.offer_leaf()
             else:
-                unit = next(u for u in free if u not in assignment)
-                scored = probe_targets(
-                    state, unit, state_targets(problem, unit, state)
-                )
+                unit, scored = _probe(search, state_targets, len(path))
+                best_cost, floor = search.best_cost, clock.shared_floor
+                limit = best_cost if best_cost < floor else floor
+                for child_bound, _index, target in scored:
+                    # Probed child bounds are admissible for the child
+                    # subtree; one already at the incumbent (or fleet
+                    # floor) never enters the frontier.
+                    if child_bound < limit:
+                        pushes += 1
+                        child = path + ((unit, target),)
+                        heapq.heappush(heap, (child_bound, pushes, child))
+                # A sorted list is a valid min-heap, so capping (which
+                # sorts in place) preserves the pop order.
+                _cap_frontier(heap, clock, max_open)
+                clock.note_open(len(heap))
+            if nodes >= search.due_at:
+                frontier_state = encode_heap_state(heap, pushes, phase)
+                search.emit(frontier_state, nodes, False)
+    except _BudgetExceeded:
+        truncated = True
+        heapq.heappush(heap, popped)
+    if search.checkpoint is not None:
+        frontier_state = encode_heap_state(
+            heap if truncated else [], pushes, phase
+        )
+        nodes = clock.nodes - 1 if truncated else clock.nodes
+        search.emit(frontier_state, nodes, not truncated)
+    return truncated
+
+
+def _drive_heap(search: _Search, hybrid: bool) -> bool:
+    """The best-first frontier, or dive-then-best-first for ``hybrid``.
+
+    The hybrid dive runs first to seed the incumbent (best-first finds
+    its first leaf late, so a capped heap otherwise evicts half the
+    tree before it has any prune threshold), then the heap pass
+    finishes the proof.  The dive is its own checkpoint phase: a
+    hybrid snapshot taken mid-dive records ``{"phase": "dive",
+    "path"}`` — the single open node of the walk; one taken afterwards
+    records the heap under ``{"phase": "heap"}``.  Resume re-enters
+    whichever phase the blob froze.
+    """
+    heap, pushes, dive_path = None, 0, None
+    resume, state = search.resume, search.state
+    dead_root = search.prune_infeasible and not state.feasible
+    if resume is not None and hybrid:
+        dive_path, heap_state = decode_hybrid_phase(resume.frontier_state)
+        if heap_state is not None:
+            heap, pushes = heap_state
+    elif resume is not None:
+        heap, pushes = decode_heap_state(resume.frontier_state)
+    elif hybrid and search.best is None and not dead_root:
+        dive_path = ()
+    trail = PathTrail(state)
+    if dive_path is not None:
+        if _dive(search, trail, dive_path):
+            return True
+        trail.restore(())
+    if heap is None:
+        root_bound = _INF if dead_root else state.lower_bound()
+        heap = [(root_bound, pushes, ())]
+    phase = "heap" if hybrid else None
+    return _heap_loop(search, trail, heap, pushes, phase)
+
+
+def _dive(search: _Search, trail, path) -> bool:
+    """Root-to-leaf dive along the cheapest probed child.
+
+    The hybrid frontier's incumbent seed: one walk taking the
+    best-looking child at every level — the same path a DFS explores
+    first — so the following (typically capped) heap pass starts with
+    a strong prune threshold instead of an open-ended one.  A dead end
+    (every child bound at or above the incumbent/fleet floor) abandons
+    the dive; the heap pass still covers the whole space, so nothing
+    is lost.  Returns the truncation flag.
+    """
+    clock = search.clock
+    try:
+        while True:
+            nodes = clock.tick()
+            trail.restore(path)
+            if len(path) == search.total:
+                search.offer_leaf()
+                return False
+            unit, scored = _probe(
+                search, search.explorer.state_targets, len(path)
+            )
             bound, _index, target = scored[0]
-            if bound >= best_cost or bound >= clock.shared_floor:
-                return best, best_cost, evaluations
+            if bound >= search.best_cost or bound >= clock.shared_floor:
+                return False
             path += ((unit, target),)
+            if nodes >= search.due_at:
+                search.emit(encode_dive_state(path), nodes, False)
+    except _BudgetExceeded:
+        if search.checkpoint is not None:
+            search.emit(encode_dive_state(path), clock.nodes - 1, False)
+        return True

@@ -1489,11 +1489,8 @@ class PathTrail:
 
     Depth-first-shaped hops — a pure descent (empty old suffix) or a
     new suffix of at most one decision — gain nothing from the net
-    difference and take the plain unwind/replay.  A depth-first
-    driver that knows its next node extends a prefix of the applied
-    path calls :meth:`step` instead, which skips the prefix compare.
-    ``moves`` counts the kernel mutations applied so far, a
-    ``reassign`` as one.
+    difference and take the plain unwind/replay.  ``moves`` counts the
+    kernel mutations applied so far, a ``reassign`` as one.
     """
 
     __slots__ = ("state", "moves", "_applied")
@@ -1511,22 +1508,6 @@ class PathTrail:
     def path(self) -> Tuple[Tuple[str, Target], ...]:
         """The currently applied decision path (root excluded)."""
         return tuple(self._applied)
-
-    def step(self, depth: int, pair: Tuple[str, Target]) -> None:
-        """Enter the child ``pair`` of the applied node at ``depth - 1``.
-
-        The caller guarantees that the first ``depth - 1`` applied
-        decisions are the child's parent path: the trail unwinds to
-        that prefix and assigns the one new decision.
-        """
-        applied = self._applied
-        state = self.state
-        keep = depth - 1
-        self.moves += len(applied) - keep + 1
-        while len(applied) > keep:
-            state.unassign(applied.pop()[0])
-        state.assign(pair[0], pair[1])
-        applied.append(pair)
 
     def restore(self, path: Tuple[Tuple[str, Target], ...]) -> None:
         """Mutate the state so exactly ``path`` is applied."""

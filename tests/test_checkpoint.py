@@ -5,7 +5,7 @@ arbitrary point and resumed from its checkpoint must reach the same
 proven optimum as the uninterrupted run — with **byte-identical node
 and evaluation counts**, because the checkpoint captures the frontier
 as decision-path snapshots and the resumed driver replays the exact
-expansion order the recursive search would have taken.
+expansion order the uninterrupted search takes.
 
 The oracle is :class:`~repro.synth.explorer.ExhaustiveExplorer`, so
 "proven optimum" means proven against full enumeration, not just
@@ -65,12 +65,12 @@ def oracle(problem):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint-mode parity (no resume): the stack driver must be an
-# exact reimplementation of each recursive search.
+# Snapshot parity (no resume): every frontier runs on one driver with
+# or without a checkpointer, and snapshot cadence must never perturb it.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("frontier,ordering,pool", MATRIX)
-def test_checkpoint_mode_matches_plain(problem, oracle, frontier,
-                                       ordering, pool):
+def test_snapshot_cadence_never_perturbs_search(problem, oracle, frontier,
+                                                ordering, pool):
     plain = BranchBoundExplorer(
         frontier=frontier, ordering=ordering, dynamic_pool=pool
     ).explore(problem)
@@ -290,6 +290,62 @@ def test_unknown_frontier_or_ordering_refused_at_load(problem):
     ):
         with pytest.raises(SynthesisError, match=f"unknown {field}"):
             SearchCheckpoint.from_payload({**payload, field: value})
+
+def _resume_with_state(problem, frontier, frontier_state):
+    payload = _checkpoint_of(problem, frontier=frontier).to_payload()
+    payload["frontier_state"] = frontier_state
+    resume = SearchCheckpoint.from_payload(payload)
+    BranchBoundExplorer(frontier=frontier).explore(
+        problem, checkpoint=Checkpointer(resume=resume)
+    )
+
+
+def _with_field(problem, **fields):
+    return SearchCheckpoint.from_payload(
+        {**_checkpoint_of(problem).to_payload(), **fields}
+    )
+
+
+#: Blobs are read from disk: each malformation is refused with a
+#: SynthesisError naming the bad field, at load or at resume.
+MALFORMED = {
+    "missing-field": (
+        "frontier",
+        lambda p: SearchCheckpoint.from_payload(
+            {"version": CHECKPOINT_VERSION}
+        ),
+    ),
+    "non-integer-nodes": ("nodes", lambda p: _with_field(p, nodes="abc")),
+    "bool-nodes": ("nodes", lambda p: _with_field(p, nodes=True)),
+    "bad-best-mapping": (
+        "best_mapping", lambda p: _with_field(p, best_mapping={"u0": "gpu"})
+    ),
+    "not-json": ("JSON", lambda p: SearchCheckpoint.from_json("{not json")),
+    "dfs-without-stack": ("stack", lambda p: _resume_with_state(p, "dfs", {})),
+    "dfs-row-without-path": (
+        "stack",
+        lambda p: _resume_with_state(p, "dfs", {"stack": [{"kind": "node"}]}),
+    ),
+    "best-first-without-heap": (
+        "heap", lambda p: _resume_with_state(p, "best-first", {"pushes": 0})
+    ),
+    "best-first-without-pushes": (
+        "pushes", lambda p: _resume_with_state(p, "best-first", {"heap": []})
+    ),
+    "hybrid-without-phase": (
+        "phase", lambda p: _resume_with_state(p, "hybrid", {})
+    ),
+    "hybrid-unknown-phase": (
+        "phase", lambda p: _resume_with_state(p, "hybrid", {"phase": "x"})
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_blob_refused_naming_the_field(problem, case):
+    field, load = MALFORMED[case]
+    with pytest.raises(SynthesisError, match=field):
+        load(problem)
 
 def test_resume_requires_checkpoint_or_path():
     with pytest.raises(SynthesisError, match="SearchCheckpoint"):

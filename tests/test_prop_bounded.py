@@ -212,7 +212,9 @@ class TestCappedCheckpointRoundTrip:
             assert resumed.evicted_subtrees == plain.evicted_subtrees
 
     @pytest.mark.parametrize("frontier", CAPPED_FRONTIERS)
-    def test_checkpoint_mode_matches_plain_under_cap(self, frontier):
+    def test_snapshot_cadence_never_perturbs_search_under_cap(
+        self, frontier
+    ):
         problem = make_problem()
         plain = BranchBoundExplorer(
             frontier=frontier, max_open=3

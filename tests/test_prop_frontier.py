@@ -272,41 +272,3 @@ class TestPathTrailReplay:
             assert trail.moves - before == moves
             assert moves < _replay_distance(applied, path)
             assert list(state.assignment.items()) == list(path)
-
-    def test_step_enters_a_child_of_an_applied_prefix(self):
-        """``step(depth, pair)`` unwinds to ``depth - 1`` and assigns
-        one decision: the state reads as a fresh replay of the path."""
-        library = ComponentLibrary()
-        for name in ("a", "b", "c"):
-            library.component(name, sw_utilization=16 / 64, hw_cost=5)
-        problem = SynthesisProblem(
-            name="steps",
-            units=("a", "b", "c"),
-            library=library,
-            architecture=ArchitectureTemplate(
-                max_processors=2, processor_cost=3, processor_capacity=0.5
-            ),
-        )
-        state = SearchState(problem)
-        trail = PathTrail(state)
-        walk = [
-            (1, ("a", Target.sw(0))),
-            (2, ("b", Target.sw(0))),
-            (3, ("c", Target.sw(1))),
-            (3, ("c", Target.hw())),
-            (2, ("b", Target.hw())),
-            (1, ("a", Target.hw())),
-            (2, ("c", Target.sw(0))),
-        ]
-        for depth, pair in walk:
-            before, applied = trail.moves, trail.path
-            trail.step(depth, pair)
-            path = applied[: depth - 1] + (pair,)
-            assert trail.path == path
-            assert trail.moves - before == len(applied) - depth + 2
-            fresh = SearchState(problem)
-            for unit, target in path:
-                fresh.assign(unit, target)
-            assert list(state.assignment.items()) == list(path)
-            assert state.lower_bound() == fresh.lower_bound()
-            assert state.feasible == fresh.feasible

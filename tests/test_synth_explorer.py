@@ -1,5 +1,7 @@
 """Unit tests for the design-space explorers."""
 
+import sys
+
 import pytest
 
 from repro.apps.generators import generate_system
@@ -328,6 +330,42 @@ class TestFrontierBudgetEdges:
         assert warm.cost == cold.cost
         assert warm.nodes_explored <= cold.nodes_explored
         assert "+warm_start" in warm.provenance
+
+
+def deep_problem(n_units=1200):
+    """One processor and many units: every root-to-leaf path is
+    ``n_units`` decisions deep, deeper than the recursion limit."""
+    library = ComponentLibrary()
+    names = tuple(f"u{i}" for i in range(n_units))
+    for i, name in enumerate(names):
+        library.component(
+            name, sw_utilization=(1 + i % 7) / 4096, hw_cost=1 + i % 13
+        )
+    return SynthesisProblem(
+        name="deep",
+        units=names,
+        library=library,
+        architecture=ArchitectureTemplate(
+            max_processors=1, processor_cost=5, processor_capacity=1.0
+        ),
+    )
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("frontier", FRONTIERS)
+    def test_search_deeper_than_the_recursion_limit(self, frontier):
+        """Search depth is bounded by memory, not by the interpreter:
+        a budgeted run on a path longer than the recursion limit
+        returns an honest truncated result."""
+        problem = deep_problem()
+        assert len(problem.free_units) > sys.getrecursionlimit()
+        result = BranchBoundExplorer(
+            frontier=frontier, node_budget=3000
+        ).explore(problem)
+        assert not result.optimal
+        assert result.provenance.endswith("(budget-truncated)")
+        assert result.nodes_explored == 3001
+        assert result.proof_floor == float("-inf")
 
 
 class TestBudgetEdges:
