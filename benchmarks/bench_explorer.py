@@ -657,15 +657,15 @@ def _bounded_timed(explorer, problem):
 def run_bounded_memory(node_budget: int = 20_000, max_open: int = 64):
     """Graceful degradation under a frontier cap vs frontier blow-up.
 
-    All three runs share the loose-bound configuration (basic bound,
+    Both runs share the loose-bound configuration (basic bound,
     static order) on the scaled knapsack instance.  The uncapped
     best-first search must exhaust the node budget with an open
     frontier far beyond ``max_open`` — the run a memory-bounded box
     would OOM on (:mod:`tests.test_memory_pressure` proves that with
-    a real rlimit).  The capped best-first and hybrid runs must
-    *complete* under the same budget with their high-water mark at or
-    below the cap, a feasible answer, and a ``proof_floor`` that
-    honestly brackets it from below despite the evicted subtrees.
+    a real rlimit).  The capped best-first run must *complete* under
+    the same budget with its high-water mark at or below the cap, a
+    feasible answer, and a ``proof_floor`` that honestly brackets it
+    from below despite the evicted subtrees.
     """
     problem = scaled_knapsack_problem()
     base = dict(
@@ -691,20 +691,11 @@ def run_bounded_memory(node_budget: int = 20_000, max_open: int = 64):
             ),
             problem,
         ),
-        "capped_hybrid": _bounded_timed(
-            BranchBoundExplorer(
-                frontier="hybrid",
-                node_budget=node_budget,
-                max_open=max_open,
-                **base,
-            ),
-            problem,
-        ),
     }
     uncapped = section["uncapped_best_first"]
     section["frontier_reduction"] = round(
         uncapped["open_high_water"]
-        / max(1, section["capped_hybrid"]["open_high_water"]),
+        / max(1, section["capped_best_first"]["open_high_water"]),
         1,
     )
     return section
@@ -939,11 +930,7 @@ def test_incremental_speedup_recorded(benchmark):
             str(bounded_memory[mode]["cost"]),
             str(bounded_memory[mode]["proof_floor"]),
         ]
-        for mode in (
-            "uncapped_best_first",
-            "capped_best_first",
-            "capped_hybrid",
-        )
+        for mode in ("uncapped_best_first", "capped_best_first")
     ]
     bounded_text = render_table(
         ["mode", "nodes", "open high-water", "evicted", "cost", "floor"],
@@ -998,22 +985,21 @@ def test_incremental_speedup_recorded(benchmark):
     )
     # Bounded memory: the uncapped frontier must actually blow past
     # the cap and the budget (that is the regime being defended),
-    # while both capped runs complete under the identical budget with
+    # while the capped run completes under the identical budget with
     # the high-water mark at the cap and an honest floor below the
-    # feasible answer they return.
+    # feasible answer it returns.
     uncapped = bounded_memory["uncapped_best_first"]
     assert not uncapped["optimal"]
     assert uncapped["nodes"] >= bounded_memory["node_budget"]
     assert uncapped["open_high_water"] > 10 * bounded_memory["max_open"]
-    for mode in ("capped_best_first", "capped_hybrid"):
-        capped = bounded_memory[mode]
-        assert capped["nodes"] < bounded_memory["node_budget"]
-        assert capped["open_high_water"] <= bounded_memory["max_open"]
-        assert capped["evicted_subtrees"] > 0
-        assert capped["cost"] is not None
-        assert capped["proof_floor"] is not None
-        assert capped["proof_floor"] <= capped["cost"] + 1e-6
-        assert "memory-truncated" in capped["provenance"]
+    capped = bounded_memory["capped_best_first"]
+    assert capped["nodes"] < bounded_memory["node_budget"]
+    assert capped["open_high_water"] <= bounded_memory["max_open"]
+    assert capped["evicted_subtrees"] > 0
+    assert capped["cost"] is not None
+    assert capped["proof_floor"] is not None
+    assert capped["proof_floor"] <= capped["cost"] + 1e-6
+    assert "memory-truncated" in capped["provenance"]
     # Fleet pruning may never change the proven-optimal best cost.
     assert incumbent_sharing["best_cost_shared"] == (
         incumbent_sharing["best_cost"]

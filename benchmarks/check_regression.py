@@ -55,12 +55,11 @@ GATED_METRICS = {
     "bnb_adaptive_nodes_to_optimal": "lower",
     "bnb_bestfirst_nodes_to_optimal": "lower",
     "dispatch_index_bytes_per_lineage": "lower",
-    # Bounded-memory degradation (PR 9): the capped hybrid search on
-    # the scaled knapsack is deterministic, so its node count to
+    # Bounded-memory degradation: the capped best-first search on the
+    # scaled knapsack is deterministic, so its node count to
     # completion gates lower-is-better and its throughput higher.
-    # Both absent from pre-PR-9 baselines — skipped there.
-    "bnb_capped_hybrid_nodes_to_done": "lower",
-    "bnb_capped_hybrid_nodes_per_sec": "higher",
+    "bnb_capped_best_first_nodes_to_done": "lower",
+    "bnb_capped_best_first_nodes_per_sec": "higher",
     # Zoo matrix (PR 10): adaptive-ordering nodes-to-optimal on the
     # generator families — deterministic searches, so any climb is a
     # real pruning/ordering regression.  Absent from older baselines
@@ -129,16 +128,16 @@ def extract_metrics(payload: dict) -> Dict[str, float]:
     if best_first.get("optimal"):
         put("bnb_bestfirst_nodes_to_optimal", best_first.get("nodes"))
     bounded = payload.get("bounded_memory", {})
-    capped = bounded.get("capped_hybrid", {})
+    capped = bounded.get("capped_best_first", {})
     # Only meaningful when the capped run actually completed under
     # its budget (the bench asserts this; a baseline written by an
     # older bench simply lacks the section).
     if capped and capped.get("nodes", 0) < bounded.get(
         "node_budget", 0
     ):
-        put("bnb_capped_hybrid_nodes_to_done", capped.get("nodes"))
+        put("bnb_capped_best_first_nodes_to_done", capped.get("nodes"))
         put(
-            "bnb_capped_hybrid_nodes_per_sec",
+            "bnb_capped_best_first_nodes_per_sec",
             capped.get("nodes_per_sec"),
         )
     put(

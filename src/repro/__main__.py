@@ -279,9 +279,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="dfs",
         help=(
             "branch-and-bound search frontier: depth-first (default, "
-            "byte-identical to previous releases), best-first over "
-            "the incremental lower bound, or hybrid (one greedy "
-            "dive for an incumbent, then best-first)"
+            "byte-identical to previous releases) or best-first over "
+            "the incremental lower bound"
         ),
     )
     explore.add_argument(
@@ -292,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "bounded-memory search: cap the open frontier at N "
             "entries, deterministically evicting the worst-bound "
-            "entries of the best-first/hybrid heap; "
+            "entries of the best-first heap (depth-first ignores it); "
             "evicted subtrees are recorded so proof_floor stays "
             "honest and provenance says memory-truncated when "
             "optimality could have been lost"

@@ -55,11 +55,11 @@ from .ordering import validate_frontier, validate_ordering
 
 #: Blob format version.  Bump on any change to the payload shape; a
 #: mismatched resume is refused, never misread.  Version 2 added the
-#: resource-governance fields (eviction gauges, the hybrid frontier
-#: state) — version-1 blobs predate ``max_open`` and cannot express
-#: what a capped search dropped, so they are refused.  A version-2
-#: blob naming a frontier or ordering this build does not know is
-#: refused at load time.
+#: resource-governance fields (eviction gauges) — version-1 blobs
+#: predate ``max_open`` and cannot express what a capped search
+#: dropped, so they are refused.  A version-2 blob naming a frontier
+#: or ordering this build does not know (a removed frontier included)
+#: is refused at load time.
 CHECKPOINT_VERSION = 2
 
 _INF = float("inf")
@@ -512,17 +512,14 @@ def decode_dfs_state(frontier_state) -> Tuple[list, tuple]:
     )
 
 
-def encode_heap_state(heap, pushes, phase=None) -> Dict[str, object]:
-    state: Dict[str, object] = {
+def encode_heap_state(heap, pushes) -> Dict[str, object]:
+    return {
         "heap": [
             [_encode_num(bound), tie, _encode_path(path)]
             for bound, tie, path in heap
         ],
         "pushes": pushes,
     }
-    if phase is not None:
-        state["phase"] = phase
-    return state
 
 
 def _decode_heap_rows(rows) -> List[tuple]:
@@ -535,22 +532,8 @@ def _decode_heap_rows(rows) -> List[tuple]:
 
 
 def decode_heap_state(frontier_state) -> Tuple[List[tuple], int]:
-    """``(heap, push counter)`` of a best-first/hybrid heap state."""
+    """``(heap, push counter)`` of a best-first heap state."""
     where = "checkpoint frontier_state"
     heap = _field(frontier_state, "heap", _decode_heap_rows, where)
     return heap, _field(frontier_state, "pushes", _int, where)
 
-
-def encode_dive_state(path) -> Dict[str, object]:
-    return {"phase": "dive", "path": _encode_path(path)}
-
-
-def decode_hybrid_phase(frontier_state):
-    """``(dive path, None)`` or ``(None, (heap, pushes))``."""
-    where = "checkpoint frontier_state"
-    phase = _field(frontier_state, "phase", where=where)
-    if phase == "dive":
-        return _field(frontier_state, "path", _decode_path, where), None
-    if phase == "heap":
-        return None, decode_heap_state(frontier_state)
-    raise SynthesisError(f"{where} field 'phase' is malformed: {phase!r}")

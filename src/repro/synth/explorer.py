@@ -32,7 +32,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping as TMapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import SynthesisError
@@ -44,10 +44,8 @@ from .checkpoint import (
     SearchCheckpoint,
     decode_dfs_state,
     decode_heap_state,
-    decode_hybrid_phase,
     decode_mapping,
     encode_dfs_state,
-    encode_dive_state,
     encode_heap_state,
     encode_mapping,
     problem_fingerprint,
@@ -173,22 +171,6 @@ def _targets_from_used(
     return result
 
 
-def _candidate_targets(
-    problem: SynthesisProblem,
-    unit: str,
-    partial: TMapping[str, Target],
-) -> Tuple[Target, ...]:
-    """Admissible targets with processor-symmetry breaking."""
-    used = sorted(
-        {
-            target.processor
-            for target in partial.values()
-            if target.is_software
-        }
-    )
-    return tuple(_targets_from_used(problem, unit, used))
-
-
 class Explorer:
     """Common interface of the optimizers."""
 
@@ -265,27 +247,18 @@ class SearchExplorer(Explorer):
         return state
 
     # -- candidates -----------------------------------------------------
-    @staticmethod
-    def candidate_targets(
-        problem: SynthesisProblem,
-        unit: str,
-        partial: TMapping[str, Target],
-    ) -> Tuple[Target, ...]:
-        """Admissible targets of ``unit`` given the partial mapping."""
-        return _candidate_targets(problem, unit, partial)
-
     def state_targets(
         self,
         problem: SynthesisProblem,
         unit: str,
         state: _SearchStateT,
     ) -> List[Target]:
-        """Admissible targets read from the search state.
+        """Admissible targets of ``unit`` in the state's partial mapping.
 
-        Same symmetry-broken candidate list (and order) as
-        :meth:`candidate_targets`, but the used-processor set comes
-        from the state's bucket index — O(allocated processors)
-        instead of a scan over every assigned unit.
+        Processor-symmetry broken (see :func:`_targets_from_used`); the
+        used-processor set comes from the state's bucket index —
+        O(allocated processors) instead of a scan over every assigned
+        unit.
         """
         return _targets_from_used(problem, unit, state.used_processors())
 
@@ -368,6 +341,11 @@ class ExhaustiveExplorer(SearchExplorer):
     An externally set :attr:`deadline` is the one thing that can stop
     it early; a truncated run honestly reports ``optimal=False`` with
     a ``(deadline-truncated)`` provenance and no proof floor.
+
+    The walk keeps its own explicit stack (one frame per decided unit)
+    and shares no search loop with the branch-and-bound drivers it
+    checks; depth is bounded by memory, not by the interpreter's
+    recursion limit.
     """
 
     def explore(
@@ -383,25 +361,37 @@ class ExhaustiveExplorer(SearchExplorer):
         evaluations = 0
         state_targets = self.state_targets
         clock = _BudgetClock(None, None, None, deadline=self.deadline)
-
-        def recurse(index: int) -> None:
-            nonlocal best, best_cost, evaluations
-            clock.tick()
-            if index == len(free):
-                evaluations += 1
-                feasible, cost = state.leaf()
-                if feasible and cost < best_cost:
-                    best, best_cost = state.to_mapping(), cost
-                return
-            unit = free[index]
-            for target in state_targets(problem, unit, state):
-                state.assign(unit, target)
-                recurse(index + 1)
-                state.unassign(unit)
-
+        # Frame ``[unit, targets, next position]`` per decided depth;
+        # the child at ``position - 1`` is the one assigned on the state.
+        stack: List[list] = []
         truncated = False
         try:
-            recurse(0)
+            while True:
+                clock.tick()
+                depth = len(stack)
+                if depth == len(free):
+                    evaluations += 1
+                    feasible, cost = state.leaf()
+                    if feasible and cost < best_cost:
+                        best, best_cost = state.to_mapping(), cost
+                else:
+                    unit = free[depth]
+                    targets = state_targets(problem, unit, state)
+                    stack.append([unit, targets, 0])
+                # Step to the next sibling, backtracking out of exhausted
+                # frames; an empty stack means the walk is complete.
+                while stack:
+                    frame = stack[-1]
+                    unit, targets, position = frame
+                    if position:
+                        state.unassign(unit)
+                    if position < len(targets):
+                        state.assign(unit, targets[position])
+                        frame[2] = position + 1
+                        break
+                    stack.pop()
+                else:
+                    break
         except _BudgetExceeded:
             truncated = True
         return self._finish(
@@ -585,24 +575,18 @@ class BranchBoundExplorer(SearchExplorer):
       paths and restored by :class:`~repro.synth.state.PathTrail`'s
       net-delta restore; the search stops — with a complete optimality
       proof — as soon as the cheapest open bound meets the incumbent,
-      so it expands only nodes whose bound beats the optimum;
-    * ``"hybrid"`` — a greedy depth-first dive (always following the
-      cheapest probed child) seeds the incumbent, then a best-first
-      pass — typically capped by ``max_open`` — finishes the proof.
-      The dive costs at most one node per depth and lands near the
-      optimum, so the following best-first frontier stays small: the
-      bounded-memory way to both a good answer *and* a proof.
+      so it expands only nodes whose bound beats the optimum.
 
-    ``max_open`` bounds the retained open frontier of the heap frontiers
-    (best-first and hybrid; DFS keeps one frame of siblings per depth
-    and ignores the cap).  When the open set would exceed it, the
-    worst-bound nodes are evicted *deterministically* and their bounds
-    recorded: the run degrades gracefully instead of aborting,
-    ``proof_floor`` drops to the minimum evicted bound (everything below
-    it is still certified), and ``optimal`` survives exactly when the
-    final cost meets that floor — otherwise the provenance says
-    ``(memory-truncated)`` rather than silently losing optimality.  Peak
-    retained frontier size and eviction counts ride the result as
+    ``max_open`` bounds the retained open frontier of best-first (DFS
+    keeps one frame of siblings per depth and ignores the cap).  When
+    the open set would exceed it, the worst-bound nodes are evicted
+    *deterministically* and their bounds recorded: the run degrades
+    gracefully instead of aborting, ``proof_floor`` drops to the
+    minimum evicted bound (everything below it is still certified),
+    and ``optimal`` survives exactly when the final cost meets that
+    floor — otherwise the provenance says ``(memory-truncated)``
+    rather than silently losing optimality.  Peak retained frontier
+    size and eviction counts ride the result as
     ``open_high_water``/``evicted_subtrees``.
 
     Node/time budgets, warm starts, incumbent sharing, ``optimal``
@@ -678,7 +662,7 @@ class BranchBoundExplorer(SearchExplorer):
         if self.frontier == "dfs":
             truncated = _drive_dfs(search)
         else:
-            truncated = _drive_heap(search, self.frontier == "hybrid")
+            truncated = _drive_heap(search)
         # Foreign thresholds can cut subtrees our own incumbent would
         # have kept, and ``max_open`` eviction can drop open subtrees
         # whose bounds were still below the returned cost; the
@@ -728,10 +712,10 @@ class BranchBoundExplorer(SearchExplorer):
 
         ``frontier="dfs"`` reproduces the pre-frontier strings byte
         for byte; non-default frontiers join the tag list (e.g.
-        ``branch_and_bound[adaptive,hybrid]``).  ``(memory-truncated)``
-        marks a run whose ``max_open`` evictions dropped a subtree the
-        proof needed — the result may still be the optimum, but the
-        run can no longer certify it.
+        ``branch_and_bound[adaptive,best-first]``).
+        ``(memory-truncated)`` marks a run whose ``max_open`` evictions
+        dropped a subtree the proof needed — the result may still be
+        the optimum, but the run can no longer certify it.
         """
         tags = []
         if self.ordering != "static":
@@ -1074,24 +1058,31 @@ def _drive_dfs(search: _Search) -> bool:
     return truncated
 
 
-def _heap_loop(search: _Search, trail, heap, pushes: int, phase) -> bool:
-    """The heap pump of the best-first and hybrid frontiers.
+def _drive_heap(search: _Search) -> bool:
+    """The best-first frontier; returns the truncation flag.
 
     Every open node rides the heap as ``(bound, tie, path)``: the
     bound probed when its parent pushed it, a monotone push counter
     (equal bounds pop in deterministic push order), and the decision
     path that :class:`PathTrail` replays to restore the node's search
-    state.  Expanding the cheapest bound first means the moment the
+    state.  The heap starts as the root (or as the heap a resumed blob
+    froze).  Expanding the cheapest bound first means the moment the
     cheapest open bound meets the incumbent, *every* open node is
     prunable — the search returns with a complete optimality proof
     after expanding only nodes whose bound beats the optimum.  With
     ``max_open`` set, the heap is truncated to the cheapest
     ``max_open`` entries after every expansion — streaming top-K
     eviction is exact, an evicted entry could never have re-entered a
-    smaller frontier.  ``phase`` tags the snapshots (the hybrid
-    frontier's ``"heap"``); returns the truncation flag.
+    smaller frontier.
     """
-    clock, restore = search.clock, trail.restore
+    state, clock = search.state, search.clock
+    if search.resume is not None:
+        heap, pushes = decode_heap_state(search.resume.frontier_state)
+    else:
+        dead_root = search.prune_infeasible and not state.feasible
+        root_bound = _INF if dead_root else state.lower_bound()
+        heap, pushes = [(root_bound, 0, ())], 0
+    restore = PathTrail(state).restore
     state_targets = search.explorer.state_targets
     max_open, total = search.explorer.max_open, search.total
     truncated = False
@@ -1129,84 +1120,13 @@ def _heap_loop(search: _Search, trail, heap, pushes: int, phase) -> bool:
                 _cap_frontier(heap, clock, max_open)
                 clock.note_open(len(heap))
             if nodes >= search.due_at:
-                frontier_state = encode_heap_state(heap, pushes, phase)
+                frontier_state = encode_heap_state(heap, pushes)
                 search.emit(frontier_state, nodes, False)
     except _BudgetExceeded:
         truncated = True
         heapq.heappush(heap, popped)
     if search.checkpoint is not None:
-        frontier_state = encode_heap_state(
-            heap if truncated else [], pushes, phase
-        )
+        frontier_state = encode_heap_state(heap if truncated else [], pushes)
         nodes = clock.nodes - 1 if truncated else clock.nodes
         search.emit(frontier_state, nodes, not truncated)
     return truncated
-
-
-def _drive_heap(search: _Search, hybrid: bool) -> bool:
-    """The best-first frontier, or dive-then-best-first for ``hybrid``.
-
-    The hybrid dive runs first to seed the incumbent (best-first finds
-    its first leaf late, so a capped heap otherwise evicts half the
-    tree before it has any prune threshold), then the heap pass
-    finishes the proof.  The dive is its own checkpoint phase: a
-    hybrid snapshot taken mid-dive records ``{"phase": "dive",
-    "path"}`` — the single open node of the walk; one taken afterwards
-    records the heap under ``{"phase": "heap"}``.  Resume re-enters
-    whichever phase the blob froze.
-    """
-    heap, pushes, dive_path = None, 0, None
-    resume, state = search.resume, search.state
-    dead_root = search.prune_infeasible and not state.feasible
-    if resume is not None and hybrid:
-        dive_path, heap_state = decode_hybrid_phase(resume.frontier_state)
-        if heap_state is not None:
-            heap, pushes = heap_state
-    elif resume is not None:
-        heap, pushes = decode_heap_state(resume.frontier_state)
-    elif hybrid and search.best is None and not dead_root:
-        dive_path = ()
-    trail = PathTrail(state)
-    if dive_path is not None:
-        if _dive(search, trail, dive_path):
-            return True
-        trail.restore(())
-    if heap is None:
-        root_bound = _INF if dead_root else state.lower_bound()
-        heap = [(root_bound, pushes, ())]
-    phase = "heap" if hybrid else None
-    return _heap_loop(search, trail, heap, pushes, phase)
-
-
-def _dive(search: _Search, trail, path) -> bool:
-    """Root-to-leaf dive along the cheapest probed child.
-
-    The hybrid frontier's incumbent seed: one walk taking the
-    best-looking child at every level — the same path a DFS explores
-    first — so the following (typically capped) heap pass starts with
-    a strong prune threshold instead of an open-ended one.  A dead end
-    (every child bound at or above the incumbent/fleet floor) abandons
-    the dive; the heap pass still covers the whole space, so nothing
-    is lost.  Returns the truncation flag.
-    """
-    clock = search.clock
-    try:
-        while True:
-            nodes = clock.tick()
-            trail.restore(path)
-            if len(path) == search.total:
-                search.offer_leaf()
-                return False
-            unit, scored = _probe(
-                search, search.explorer.state_targets, len(path)
-            )
-            bound, _index, target = scored[0]
-            if bound >= search.best_cost or bound >= clock.shared_floor:
-                return False
-            path += ((unit, target),)
-            if nodes >= search.due_at:
-                search.emit(encode_dive_state(path), nodes, False)
-    except _BudgetExceeded:
-        if search.checkpoint is not None:
-            search.emit(encode_dive_state(path), clock.nodes - 1, False)
-        return True

@@ -45,11 +45,9 @@ from .mapping import SynthesisProblem, Target
 ORDERINGS = ("static", "density", "adaptive")
 
 #: Valid ``frontier=`` values of :class:`BranchBoundExplorer`:
-#: depth-first (the default), best-first over the incremental lower
-#: bound, and the dive-then-best-first hybrid (a greedy depth-first
-#: dive seeds the incumbent, then a — typically capped — best-first
-#: pass finishes the proof in bounded memory).
-FRONTIERS = ("dfs", "best-first", "hybrid")
+#: depth-first (the default) and best-first over the incremental lower
+#: bound.
+FRONTIERS = ("dfs", "best-first")
 
 #: Depths (0-based) at which ``adaptive`` re-sorts the undecided units
 #: via :func:`strong_branch` instead of following the precomputed

@@ -1462,8 +1462,8 @@ class _NumpySearchState(SearchState):
 class PathTrail:
     """Delta-replay cursor over search-tree paths of one state.
 
-    Non-depth-first frontiers (best-first, hybrid) revisit search
-    nodes out of tree order; materializing a fresh state per node
+    The best-first frontier revisits search nodes out of tree
+    order; materializing a fresh state per node
     would rebuild every Fenwick pool each time.  A trail instead
     snapshots a node as its *decision path* — the ``(unit, target)``
     pairs from the root — and restores any node by applying the **net

@@ -108,7 +108,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
         {**center, "dynamic_pool": False, "capacity_bound": False},
         {**center, "max_open": 4},
         {**center, "frontier": "best-first", "max_open": 4},
-        {**center, "frontier": "hybrid", "max_open": 4},
     ]
     for config in variations:
         key = describe(config)

@@ -487,6 +487,50 @@ class TestBestFirstNodesGate:
         ) == 0
 
 
+def bench_payload_with_bounded(nodes, node_budget=20_000):
+    payload = bench_payload()
+    payload["bounded_memory"] = {
+        "node_budget": node_budget,
+        "capped_best_first": {"nodes": nodes, "nodes_per_sec": 30000.0},
+    }
+    return payload
+
+
+class TestCappedBestFirstGate:
+    """The bounded-memory gate reads the capped best-first run, and
+    only when it completed under its node budget."""
+
+    def test_extracted_only_when_completed(self):
+        metrics = check_regression.extract_metrics(
+            bench_payload_with_bounded(nodes=1739)
+        )
+        assert metrics["bnb_capped_best_first_nodes_to_done"] == 1739
+        assert metrics["bnb_capped_best_first_nodes_per_sec"] == 30000.0
+        exhausted = check_regression.extract_metrics(
+            bench_payload_with_bounded(nodes=20_001)
+        )
+        assert not any("capped" in key for key in exhausted)
+        assert check_regression.GATED_METRICS[
+            "bnb_capped_best_first_nodes_to_done"
+        ] == "lower"
+
+    def test_node_blowup_fails_gate(self, tmp_path, capsys):
+        history = tmp_path / "bench_history"
+        tight = write_current(tmp_path, bench_payload_with_bounded(1739))
+        check_regression.main(
+            ["--current", str(tight), "--history", str(history),
+             "--write"]
+        )
+        loose = write_current(tmp_path, bench_payload_with_bounded(9000))
+        code = check_regression.main(
+            ["--current", str(loose), "--history", str(history)]
+        )
+        assert code == 1
+        assert "bnb_capped_best_first_nodes_to_done" in (
+            capsys.readouterr().out
+        )
+
+
 class TestLowerIsBetterMetrics:
     def test_nodes_to_optimal_extracted(self):
         metrics = check_regression.extract_metrics(

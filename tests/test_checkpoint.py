@@ -266,7 +266,7 @@ def test_resume_rejects_different_problem(problem):
 def test_resume_rejects_mismatched_frontier_or_ordering(problem):
     snapshot = _checkpoint_of(problem, frontier="dfs", ordering="adaptive")
     with pytest.raises(SynthesisError, match="frontier"):
-        BranchBoundExplorer(frontier="hybrid").explore(
+        BranchBoundExplorer(frontier="best-first").explore(
             problem, checkpoint=Checkpointer(resume=snapshot)
         )
     with pytest.raises(SynthesisError, match="ordering"):
@@ -283,10 +283,13 @@ def test_version_mismatch_rejected(problem):
 def test_unknown_frontier_or_ordering_refused_at_load(problem):
     """v2 blobs naming a removed frontier or unknown ordering fail to
     load (surviving frontiers' v2 blobs resume in the matrix above)."""
-    payload = _checkpoint_of(problem, frontier="hybrid").to_payload()
+    payload = _checkpoint_of(problem, frontier="best-first").to_payload()
     assert payload["version"] == CHECKPOINT_VERSION == 2
     for field, value in (
-        ("frontier", "lds"), ("frontier", "beam"), ("ordering", "random")
+        ("frontier", "lds"),
+        ("frontier", "beam"),
+        ("frontier", "hybrid"),
+        ("ordering", "random"),
     ):
         with pytest.raises(SynthesisError, match=f"unknown {field}"):
             SearchCheckpoint.from_payload({**payload, field: value})
@@ -331,12 +334,6 @@ MALFORMED = {
     ),
     "best-first-without-pushes": (
         "pushes", lambda p: _resume_with_state(p, "best-first", {"heap": []})
-    ),
-    "hybrid-without-phase": (
-        "phase", lambda p: _resume_with_state(p, "hybrid", {})
-    ),
-    "hybrid-unknown-phase": (
-        "phase", lambda p: _resume_with_state(p, "hybrid", {"phase": "x"})
     ),
 }
 

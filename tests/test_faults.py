@@ -402,16 +402,13 @@ class TestSearchFaults:
             ops=[{"op": "evict", "scope": "search", "at_node": 2,
                   "keep": 2}]
         )
-        for frontier in ("best-first", "hybrid"):
-            faults.install(plan)
-            plain = BranchBoundExplorer(frontier=frontier).explore(
-                problem
-            )
-            faults.install(plan)
-            driven = BranchBoundExplorer(frontier=frontier).explore(
-                problem, checkpoint=Checkpointer(every_nodes=3)
-            )
-            assert driven.cost == plain.cost
-            assert driven.nodes_explored == plain.nodes_explored
-            assert driven.evicted_subtrees == plain.evicted_subtrees
-            assert driven.provenance == plain.provenance
+        faults.install(plan)
+        plain = BranchBoundExplorer(frontier="best-first").explore(problem)
+        faults.install(plan)
+        driven = BranchBoundExplorer(frontier="best-first").explore(
+            problem, checkpoint=Checkpointer(every_nodes=3)
+        )
+        assert driven.cost == plain.cost
+        assert driven.nodes_explored == plain.nodes_explored
+        assert driven.evicted_subtrees == plain.evicted_subtrees
+        assert driven.provenance == plain.provenance

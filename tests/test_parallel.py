@@ -148,7 +148,7 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(family)).name == family.name
         for explorer in (
             BranchBoundExplorer(node_budget=10),
-            BranchBoundExplorer(frontier="hybrid", max_open=4),
+            BranchBoundExplorer(frontier="best-first", max_open=4),
             ExhaustiveExplorer(),
         ):
             pickle.loads(pickle.dumps(explorer))
@@ -240,7 +240,7 @@ class TestFrontierJobsDeterminism:
     the selection order — and with it every cost, mapping and node
     count — is byte-identical at any ``--jobs``."""
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_jobs_sweep_byte_identical(self, frontier):
         family, space = generated_space()
         explorer = BranchBoundExplorer(frontier=frontier)
@@ -292,7 +292,7 @@ class TestFrontierJobsDeterminism:
         with pytest.raises(SynthesisError):
             ParallelSpaceExplorer(frontier="sideways")
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_frontier_matches_dfs_costs_across_the_space(
         self, frontier
     ):

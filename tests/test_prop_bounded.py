@@ -32,9 +32,9 @@ from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import SynthesisProblem, VariantOrigin
 
-#: The frontiers whose open set ``max_open`` actually bounds (DFS's
-#: frontier is the recursion stack; the cap is meaningless there).
-CAPPED_FRONTIERS = ("best-first", "hybrid")
+#: The frontiers whose open set ``max_open`` actually bounds (DFS keeps
+#: one frame of siblings per depth; the cap is meaningless there).
+CAPPED_FRONTIERS = ("best-first",)
 
 
 @st.composite

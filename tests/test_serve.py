@@ -336,10 +336,11 @@ def test_http_error_paths(serve_client):
     with pytest.raises(ServeClientError) as err:
         client.submit({"bogus": True})
     assert err.value.status == 400
-    with pytest.raises(ServeClientError) as err:
-        client.submit({"explorer": {"frontier": "beam"}})
-    assert err.value.status == 400
-    assert repr(FRONTIERS) in err.value.body
+    for frontier in ("beam", "hybrid"):
+        with pytest.raises(ServeClientError) as err:
+            client.submit({"explorer": {"frontier": frontier}})
+        assert err.value.status == 400
+        assert repr(FRONTIERS) in err.value.body
     with pytest.raises(ServeClientError) as err:
         client.submit({"explorer": {"backend": "numpy"}})
     assert err.value.status == 400

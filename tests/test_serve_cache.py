@@ -131,7 +131,7 @@ def test_job_key_tracks_explorer_config_and_target():
 def test_job_key_stable_across_processes():
     payload = {
         "space": {"kind": "generated", "seed": 3, "n_variants": 3},
-        "explorer": {"name": "bnb", "frontier": "hybrid"},
+        "explorer": {"name": "bnb", "frontier": "best-first"},
     }
     local = build_workload(JobSpec.from_payload(payload)).job_key
     script = (

@@ -194,6 +194,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
     # An older daemon journaled the whole normalized explorer config,
     # iterations included.
     drifted.submit("job-000903", {"explorer": {"iterations": 4000}})
+    drifted.submit("job-000904", {"explorer": {"frontier": "hybrid"}})
     drifted.close()
 
     async def second_life():
@@ -204,6 +205,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         assert "job-000901" not in engine.jobs
         assert "job-000902" not in engine.jobs
         assert "job-000903" not in engine.jobs
+        assert "job-000904" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

@@ -1,6 +1,7 @@
 """Unit tests for the design-space explorers."""
 
 import sys
+import time
 
 import pytest
 
@@ -189,7 +190,7 @@ class TestBranchingOrder:
 class TestSearchFrontiers:
     def test_default_frontier_is_dfs(self):
         assert BranchBoundExplorer().frontier == "dfs"
-        assert FRONTIERS == ("dfs", "best-first", "hybrid")
+        assert FRONTIERS == ("dfs", "best-first")
 
     def test_invalid_frontier_rejected(self):
         with pytest.raises(SynthesisError):
@@ -228,11 +229,11 @@ class TestSearchFrontiers:
         assert best_first.provenance.startswith(
             "branch_and_bound[adaptive,best-first]"
         )
-        hybrid_static = BranchBoundExplorer(
-            frontier="hybrid", ordering="static"
+        best_first_static = BranchBoundExplorer(
+            frontier="best-first", ordering="static"
         ).explore(problem)
-        assert hybrid_static.provenance.startswith(
-            "branch_and_bound[hybrid]"
+        assert best_first_static.provenance.startswith(
+            "branch_and_bound[best-first]"
         )
         dfs = BranchBoundExplorer().explore(problem)
         assert dfs.provenance.startswith("branch_and_bound[adaptive]")
@@ -253,7 +254,7 @@ class TestSearchFrontiers:
 class TestFrontierBudgetEdges:
     """The new frontiers mirror the DFS budget semantics exactly."""
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_node_budget_boundary_is_inclusive(self, frontier):
         """``nodes == node_budget`` completes; one less truncates."""
         problem = knapsack_problem()
@@ -274,7 +275,7 @@ class TestFrontierBudgetEdges:
         # the budget check fires on entering the first over-budget node
         assert under.nodes_explored == full.nodes_explored
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_time_budget_deadline_truncates(self, frontier):
         """An expired deadline stops the search at the next poll.
 
@@ -298,7 +299,7 @@ class TestFrontierBudgetEdges:
         assert result.provenance.endswith("(budget-truncated)")
         assert result.nodes_explored == 256
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_truncated_warm_start_keeps_the_incumbent(self, frontier):
         """A truncated warm-started run keeps the warm incumbent and
         names both the warm start and the truncation, exactly like
@@ -317,7 +318,7 @@ class TestFrontierBudgetEdges:
         # the budget check fires on entering the first over-budget node
         assert truncated.nodes_explored == 2
 
-    @pytest.mark.parametrize("frontier", ["best-first", "hybrid"])
+    @pytest.mark.parametrize("frontier", ["best-first"])
     def test_warm_started_full_run_still_proves(self, frontier):
         """Warm-start incumbent seeding mirrors DFS: the seeded run
         proves the same optimum in no more nodes than the cold one."""
@@ -366,6 +367,19 @@ class TestDeepSearch:
         assert result.provenance.endswith("(budget-truncated)")
         assert result.nodes_explored == 3001
         assert result.proof_floor == float("-inf")
+
+    def test_exhaustive_deadline_deeper_than_the_recursion_limit(self):
+        """The oracle walks its own explicit stack: past the recursion
+        limit its deadline still ends the run with an honest
+        truncated result."""
+        problem = deep_problem()
+        explorer = ExhaustiveExplorer()
+        explorer.deadline = time.monotonic() + 2
+        result = explorer.explore(problem)
+        assert not result.optimal
+        assert result.provenance == "exhaustive (deadline-truncated)"
+        assert result.proof_floor == float("-inf")
+        assert result.nodes_explored > len(problem.free_units)
 
 
 class TestBudgetEdges:

@@ -177,7 +177,7 @@ class TestFuzzHarness:
         assert len(labels) == len(set(labels))
         # exhaustive + frontier x ordering x pool x bound x cap, every
         # bnb one on the only backend (its id segment kept).
-        assert len(configs) == 1 + 3 * 3 * 2 * 2 * 2 == 73
+        assert len(configs) == 1 + 2 * 3 * 2 * 2 * 2 == 49
         for config in configs:
             if config["kind"] == "bnb":
                 assert config["backend"] == "python"
