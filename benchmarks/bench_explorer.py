@@ -9,10 +9,13 @@ tracking):
 
 * **search throughput** — branch-and-bound on the incremental
   :class:`SearchState` vs. the full-recompute reference path (the
-  seed behavior) under an identical node budget.  This is the
-  end-to-end number: it includes the infeasibility pruning the
+  seed behavior) under an identical node budget, both under the
+  capacity-blind basic bound (the capacity-aware one proves this
+  single-processor workload at the root, with no tree to time).  This
+  is the end-to-end number: it includes the infeasibility pruning the
   incremental state enables, so the trees differ — it measures the
-  search stack, not the evaluator alone.
+  search stack, not the evaluator alone.  The asserted speedup is the
+  median over :data:`NOISE_REPEATS` interleaved pairs of runs.
 * **evaluation throughput** — a same-work microbench: one fixed
   random walk of complete-mapping reassignments, evaluated step by
   step by the delta-mode state (``reassign`` + ``leaf()``) and by
@@ -25,6 +28,7 @@ Set ``BENCH_QUICK=1`` for the reduced CI workload.
 import math
 import os
 import random
+import statistics
 import threading
 import time
 
@@ -142,11 +146,18 @@ def _rate(samples: int, elapsed: float):
     return round(samples / elapsed, 1)
 
 
-def _ratio_or_none(numerator, denominator):
-    """A speedup ratio, or None when either rate was withheld."""
-    if numerator is None or denominator is None:
+#: Interleaved repeats behind a noise-prone ratio: the asserted value
+#: is their median, so one scheduler hiccup on a shared runner cannot
+#: decide the assertion.
+NOISE_REPEATS = 5
+
+
+def _nodes_ratio(numerator: int, denominator: int):
+    """``numerator / denominator`` rounded, or None when the
+    denominator is 0 (a run proved at the root, with no tree)."""
+    if not denominator:
         return None
-    return numerator / denominator
+    return round(numerator / denominator, 2)
 
 
 def _explore_in_fresh_stack(explorer, problem):
@@ -443,47 +454,57 @@ def run_batch_kernel(rounds: int, node_budget: int):
     }
 
 
-def run_throughput_comparison(node_budget: int):
-    # The branch-and-bound rows pin the PR 3 configuration (static
-    # order, static pool, scalar backend): adaptive ordering proves
-    # optimality in so few nodes that a rate would be statistical
-    # noise, and these rows exist to track evaluator throughput
-    # against their bench_history baselines on an unchanged workload.
-    # The ordering win has its own section (``branching_order``); the
-    # candidate scorer has its own (``batch_kernel``).
+def run_throughput_comparison(
+    node_budget: int, repeats: int = NOISE_REPEATS
+):
+    """Incremental vs reference search throughput on one workload.
+
+    Both rows pin the static order and the capacity-blind basic bound,
+    so both sides prune alike: the capacity-aware incremental search
+    proves this single-processor workload at the root presolve, and
+    adaptive ordering proves it in so few nodes that a rate would be
+    statistical noise.  The rows track search-stack throughput against
+    their bench_history baselines on an unchanged workload; the bound,
+    ordering and frontier wins have their own sections, the candidate
+    scorer its own (``batch_kernel``).
+
+    The two explorers run in ``repeats`` interleaved pairs.  Each row
+    is its fastest run; the returned speedup is the median of the
+    pairs' node-rate ratios (None when a rate was withheld).
+    """
     problem = throughput_problem()
-    report = {
-        "branch_and_bound_incremental": _timed(
-            BranchBoundExplorer(
-                node_budget=node_budget,
-                ordering="static",
-                dynamic_pool=False,
-                backend="python",
-            ),
-            problem,
-            repeats=3,
+    explorers = {
+        "branch_and_bound_incremental": BranchBoundExplorer(
+            node_budget=node_budget,
+            capacity_bound=False,
+            ordering="static",
+            backend="python",
         ),
-        "branch_and_bound_basic_bound": _timed(
-            BranchBoundExplorer(
-                node_budget=node_budget,
-                capacity_bound=False,
-                ordering="static",
-                backend="python",
-            ),
-            problem,
-            repeats=3,
-        ),
-        "branch_and_bound_reference": _timed(
-            BranchBoundExplorer(
-                node_budget=node_budget,
-                incremental=False,
-                ordering="static",
-            ),
-            problem,
-            repeats=3,
+        "branch_and_bound_reference": BranchBoundExplorer(
+            node_budget=node_budget,
+            incremental=False,
+            ordering="static",
         ),
     }
-    return problem, report
+    runs = {name: [] for name in explorers}
+    for _repeat in range(repeats):
+        for name, explorer in explorers.items():
+            runs[name].append(_timed(explorer, problem))
+    report = {
+        name: min(samples, key=lambda run: run["seconds"])
+        for name, samples in runs.items()
+    }
+    ratios = [
+        fast["nodes_per_sec"] / slow["nodes_per_sec"]
+        for fast, slow in zip(
+            runs["branch_and_bound_incremental"],
+            runs["branch_and_bound_reference"],
+        )
+        if fast["nodes_per_sec"] is not None
+        and slow["nodes_per_sec"] is not None
+    ]
+    speedup = statistics.median(ratios) if len(ratios) == repeats else None
+    return problem, report, speedup
 
 
 def run_bound_tightness(completion_budget: int = 500_000):
@@ -519,8 +540,9 @@ def run_bound_tightness(completion_budget: int = 500_000):
         "basic_bound": basic,
     }
     if capacity["optimal"] and basic["optimal"]:
-        section["nodes_ratio"] = round(
-            basic["nodes"] / capacity["nodes"], 2
+        # None when the capacity-aware run proved at the root.
+        section["nodes_ratio"] = _nodes_ratio(
+            basic["nodes"], capacity["nodes"]
         )
     return section
 
@@ -559,7 +581,7 @@ def run_branching_order(completion_budget: int = 500_000):
     if section["static"]["optimal"]:
         reference = section["static"]["nodes"]
         section["nodes_ratio_vs_static"] = {
-            name: round(reference / section[name]["nodes"], 2)
+            name: _nodes_ratio(reference, section[name]["nodes"])
             for name in modes
             if name != "static" and section[name]["optimal"]
         }
@@ -595,8 +617,8 @@ def run_frontier_comparison(completion_budget: int = 500_000):
         reference = section["dfs"]["nodes"]
         if section["best_first"]["optimal"]:
             section["nodes_ratio_vs_dfs"] = {
-                "best_first": round(
-                    reference / section["best_first"]["nodes"], 2
+                "best_first": _nodes_ratio(
+                    reference, section["best_first"]["nodes"]
                 )
             }
     return section
@@ -781,16 +803,10 @@ def run_dispatch_volume(lineage_size: int = 2):
 
 def test_incremental_speedup_recorded(benchmark):
     node_budget = 10_000 if quick_mode() else 30_000
-    problem, report = benchmark.pedantic(
+    problem, report, node_speedup = benchmark.pedantic(
         lambda: run_throughput_comparison(node_budget),
         rounds=1,
         iterations=1,
-    )
-
-    bnb_inc = report["branch_and_bound_incremental"]
-    bnb_ref = report["branch_and_bound_reference"]
-    node_speedup = _ratio_or_none(
-        bnb_inc["nodes_per_sec"], bnb_ref["nodes_per_sec"]
     )
     microbench = run_evaluation_microbench(
         problem, steps=2_000 if quick_mode() else 10_000
@@ -826,8 +842,9 @@ def test_incremental_speedup_recorded(benchmark):
         "explorers": report,
         # End-to-end search-stack throughput under the same node
         # budget; includes the infeasibility pruning the incremental
-        # state enables, so the explored trees differ.  None when a
-        # side's rate was withheld (below the sample threshold).
+        # state enables, so the explored trees differ.  Median of the
+        # interleaved pairs; None when a side's rate was withheld
+        # (below the sample threshold).
         "speedup_nodes_per_sec": (
             round(node_speedup, 2) if node_speedup is not None else None
         ),
@@ -952,13 +969,18 @@ def test_incremental_speedup_recorded(benchmark):
         assert node_speedup >= 2.0
     assert microbench["speedup"] >= 5.0
     # The capacity-aware bound must shrink the knapsack-hard tree by
-    # at least 2x (it measures ~36x here).
+    # at least 2x (its root presolve now proves this single-processor
+    # workload with no tree at all).
     assert bound_tightness["capacity_bound"]["optimal"]
     if bound_tightness["basic_bound"]["optimal"]:
-        assert bound_tightness["nodes_ratio"] >= 2.0
+        assert (
+            2 * bound_tightness["capacity_bound"]["nodes"]
+            <= bound_tightness["basic_bound"]["nodes"]
+        )
     # Adaptive ordering + the dynamic pool must shrink the
-    # proven-optimal tree by >= 1.5x vs the PR 3 static order (it
-    # measures ~80x here), at the identical proven-optimal cost.
+    # proven-optimal tree by >= 1.5x vs the PR 3 static order, at the
+    # identical proven-optimal cost (both prove at the root presolve
+    # on this single-processor workload).
     assert branching_order["static"]["optimal"]
     assert branching_order["adaptive_dynamic"]["optimal"]
     assert branching_order["adaptive_dynamic"]["cost"] == (

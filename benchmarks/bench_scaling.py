@@ -12,12 +12,21 @@ paper's qualitative claims that must hold:
   are considered once instead of n times);
 * the mutual-exclusion credit is *the* mechanism: switching it off
   (ablation) collapses the cost advantage.
+
+The chained ladder (:func:`sweep_ladder`) grows one joint problem from
+22 to 76 units and records what the root presolve of
+:mod:`repro.synth.pareto` proves on it against the tree alone.
+
+Set ``BENCH_QUICK=1`` for the reduced CI workload.
 """
 
+import math
 import time
 
-from repro.apps.generators import generate_system
+from repro.apps.generators import generate_chained_system, generate_system
 from repro.report.series import Series, render_series
+from repro.report.tables import render_table
+from repro.synth import pareto
 from repro.synth.architecture import ArchitectureTemplate
 from repro.synth.explorer import BranchBoundExplorer
 from repro.synth.mapping import SynthesisProblem
@@ -31,7 +40,7 @@ from repro.synth.methods import (
 )
 from repro.variants.variant_space import VariantSpace
 
-from .conftest import write_artifact
+from .conftest import quick_mode, write_artifact, write_json_artifact
 
 
 def sweep_variants(n_variants_range=(2, 3, 4, 5), seed=11):
@@ -170,7 +179,13 @@ def _constrained_problem(n_variants, cluster_size=4, capacity=0.5):
 def sweep_incremental_throughput(
     n_variants_range=(2, 3, 4, 5), node_budget=8000
 ):
-    """Evaluations/sec and nodes/sec, incremental vs. reference path."""
+    """Evaluations/sec and nodes/sec, incremental vs. reference path.
+
+    Both sides run the capacity-blind basic bound, so they prune alike:
+    with the capacity-aware bound the incremental search proves these
+    single-processor problems at the root presolve, with no tree whose
+    node rate could be measured.
+    """
     inc_nodes = Series("incremental nodes/s")
     ref_nodes = Series("reference nodes/s")
     inc_evals = Series("incremental evals/s")
@@ -180,7 +195,12 @@ def sweep_incremental_throughput(
         problem = _constrained_problem(n_variants)
         pair = {}
         for label, explorer in (
-            ("inc", BranchBoundExplorer(node_budget=node_budget)),
+            (
+                "inc",
+                BranchBoundExplorer(
+                    node_budget=node_budget, capacity_bound=False
+                ),
+            ),
             (
                 "ref",
                 BranchBoundExplorer(
@@ -324,3 +344,126 @@ def test_incremental_vs_reference_throughput(benchmark):
         # (possibly truncated) reference search.
         if incremental.optimal and reference.feasible:
             assert incremental.cost <= reference.cost + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The chained ladder: one processor, 22-76 units
+# ----------------------------------------------------------------------
+#: ``n_interfaces`` of each rung (22, 28, 34, 40 and 76 units).
+LADDER_INTERFACES = (3, 4, 5, 6, 12)
+
+
+def ladder_problem(n_interfaces: int) -> SynthesisProblem:
+    """The joint problem of one rung: three two-process variants per
+    interface on a four-process common chain, one processor at 0.6."""
+    system = generate_chained_system(
+        seed=1,
+        n_interfaces=n_interfaces,
+        n_variants=3,
+        cluster_size=2,
+        common_processes=4,
+        processor_capacity=0.6,
+    )
+    units, origins = variant_units(system.vgraph)
+    return SynthesisProblem(
+        name=f"ladder-i{n_interfaces}",
+        units=units,
+        library=system.library,
+        architecture=system.architecture,
+        origins=origins,
+    )
+
+
+def _timed_explore(explorer, problem):
+    start = time.perf_counter()
+    result = explorer.explore(problem)
+    return {
+        "cost": result.cost if result.feasible else None,
+        "optimal": result.optimal,
+        "nodes": result.nodes_explored,
+        "seconds": round(time.perf_counter() - start, 4),
+    }
+
+
+def sweep_ladder(interfaces=LADDER_INTERFACES, tree_budget=1.0):
+    """Per rung: default DFS (root presolve), the tree alone
+    (``capacity_bound=False`` DFS under ``tree_budget`` seconds), and
+    the largest Pareto front the presolve built."""
+    rows = []
+    for n_interfaces in interfaces:
+        problem = ladder_problem(n_interfaces)
+        solution = pareto.solve(problem)
+        rows.append(
+            {
+                "rung": problem.name,
+                "units": len(problem.units),
+                "default_dfs": _timed_explore(BranchBoundExplorer(), problem),
+                "tree_only_dfs": _timed_explore(
+                    BranchBoundExplorer(
+                        capacity_bound=False, time_budget=tree_budget
+                    ),
+                    problem,
+                ),
+                "pareto_cost": solution.cost,
+                "largest_front": solution.largest_front,
+            }
+        )
+    return rows
+
+
+def test_ladder_proved_at_the_root(benchmark):
+    tree_budget = 0.25 if quick_mode() else 1.0
+    rows = benchmark.pedantic(
+        lambda: sweep_ladder(tree_budget=tree_budget),
+        rounds=1,
+        iterations=1,
+    )
+    write_json_artifact(
+        "scaling_ladder.json",
+        {
+            "quick_mode": quick_mode(),
+            "tree_budget_s": tree_budget,
+            "rungs": rows,
+        },
+    )
+    text = render_table(
+        [
+            "rung",
+            "units",
+            "default cost",
+            "proved",
+            "seconds",
+            f"tree-only cost ({tree_budget:g} s)",
+            "proved",
+            "largest front",
+        ],
+        [
+            [
+                row["rung"],
+                str(row["units"]),
+                str(row["default_dfs"]["cost"]),
+                "yes" if row["default_dfs"]["optimal"] else "no",
+                str(row["default_dfs"]["seconds"]),
+                str(row["tree_only_dfs"]["cost"]),
+                "yes" if row["tree_only_dfs"]["optimal"] else "no",
+                str(row["largest_front"]),
+            ]
+            for row in rows
+        ],
+        title="X1: chained ladder, root presolve vs the tree alone",
+    )
+    write_artifact("scaling_ladder.txt", text)
+    print("\n" + text)
+    for row in rows:
+        default, tree = row["default_dfs"], row["tree_only_dfs"]
+        # Default DFS proves every rung, at the presolve's optimum and
+        # with no tree.
+        assert default["optimal"], row
+        assert default["nodes"] == 0, row
+        assert default["cost"] == row["pareto_cost"], row
+        assert row["largest_front"] <= pareto.MAX_FRONT, row
+        # The tree alone never beats a proven optimum.
+        if tree["cost"] is not None:
+            assert tree["cost"] >= default["cost"] - 1e-9, row
+            if tree["optimal"]:
+                assert math.isclose(tree["cost"], default["cost"]), row

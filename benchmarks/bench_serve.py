@@ -180,14 +180,9 @@ def test_serve_load_recorded(benchmark):
 
     cache, load, stats = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # The acceptance contract: byte-identical replay, >=10x faster
-    # than re-searching.
-    assert cache["hit_byte_identical"]
-    assert cache["cache_hit_speedup"] >= 10.0, cache
-    # Sanity on the load phase: the cache absorbed the repeats.
-    assert load["hit_fraction"] > 0.3, load
-    assert stats["jobs_failed"] == 0
-
+    # Recorded before the assertions, so a failing run's numbers are
+    # in the artifact too (bench_history baselines take medians over
+    # runs, failing ones included).
     section = {
         "quick_mode": quick,
         "cold_latency_seconds": cache["cold_seconds"],
@@ -203,3 +198,11 @@ def test_serve_load_recorded(benchmark):
     merge_json_artifact(
         "BENCH_explorer.json", {"serve": section}, also_repo_root=True
     )
+
+    # The acceptance contract: byte-identical replay, >=10x faster
+    # than re-searching.
+    assert cache["hit_byte_identical"]
+    assert cache["cache_hit_speedup"] >= 10.0, cache
+    # Sanity on the load phase: the cache absorbed the repeats.
+    assert load["hit_fraction"] > 0.3, load
+    assert stats["jobs_failed"] == 0

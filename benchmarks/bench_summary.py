@@ -95,13 +95,13 @@ def comparison_lines(payload: dict) -> List[str]:
     for label, stats in entries:
         nodes = stats["nodes"]
         proved = "proved" if stats.get("optimal") else "TRUNCATED"
-        shrink = (
-            f"  ({reference / nodes:7.1f}x fewer than basic)"
-            if reference
-            and stats.get("optimal")
-            and nodes != reference
-            else ""
-        )
+        shrink = ""
+        if reference and stats.get("optimal") and nodes != reference:
+            shrink = (
+                f"  ({reference / nodes:7.1f}x fewer than basic)"
+                if nodes
+                else "  (at the root presolve)"
+            )
         lines.append(f"  {label:<{width}}  {nodes:>8} {proved}{shrink}")
     return lines
 

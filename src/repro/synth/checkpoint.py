@@ -30,7 +30,9 @@ Equivalence contract (property-tested against the exhaustive oracle):
   the clock resumes from the recorded count).
 
 What is **not** byte-identical after a resume: provenance strings
-(a truncated segment reports itself truncated) and wall-clock timing.
+(a truncated segment reports itself truncated, and a run proved by the
+root presolve — one complete snapshot at 0 nodes — resumes without its
+``pareto`` tag) and wall-clock timing.
 Shared-incumbent runs checkpoint the fleet floor they last saw, but
 their node counts are timing-dependent with or without checkpoints.
 

@@ -12,7 +12,9 @@ delta-cost :class:`~repro.synth.state.SearchState`):
   infeasibility; provably optimal, far fewer nodes.  Accepts node/time
   budgets and a warm-start incumbent.  Each search frontier has one
   loop, an explicit-stack driver at the end of this module, which
-  ``synth/checkpoint.py`` can snapshot and resume.
+  ``synth/checkpoint.py`` can snapshot and resume.  Single-processor
+  joint problems are first solved exactly at the root by
+  :mod:`repro.synth.pareto`, which then proves them with no tree.
 
 Every explorer accepts ``incremental=False`` to run on the
 full-recompute :class:`~repro.synth.state.ReferenceSearchState` (the
@@ -36,6 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import SynthesisError
+from . import pareto
 from .backend import resolve_backend
 from .checkpoint import (
     DFS_GROUP,
@@ -536,12 +539,27 @@ class BranchBoundExplorer(SearchExplorer):
     violated partial has no feasible completion) — the optimum is
     unchanged, the tree is much smaller.
 
-    ``node_budget`` / ``time_budget`` (seconds) truncate the search;
-    a truncated run reports ``optimal=False`` and the best incumbent
-    found so far.  ``warm_start`` seeds the incumbent, tightening
-    pruning from the first node.  ``capacity_bound=False`` falls back
-    to the capacity-blind basic bound (the pre-knapsack behavior) —
-    benchmarks use it to measure the bound-tightness win.
+    ``node_budget`` / ``time_budget`` (seconds) truncate the search
+    tree; a truncated run reports ``optimal=False`` and the best
+    incumbent found so far.  ``warm_start`` seeds the incumbent,
+    tightening pruning from the first node.  ``capacity_bound=False``
+    falls back to the capacity-blind basic bound (the pre-knapsack
+    behavior) — benchmarks use it to measure the bound-tightness win.
+
+    **Root presolve.**  A fresh capacity-aware incremental search on
+    one processor with live exclusion (some interface with two or more
+    software-capable clusters) first runs the exact Pareto program of
+    :mod:`repro.synth.pareto`.  Its reference-feasible optimum becomes
+    the incumbent and proves itself: the run returns ``optimal=True``,
+    ``proof_floor`` equal to the cost, ``nodes_explored == 0`` and
+    ``evaluations == 0``, with ``pareto`` among the provenance tags
+    (``branch_and_bound[adaptive,pareto]``).  A root proof builds no
+    tree, so it costs no node of ``node_budget`` and holds even when
+    a shared incumbent reports a floor below it.  Per-selection,
+    ``use_exclusion=False``, multi-processor, ``capacity_bound=False``,
+    ``incremental=False`` and resumed searches run the tree as before,
+    and so does any problem whose fronts outgrow
+    :data:`~repro.synth.pareto.MAX_FRONT`.
 
     ``ordering`` picks the branching order (:mod:`repro.synth.ordering`):
 
@@ -669,15 +687,24 @@ class BranchBoundExplorer(SearchExplorer):
         # per-problem optimality claim survives only when that cost
         # meets every threshold used *and* every evicted bound.  An
         # eviction whose bound the final cost does meet loses nothing —
-        # graceful degradation, not a silent lie.
+        # graceful degradation, not a silent lie.  A root proof ran no
+        # tree, so no threshold or eviction touched it: it certifies
+        # the run on its own.
         clock, best_cost = search.clock, search.best_cost
         evicted_floor = clock.evictions.floor
-        proved = (
+        root_proved = search.root_proved
+        proved = root_proved or (
             not truncated
             and best_cost <= clock.shared_floor
             and best_cost <= evicted_floor
         )
         memory_truncated = not truncated and evicted_floor < best_cost
+        if root_proved:
+            proof_floor = best_cost
+        elif truncated:
+            proof_floor = float("-inf")
+        else:
+            proof_floor = min(best_cost, clock.shared_floor, evicted_floor)
         return self._finish(
             search.problem,
             search.best,
@@ -690,12 +717,9 @@ class BranchBoundExplorer(SearchExplorer):
                 truncated,
                 proved,
                 memory_truncated,
+                root_proved,
             ),
-            proof_floor=(
-                float("-inf")
-                if truncated
-                else min(best_cost, clock.shared_floor, evicted_floor)
-            ),
+            proof_floor=proof_floor,
             open_high_water=clock.open_high_water,
             evicted_subtrees=clock.evictions.count,
         )
@@ -707,6 +731,7 @@ class BranchBoundExplorer(SearchExplorer):
         truncated: bool,
         proved: bool,
         memory_truncated: bool = False,
+        root_proved: bool = False,
     ) -> str:
         """The uniform provenance string of every frontier.
 
@@ -715,13 +740,16 @@ class BranchBoundExplorer(SearchExplorer):
         ``branch_and_bound[adaptive,best-first]``).
         ``(memory-truncated)`` marks a run whose ``max_open`` evictions
         dropped a subtree the proof needed — the result may still be
-        the optimum, but the run can no longer certify it.
+        the optimum, but the run can no longer certify it.  ``pareto``
+        joins the tags when the root presolve proved the optimum.
         """
         tags = []
         if self.ordering != "static":
             tags.append(self.ordering)
         if self.frontier != "dfs":
             tags.append(self.frontier)
+        if root_proved:
+            tags.append("pareto")
         provenance = "branch_and_bound"
         if tags:
             provenance += f"[{','.join(tags)}]"
@@ -779,10 +807,48 @@ class _Search:
         self.resume = None
         #: Node count of the next periodic snapshot (``inf``: none).
         self.due_at = _INF
+        #: A proven lower bound on the optimum from the root presolve
+        #: (``-inf``: none).  An incumbent that meets it is optimal, and
+        #: the drivers then start with an empty frontier.
+        self.root_floor = -_INF
         if checkpoint is not None:
             self.due_at = checkpoint.next_due()
             if checkpoint.resume is not None:
                 self._resume(checkpoint.resume)
+        if self.resume is None:
+            self._presolve()
+        self.root_proved = self.best_cost <= self.root_floor
+
+    def _presolve(self) -> None:
+        """Solve the problem at the root with the Pareto program.
+
+        Runs only where :mod:`repro.synth.pareto` is exact and the tree
+        would read the capacity-aware bound: the incremental state, one
+        processor, and exclusion live (some interface with two or more
+        software-capable clusters, recorded by the bound's setup).
+        Per-selection, ``use_exclusion=False`` and multi-processor
+        problems keep the tree unchanged.  A reference-feasible optimum
+        becomes the incumbent (no evaluation is counted, as no leaf is
+        entered) and its cost the root floor.
+        """
+        explorer, problem = self.explorer, self.problem
+        if not (
+            explorer.incremental
+            and explorer.capacity_bound
+            and self.state.exclusion_live
+            and problem.architecture.max_processors == 1
+        ):
+            return
+        solution = pareto.solve(problem)
+        if solution is None:
+            return
+        if not evaluate(problem, solution.mapping).feasible:
+            return
+        if solution.cost < self.best_cost:
+            self.best, self.best_cost = solution.mapping, solution.cost
+            if self.shared is not None:
+                self.shared.offer(solution.cost)
+        self.root_floor = solution.cost
 
     @cached_property
     def fingerprint(self) -> str:
@@ -919,6 +985,8 @@ def _drive_dfs(search: _Search) -> bool:
         for unit, target in deepest:
             assign(unit, target)
             applied.append(unit)
+    elif search.root_proved:
+        stack = []
     else:
         stack = [(DFS_NODE, 0, None, False, None)]
     truncated = False
@@ -1078,6 +1146,8 @@ def _drive_heap(search: _Search) -> bool:
     state, clock = search.state, search.clock
     if search.resume is not None:
         heap, pushes = decode_heap_state(search.resume.frontier_state)
+    elif search.root_proved:
+        heap, pushes = [], 0
     else:
         dead_root = search.prune_infeasible and not state.feasible
         root_bound = _INF if dead_root else state.lower_bound()

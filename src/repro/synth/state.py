@@ -652,6 +652,12 @@ class SearchState:
     #: Backend name reported to explorers and benchmarks.
     backend = "python"
 
+    #: Whether some interface has two or more software-capable clusters
+    #: under the exclusion rule, so a max over clusters can bind.
+    #: Recorded by the capacity-aware bound's setup; ``False`` without
+    #: it.  Branch and bound reads it to gate its root presolve.
+    exclusion_live = False
+
     def __init__(
         self,
         problem: SynthesisProblem,
@@ -814,7 +820,8 @@ class SearchState:
         # Re-election needs a rival: with one software-capable cluster
         # per interface every election is the static choice, so the
         # family would never be read.
-        if self.dynamic_pool and len(chosen) < len(cluster_loads):
+        self.exclusion_live = len(chosen) < len(cluster_loads)
+        if self.dynamic_pool and self.exclusion_live:
             self._init_dynamic_pools(icap_total, chosen)
 
     def _init_dynamic_pools(

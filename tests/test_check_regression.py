@@ -606,6 +606,15 @@ class TestBenchSummaryFrontierRows:
         assert "best-first frontier" not in lines
         assert "adaptive order + dynamic pool (default)" in lines
 
+    def test_rows_proved_at_the_root_render_without_a_ratio(self):
+        """A run the root presolve proves has 0 nodes: the row says so
+        instead of dividing by it."""
+        payload = self.payload()
+        payload["branching_order"]["adaptive_dynamic"]["nodes"] = 0
+        lines = bench_summary.comparison_lines(payload)
+        (row,) = [line for line in lines if "(default)" in line]
+        assert row.endswith("0 proved  (at the root presolve)")
+
 
 def zoo_payload(nodes=897.0, optimal=True):
     return {

@@ -1,5 +1,7 @@
 """Tests for batch variant-space exploration and warm starts."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import figure2
@@ -106,23 +108,40 @@ class TestExploreSpace:
 
 
 class TestBudgets:
-    def table1_problem(self):
+    def table1_problem(self, max_processors=1):
         vgraph = figure2.build_variant_graph()
         units, origins = variant_units(vgraph)
         return SynthesisProblem(
             name="table1",
             units=units,
             library=figure2.table1_library(),
-            architecture=figure2.table1_architecture(),
+            architecture=dataclasses.replace(
+                figure2.table1_architecture(), max_processors=max_processors
+            ),
             origins=origins,
         )
 
+    def tree_problem(self):
+        """Table 1 on two processors: the root presolve (exact on one
+        processor only) stays off, so budgets bound a real tree."""
+        return self.table1_problem(max_processors=2)
+
     def test_node_budget_truncates_search(self):
-        problem = self.table1_problem()
+        problem = self.tree_problem()
         result = BranchBoundExplorer(node_budget=3).explore(problem)
         assert result.nodes_explored <= 4
         assert not result.optimal
         assert "budget-truncated" in result.provenance
+
+    def test_node_budget_one_proves_presolved_problem_at_the_root(self):
+        result = BranchBoundExplorer(node_budget=1).explore(
+            self.table1_problem()
+        )
+        assert result.optimal
+        assert result.cost == 41.0
+        assert result.proof_floor == result.cost
+        assert result.nodes_explored == 0
+        assert result.provenance == "branch_and_bound[adaptive,pareto]"
 
     def test_time_budget_accepted(self):
         problem = self.table1_problem()
@@ -147,7 +166,7 @@ class TestBudgets:
         assert "warm_start" in warm.provenance
 
     def test_truncated_search_keeps_warm_incumbent(self):
-        problem = self.table1_problem()
+        problem = self.tree_problem()
         optimum = BranchBoundExplorer().explore(problem)
         truncated = BranchBoundExplorer(node_budget=1).explore(
             problem, warm_start=optimum.mapping

@@ -7,6 +7,7 @@ byte-identical across jobs counts, and worker failures must surface as
 :class:`SynthesisError` in the parent instead of vanishing in the pool.
 """
 
+import dataclasses
 import json
 import pickle
 import time
@@ -116,14 +117,16 @@ def _boom(item):
     raise ValueError(f"bad item {item}")
 
 
-def table1_problem() -> SynthesisProblem:
+def table1_problem(max_processors: int = 1) -> SynthesisProblem:
     vgraph = figure2.build_variant_graph()
     units, origins = variant_units(vgraph)
     return SynthesisProblem(
         name="table1",
         units=units,
         library=figure2.table1_library(),
-        architecture=figure2.table1_architecture(),
+        architecture=dataclasses.replace(
+            figure2.table1_architecture(), max_processors=max_processors
+        ),
         origins=origins,
     )
 
@@ -422,17 +425,34 @@ class TestIncumbentSharing:
     def test_foreign_floor_below_optimum_is_reported_honestly(self):
         """A search pruned below its own optimum must not claim a
         per-problem proof — but the fleet's knowledge (cell + proof
-        floor) still pins the optimal cost."""
-        problem = table1_problem()
+        floor) still pins the optimal cost.  Two processors keep the
+        root presolve off, so the foreign floor prunes a real tree."""
+        problem = table1_problem(max_processors=2)
         cell = LocalIncumbent()
-        cell.offer(40.0)  # below the true optimum of 41
+        cell.offer(29.0)  # below the true optimum of 30
         result = BranchBoundExplorer(
             shared_incumbent=cell
         ).explore(problem)
         assert not result.optimal
-        assert result.proof_floor == 40.0
+        assert result.proof_floor == 29.0
         assert not result.feasible
         assert "pruned by fleet incumbent" in result.provenance
+
+    def test_root_proof_holds_under_a_foreign_floor_below_optimum(self):
+        """A root presolve certifies the optimum on its own: no tree
+        ran, so no foreign threshold pruned anything."""
+        cell = LocalIncumbent()
+        cell.offer(40.0)  # below the true optimum of 41
+        result = BranchBoundExplorer(shared_incumbent=cell).explore(
+            table1_problem()
+        )
+        assert result.optimal
+        assert result.cost == 41.0
+        assert result.proof_floor == result.cost
+        assert result.nodes_explored == 0
+        assert result.provenance == (
+            "branch_and_bound[adaptive,pareto]+shared_incumbent"
+        )
 
     def test_shared_incumbent_cell_crosses_processes(self):
         """Workers publish through the mp.Value; the parent observes

@@ -1,5 +1,6 @@
 """Unit tests for the design-space explorers."""
 
+import dataclasses
 import sys
 import time
 
@@ -117,6 +118,25 @@ def knapsack_problem(n_variants=4, cluster_size=4):
     )
 
 
+def tree_knapsack_problem():
+    """A knapsack problem on a two-processor template.
+
+    The root presolve is exact on one processor only, so branch and
+    bound still builds its tree here: the input of the tests about
+    ordering and budgets, which :func:`knapsack_problem` now answers
+    at the root.
+    """
+    return dataclasses.replace(
+        knapsack_problem(n_variants=3, cluster_size=3),
+        architecture=ArchitectureTemplate(
+            name="edge2",
+            max_processors=2,
+            processor_cost=5.0,
+            processor_capacity=0.3,
+        ),
+    )
+
+
 class TestBranchingOrder:
     def test_all_orderings_reach_the_same_optimum(self):
         problem = knapsack_problem()
@@ -138,7 +158,7 @@ class TestBranchingOrder:
         assert len(set(costs.values())) == 1
 
     def test_adaptive_shrinks_the_knapsack_tree(self):
-        problem = knapsack_problem()
+        problem = tree_knapsack_problem()
         static = BranchBoundExplorer(
             ordering="static", dynamic_pool=False
         ).explore(problem)
@@ -257,7 +277,7 @@ class TestFrontierBudgetEdges:
     @pytest.mark.parametrize("frontier", ["best-first"])
     def test_node_budget_boundary_is_inclusive(self, frontier):
         """``nodes == node_budget`` completes; one less truncates."""
-        problem = knapsack_problem()
+        problem = tree_knapsack_problem()
         full = BranchBoundExplorer(frontier=frontier).explore(problem)
         assert full.optimal and full.nodes_explored > 1
         exact = BranchBoundExplorer(
@@ -304,7 +324,7 @@ class TestFrontierBudgetEdges:
         """A truncated warm-started run keeps the warm incumbent and
         names both the warm start and the truncation, exactly like
         the DFS frontier."""
-        problem = knapsack_problem()
+        problem = tree_knapsack_problem()
         full = BranchBoundExplorer().explore(problem)
         truncated = BranchBoundExplorer(
             frontier=frontier, node_budget=1
@@ -385,7 +405,7 @@ class TestDeepSearch:
 class TestBudgetEdges:
     def test_node_budget_boundary_is_inclusive(self):
         """``nodes == node_budget`` completes; one less truncates."""
-        problem = knapsack_problem()
+        problem = tree_knapsack_problem()
         full = BranchBoundExplorer().explore(problem)
         assert full.optimal and full.nodes_explored > 1
         exact = BranchBoundExplorer(
@@ -425,7 +445,7 @@ class TestBudgetEdges:
 
     def test_truncated_warm_start_provenance_and_incumbent(self):
         """A truncated warm-started run keeps the warm incumbent."""
-        problem = knapsack_problem()
+        problem = tree_knapsack_problem()
         full = BranchBoundExplorer().explore(problem)
         truncated = BranchBoundExplorer(node_budget=1).explore(
             problem, warm_start=full.mapping
@@ -437,6 +457,44 @@ class TestBudgetEdges:
         assert truncated.cost == full.cost
         # the budget check fires on entering the first over-budget node
         assert truncated.nodes_explored == 2
+
+    @pytest.mark.parametrize("frontier", FRONTIERS)
+    def test_node_budget_one_proves_at_the_root(self, frontier):
+        """The single-processor joint problem is solved by the root
+        presolve: the smallest budget still returns the optimum, proved
+        with zero nodes and no leaf evaluation."""
+        problem = knapsack_problem()
+        tree = BranchBoundExplorer(
+            frontier=frontier, capacity_bound=False
+        ).explore(problem)
+        result = BranchBoundExplorer(
+            frontier=frontier, node_budget=1
+        ).explore(problem)
+        assert tree.optimal and tree.nodes_explored > 1
+        assert result.optimal
+        assert result.cost == tree.cost
+        # Both proofs read the kernel's quantized cost of the optimum.
+        assert result.proof_floor == tree.proof_floor
+        assert result.nodes_explored == 0
+        assert result.evaluations == 0
+        tags = "adaptive,pareto" if frontier == "dfs" else (
+            f"adaptive,{frontier},pareto"
+        )
+        assert result.provenance == f"branch_and_bound[{tags}]"
+
+    def test_root_proof_keeps_the_warm_start_tag(self):
+        """``+warm_start`` still names a feasible warm incumbent when
+        the root presolve proves the optimum."""
+        problem = knapsack_problem()
+        full = BranchBoundExplorer().explore(problem)
+        warm = BranchBoundExplorer(node_budget=1).explore(
+            problem, warm_start=full.mapping
+        )
+        assert warm.optimal and warm.nodes_explored == 0
+        assert warm.cost == full.cost
+        assert warm.provenance == (
+            "branch_and_bound[adaptive,pareto]+warm_start"
+        )
 
     def test_invalid_budgets_rejected(self):
         with pytest.raises(SynthesisError):
