@@ -518,11 +518,7 @@ def run_bound_tightness(completion_budget: int = 500_000):
     """
     problem = throughput_problem()
     capacity = _timed(
-        BranchBoundExplorer(
-            node_budget=completion_budget,
-            ordering="static",
-            dynamic_pool=False,
-        ),
+        BranchBoundExplorer(node_budget=completion_budget, ordering="static"),
         problem,
     )
     basic = _timed(
@@ -553,19 +549,14 @@ def run_branching_order(completion_budget: int = 500_000):
     Every run uses the capacity-aware bound and completes, so the node
     counts isolate the search-*order* win (PR 4) from the bound win
     (PR 3): ``static`` is the PR 3 baseline order, ``density`` adds
-    the knapsack-density unit order, ``adaptive`` adds value ordering
-    plus shallow strong branching, and ``adaptive_dynamic`` (the
-    default configuration) adds the re-elected knapsack pool.
+    the knapsack-density unit order, and ``adaptive`` (the default
+    configuration) adds value ordering plus shallow strong branching.
     """
     problem = throughput_problem()
     modes = {
-        "static": dict(ordering="static", dynamic_pool=False),
-        "density": dict(ordering="density", dynamic_pool=False),
-        "adaptive": dict(ordering="adaptive", dynamic_pool=False),
-        "static_dynamic_pool": dict(
-            ordering="static", dynamic_pool=True
-        ),
-        "adaptive_dynamic": dict(),
+        "static": dict(ordering="static"),
+        "density": dict(ordering="density"),
+        "adaptive": dict(ordering="adaptive"),
     }
     section = {
         "workload": problem.name,
@@ -591,9 +582,9 @@ def run_branching_order(completion_budget: int = 500_000):
 def run_frontier_comparison(completion_budget: int = 500_000):
     """Nodes to prove optimality under each search frontier.
 
-    All runs use the default adaptive ordering + dynamic pool, so the
-    node counts isolate the *frontier* win (which open node expands
-    next) from the ordering win (how a node's children are ranked).
+    All runs use the default adaptive ordering, so the node counts
+    isolate the *frontier* win (which open node expands next) from the
+    ordering win (how a node's children are ranked).
     ``best_first`` is the headline: it expands only nodes whose bound
     beats the optimum, so its proven-optimal count is gated
     lower-is-better as ``bnb_bestfirst_nodes_to_optimal``.
@@ -690,9 +681,7 @@ def run_bounded_memory(node_budget: int = 20_000, max_open: int = 64):
     from below despite the evicted subtrees.
     """
     problem = scaled_knapsack_problem()
-    base = dict(
-        capacity_bound=False, ordering="static", dynamic_pool=False
-    )
+    base = dict(capacity_bound=False, ordering="static")
     section = {
         "workload": problem.name,
         "units": len(problem.units),
@@ -856,7 +845,7 @@ def test_incremental_speedup_recorded(benchmark):
         # Nodes to prove optimality per branching-order mode.
         "branching_order": branching_order,
         # Nodes to prove optimality per search frontier (adaptive
-        # ordering + dynamic pool throughout).
+        # ordering throughout).
         "frontier": frontier,
         # Bounded-memory degradation: uncapped best-first frontier
         # blow-up vs capped completion on the scaled knapsack.
@@ -903,13 +892,7 @@ def test_incremental_speedup_recorded(benchmark):
                 )
             ),
         ]
-        for mode in (
-            "static",
-            "density",
-            "adaptive",
-            "static_dynamic_pool",
-            "adaptive_dynamic",
-        )
+        for mode in ("static", "density", "adaptive")
     ]
     order_text = render_table(
         ["ordering", "nodes to optimal", "proved", "shrink vs static"],
@@ -977,17 +960,17 @@ def test_incremental_speedup_recorded(benchmark):
             2 * bound_tightness["capacity_bound"]["nodes"]
             <= bound_tightness["basic_bound"]["nodes"]
         )
-    # Adaptive ordering + the dynamic pool must shrink the
-    # proven-optimal tree by >= 1.5x vs the PR 3 static order, at the
-    # identical proven-optimal cost (both prove at the root presolve
-    # on this single-processor workload).
+    # Adaptive ordering must shrink the proven-optimal tree by >= 1.5x
+    # vs the PR 3 static order, at the identical proven-optimal cost
+    # (both prove at the root presolve on this single-processor
+    # workload).
     assert branching_order["static"]["optimal"]
-    assert branching_order["adaptive_dynamic"]["optimal"]
-    assert branching_order["adaptive_dynamic"]["cost"] == (
+    assert branching_order["adaptive"]["optimal"]
+    assert branching_order["adaptive"]["cost"] == (
         branching_order["static"]["cost"]
     )
     assert (
-        branching_order["adaptive_dynamic"]["nodes"] * 1.5
+        branching_order["adaptive"]["nodes"] * 1.5
         <= branching_order["static"]["nodes"]
     )
     # Every frontier must prove the identical optimum.  Best-first
@@ -1002,9 +985,7 @@ def test_incremental_speedup_recorded(benchmark):
     assert frontier["best_first"]["nodes"] <= frontier["dfs"]["nodes"]
     # The DFS frontier row must mirror the default branching-order row
     # (same explorer configuration, same workload).
-    assert frontier["dfs"]["nodes"] == (
-        branching_order["adaptive_dynamic"]["nodes"]
-    )
+    assert frontier["dfs"]["nodes"] == branching_order["adaptive"]["nodes"]
     # Bounded memory: the uncapped frontier must actually blow past
     # the cap and the budget (that is the regime being defended),
     # while the capped run completes under the identical budget with

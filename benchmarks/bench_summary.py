@@ -10,10 +10,9 @@ anything::
 The table covers the whole pruning story on the knapsack-hard
 workload: the capacity-blind *basic* bound, the PR 3 *capacity* bound
 under the static order, each PR 4 branching-order mode up to the
-default adaptive-order + dynamic-pool configuration, and the PR 5
-best-first search frontier on top of the adaptive order —
-the ``frontier`` column of the story (the default DFS frontier is the
-``adaptive order + dynamic pool`` row itself).
+default adaptive order, and the PR 5 best-first search frontier on
+top of the adaptive order — the ``frontier`` column of the story (the
+default DFS frontier is the ``adaptive order (default)`` row itself).
 """
 
 from __future__ import annotations
@@ -31,16 +30,10 @@ ROWS = (
     ("basic bound (capacity-blind)", "bound_tightness", "basic_bound"),
     ("capacity bound, static order", "branching_order", "static"),
     ("capacity bound, density order", "branching_order", "density"),
-    ("capacity bound, adaptive order", "branching_order", "adaptive"),
     (
-        "capacity bound + dynamic pool, static order",
+        "capacity bound, adaptive order (default)",
         "branching_order",
-        "static_dynamic_pool",
-    ),
-    (
-        "adaptive order + dynamic pool (default)",
-        "branching_order",
-        "adaptive_dynamic",
+        "adaptive",
     ),
     ("best-first frontier, adaptive order", "frontier", "best_first"),
 )

@@ -1,7 +1,7 @@
 """Zoo matrix bench: explorer configurations across generator families.
 
 Runs the branch-and-bound configuration matrix (basic bound, static
-ordering, adaptive+dynamic, best-first) on the joint problem of one
+ordering, adaptive ordering, best-first) on the joint problem of one
 bench-size scenario per zoo family and records nodes-to-optimal per
 cell — the cross-family generalization of the single-workload
 ``bound_tightness``/``branching_order`` sections.  All configurations
@@ -32,11 +32,9 @@ MATRIX_FAMILIES = (
 #: The configuration axes mirrored from ``bench_explorer``'s
 #: bound/ordering sections, so rows read the same way.
 CONFIGS = {
-    "basic": dict(
-        capacity_bound=False, ordering="static", dynamic_pool=False
-    ),
+    "basic": dict(capacity_bound=False, ordering="static"),
     "static": dict(ordering="static"),
-    "adaptive_dynamic": dict(),
+    "adaptive": dict(),
     "best_first": dict(frontier="best-first"),
 }
 
@@ -83,7 +81,7 @@ def test_zoo_matrix_recorded(benchmark):
         costs = {cell["cost"] for cell in cells.values()}
         assert len(costs) == 1, (family, cells)
         # The capacity bound never expands more nodes than the basic
-        # bound under identical (static, no-pool ≥ pool) ordering.
+        # bound under identical (static) ordering.
         assert (
             cells["static"]["nodes"] <= cells["basic"]["nodes"]
         ), (family, cells)

@@ -119,9 +119,7 @@ def extract_metrics(payload: dict) -> Dict[str, float]:
     capacity = tightness.get("capacity_bound", {})
     if capacity.get("optimal"):
         put("bnb_nodes_to_optimal", capacity.get("nodes"))
-    adaptive = payload.get("branching_order", {}).get(
-        "adaptive_dynamic", {}
-    )
+    adaptive = payload.get("branching_order", {}).get("adaptive", {})
     if adaptive.get("optimal"):
         put("bnb_adaptive_nodes_to_optimal", adaptive.get("nodes"))
     best_first = payload.get("frontier", {}).get("best_first", {})
@@ -158,7 +156,7 @@ def extract_metrics(payload: dict) -> Dict[str, float]:
         cell = (
             zoo.get(family, {})
             .get("configs", {})
-            .get("adaptive_dynamic", {})
+            .get("adaptive", {})
         )
         if cell.get("optimal"):
             put(f"zoo_{family}_nodes_to_optimal", cell.get("nodes"))

@@ -12,7 +12,7 @@ Usage::
                             [--ordering static|density|adaptive]
                             [--frontier F]
                             [--max-open N]
-                            [--no-dynamic-pool] [--share-incumbent]
+                            [--share-incumbent]
     python -m repro serve   [--host H] [--port P] [--workers N]
                             [--cache-size N] [--max-queue N]
                             [--max-jobs N] [--state-dir DIR]
@@ -76,7 +76,6 @@ def _make_explorer(
     name: str,
     reference: bool,
     ordering: str = "adaptive",
-    dynamic_pool: bool = True,
     frontier: str = "dfs",
     max_open: Optional[int] = None,
 ):
@@ -88,7 +87,6 @@ def _make_explorer(
     return BranchBoundExplorer(
         incremental=incremental,
         ordering=ordering,
-        dynamic_pool=dynamic_pool,
         frontier=frontier,
         max_open=max_open,
     )
@@ -123,7 +121,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         args.explorer,
         args.reference,
         ordering=args.ordering,
-        dynamic_pool=not args.no_dynamic_pool,
         frontier=args.frontier,
         max_open=args.max_open,
     )
@@ -295,15 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "evicted subtrees are recorded so proof_floor stays "
             "honest and provenance says memory-truncated when "
             "optimality could have been lost"
-        ),
-    )
-    explore.add_argument(
-        "--no-dynamic-pool",
-        action="store_true",
-        help=(
-            "freeze the capacity bound's per-interface cluster "
-            "election to the static choice (ablation of the "
-            "re-elected knapsack pool)"
         ),
     )
     explore.add_argument(

@@ -68,7 +68,6 @@ _EXPLORER_DEFAULTS = {
     "name": "bnb",
     "ordering": "adaptive",
     "frontier": "dfs",
-    "dynamic_pool": True,
     "backend": None,
     "node_budget": None,
     "time_budget": None,
@@ -207,10 +206,6 @@ class JobSpec:
         except SynthesisError as exc:
             raise JobValidationError(str(exc)) from None
         _require(
-            isinstance(explorer["dynamic_pool"], bool),
-            "explorer.dynamic_pool must be a boolean",
-        )
-        _require(
             explorer["backend"] in (None, "python"),
             "explorer.backend must be null or 'python'",
         )
@@ -300,7 +295,6 @@ def build_explorer(config: Dict[str, object]) -> Explorer:
     return BranchBoundExplorer(
         ordering=config["ordering"],
         frontier=config["frontier"],
-        dynamic_pool=config["dynamic_pool"],
         backend=config["backend"],
         node_budget=config["node_budget"],
         time_budget=config["time_budget"],

@@ -155,14 +155,15 @@ def _targets_from_used(
     """Symmetry-broken targets given the sorted used-processor list.
 
     Identical processors make ``sw:0 / sw:1`` swaps equivalent; only
-    the first unused processor index is offered in addition to the
-    already-populated ones.
+    one unused processor index (the one after the highest used) is
+    offered in addition to the already-populated ones, and only while
+    fewer than ``max_processors`` are in use.  The template limits how
+    many processors a mapping uses, not their indices, so a unit fixed
+    to ``sw:N`` with ``N >= max_processors`` still hosts software.
     """
-    cap = problem.architecture.max_processors
-    allowed_cpus = [cpu for cpu in used if cpu < cap]
-    fresh = (used[-1] + 1) if used else 0
-    if fresh < cap and fresh not in allowed_cpus:
-        allowed_cpus.append(fresh)
+    allowed_cpus = list(used)
+    if len(used) < problem.architecture.max_processors:
+        allowed_cpus.append(used[-1] + 1 if used else 0)
     entry = problem.entry(unit)
     result: List[Target] = []
     if entry.software is not None:
@@ -205,12 +206,10 @@ class SearchExplorer(Explorer):
         self,
         incremental: bool = True,
         capacity_bound: bool = True,
-        dynamic_pool: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         self.incremental = incremental
         self.capacity_bound = capacity_bound
-        self.dynamic_pool = dynamic_pool
         #: Evaluation backend of the search state: always the scalar
         #: kernel (``"python"``); the argument is validated so a
         #: request for the removed ``"numpy"`` backend fails loudly.
@@ -240,7 +239,6 @@ class SearchExplorer(Explorer):
                     if capacity_bound is None
                     else capacity_bound
                 ),
-                dynamic_pool=self.dynamic_pool,
                 backend=self.backend,
             )
         else:
@@ -577,9 +575,6 @@ class BranchBoundExplorer(SearchExplorer):
       (found or warm-started) the deep probes stop — entry-check
       pruning against it is strictly cheaper.
 
-    ``dynamic_pool=False`` freezes the capacity bound's per-interface
-    cluster election to the static choice (the PR 3 pools).
-
     ``frontier`` picks the search *frontier* — which open node is
     expanded next — independently of ``ordering`` (which ranks a
     node's children):
@@ -633,7 +628,6 @@ class BranchBoundExplorer(SearchExplorer):
         time_budget: Optional[float] = None,
         capacity_bound: bool = True,
         ordering: str = "adaptive",
-        dynamic_pool: bool = True,
         frontier: str = "dfs",
         shared_incumbent=None,
         backend: Optional[str] = None,
@@ -642,7 +636,6 @@ class BranchBoundExplorer(SearchExplorer):
         super().__init__(
             incremental=incremental,
             capacity_bound=capacity_bound,
-            dynamic_pool=dynamic_pool,
             backend=backend,
         )
         if node_budget is not None and node_budget < 1:

@@ -65,23 +65,6 @@ stays admissible — branch-and-bound remains provably optimal (up to
 quantization tolerance).  The knapsack state is maintained
 incrementally per decision in a Fenwick tree over the density-sorted
 undecided units: O(log n) per mutation, O(log n) per bound read.
-
-Dynamic cluster election (``dynamic_pool=True``)
-------------------------------------------------
-The admissibility argument holds for *any* per-interface cluster
-choice, not just the static largest-total-load one.  Deep in the tree
-the static choice goes stale: once the search sends most of the chosen
-cluster to hardware, another cluster carries more *live* software load
-(committed-to-software plus still-undecided), and selecting it would
-force more hardware.  :class:`_DynamicPools` therefore re-elects each
-interface's cluster by live load as decisions commit — O(clusters of
-the touched interface) bookkeeping per move, with the rare election
-flip toggling the flipped clusters' undecided units in a joint
-activation Fenwick tree.  ``lower_bound()`` takes the **max** of the
-static-election and re-elected formulations (both admissible), so the
-dynamic bound is pointwise at least as tight as the static one; the
-election is a pure function of the committed loads, which is what
-makes backtracking restore it exactly.
 """
 
 from __future__ import annotations
@@ -328,297 +311,6 @@ class _KnapsackBound:
         return forced
 
 
-class _DynamicPools:
-    """Re-elected knapsack pools for the capacity-aware bound.
-
-    Mirrors the static pool family with one crucial difference: which
-    cluster represents each interface in the *joint* constraint
-    (``common + Σ_θ S_{c_θ} ≤ P·cap``) is re-elected as the search
-    commits decisions.  The election key of a cluster is its **live
-    load** — software-only floor plus every flexible unit not (yet)
-    sent to hardware — the total software load the cluster can still
-    put on processors in some completion.  At the root this equals the
-    static total-load choice (same tie-break), so elections start
-    identical to the static pools and only diverge once hardware
-    commitments drain the statically chosen cluster.
-
-    Structures:
-
-    * ``joint`` — one Fenwick tree over *all* flexible
-      capacity-consuming units in global density order, where only the
-      undecided units of the common part and of the currently elected
-      clusters are present (activation toggles on election flips);
-    * one per-cluster tree for every cluster, read for the clusters
-      currently *not* elected (their individual ``common + S_c``
-      constraints stay valid and their unit sets are disjoint from the
-      joint pool, so the forced costs add).
-
-    The election is a pure function of the committed per-cluster
-    loads, so any assign/unassign round-trip restores the elections —
-    and with them the activation sets and every Fenwick accumulator —
-    exactly.
-    """
-
-    __slots__ = (
-        "icap_total",
-        "joint",
-        "cluster_pool",
-        "floors",
-        "committed_sw",
-        "committed_hw",
-        "live",
-        "undecided",
-        "elected",
-        "static_chosen",
-        "interfaces",
-        "differs",
-        "_unit",
-    )
-
-    def __init__(
-        self,
-        icap_total: int,
-        common_entries: List[Tuple[int, str, int, int]],
-        cluster_entries: Dict[
-            Tuple[str, str], List[Tuple[int, str, int, int]]
-        ],
-        cluster_floors: Dict[Tuple[str, str], int],
-        static_chosen: Dict[str, Tuple[str, str]],
-    ) -> None:
-        # Entries are (global_index, unit, iload, ihw); density sorting
-        # uses the same (-density, global_index) key as the static
-        # pools, so identical unit multisets produce identical
-        # fractional-knapsack results in either structure.
-        self.icap_total = icap_total
-        self.static_chosen = dict(static_chosen)
-        self.interfaces: Dict[str, List[Tuple[str, str]]] = {}
-        for key in sorted(cluster_entries):
-            self.interfaces.setdefault(key[0], []).append(key)
-        self.floors = dict(cluster_floors)
-        self.committed_sw = {key: 0 for key in cluster_entries}
-        self.committed_hw = {key: 0 for key in cluster_entries}
-        self.live = {
-            key: self.floors[key]
-            + sum(iload for _g, _u, iload, _c in cluster_entries[key])
-            for key in cluster_entries
-        }
-        #: cluster key -> {unit: joint slot} of its undecided units.
-        self.undecided: Dict[Tuple[str, str], Dict[str, int]] = {
-            key: {} for key in cluster_entries
-        }
-        self.elected = {
-            interface: self._argmax(interface)
-            for interface in self.interfaces
-        }
-        self.differs = sum(
-            self.elected[interface] != self.static_chosen[interface]
-            for interface in self.interfaces
-        )
-
-        joint_members: List[Tuple[float, int, str, int, int, object]] = []
-        for gindex, unit, iload, ihw in common_entries:
-            joint_members.append(
-                (-(ihw / iload), gindex, unit, iload, ihw, None)
-            )
-        for key, entries in cluster_entries.items():
-            for gindex, unit, iload, ihw in entries:
-                joint_members.append(
-                    (-(ihw / iload), gindex, unit, iload, ihw, key)
-                )
-        joint_members.sort(key=lambda m: (m[0], m[1]))
-        #: unit -> (joint slot, cluster key or None, iload, ihw,
-        #:          per-cluster slot or 0)
-        self._unit: Dict[str, Tuple[int, object, int, int, int]] = {}
-        for slot, member in enumerate(joint_members, start=1):
-            _d, _g, unit, iload, ihw, key = member
-            self._unit[unit] = (slot, key, iload, ihw, 0)
-            if key is not None:
-                self.undecided[key][unit] = slot
-        self.joint = _KnapsackBound(
-            [(iload, ihw) for _d, _g, _u, iload, ihw, _k in joint_members]
-        )
-        self.cluster_pool: Dict[Tuple[str, str], _KnapsackBound] = {}
-        for key, entries in cluster_entries.items():
-            ordered = sorted(
-                entries, key=lambda e: (-(e[3] / e[2]), e[0])
-            )
-            for cslot, (_g, unit, iload, ihw) in enumerate(
-                ordered, start=1
-            ):
-                jslot = self._unit[unit][0]
-                self._unit[unit] = (jslot, key, iload, ihw, cslot)
-            self.cluster_pool[key] = _KnapsackBound(
-                [(iload, ihw) for _g, _u, iload, ihw in ordered]
-            )
-        # Deactivate the units of every initially non-elected cluster:
-        # the joint tree starts as "common + elected clusters".
-        elected = set(self.elected.values())
-        for key, units in self.undecided.items():
-            if key not in elected:
-                for slot in units.values():
-                    self.joint.remove(slot)
-
-    def _argmax(self, interface: str) -> Tuple[str, str]:
-        """Deterministic live-load election (static tie-break order)."""
-        best = None
-        best_live = -1
-        for key in self.interfaces[interface]:
-            live = self.live[key]
-            if best is None or live > best_live:
-                best, best_live = key, live
-        return best
-
-    def _reelect(self, interface: str) -> None:
-        new = self._argmax(interface)
-        old = self.elected[interface]
-        if new == old:
-            return
-        self.elected[interface] = new
-        joint = self.joint
-        for slot in self.undecided[old].values():
-            joint.remove(slot)
-        for slot in self.undecided[new].values():
-            joint.add(slot)
-        chosen = self.static_chosen[interface]
-        if old == chosen:
-            self.differs += 1
-        elif new == chosen:
-            self.differs -= 1
-
-    def decide(self, unit: str, to_software: bool) -> None:
-        jslot, key, iload, _ihw, cslot = self._unit[unit]
-        if key is None:
-            self.joint.remove(jslot)
-            return
-        if self.elected[key[0]] == key:
-            self.joint.remove(jslot)
-        self.cluster_pool[key].remove(cslot)
-        del self.undecided[key][unit]
-        if to_software:
-            self.committed_sw[key] += iload
-        else:
-            self.committed_hw[key] += iload
-            self.live[key] -= iload
-            self._reelect(key[0])
-
-    def undecide(self, unit: str, was_software: bool) -> None:
-        jslot, key, iload, _ihw, cslot = self._unit[unit]
-        if key is None:
-            self.joint.add(jslot)
-            return
-        if was_software:
-            self.committed_sw[key] -= iload
-        else:
-            self.committed_hw[key] -= iload
-            self.live[key] += iload
-            self._reelect(key[0])
-        self.undecided[key][unit] = jslot
-        self.cluster_pool[key].add(cslot)
-        if self.elected[key[0]] == key:
-            self.joint.add(jslot)
-
-    def flip(self, unit: str, to_software: bool) -> None:
-        """Move one decided unit between software and hardware.
-
-        Net effect of ``undecide`` then ``decide``: the unit stays out
-        of every Fenwick tree (its slots would be added and removed
-        again), only the committed and live loads shift, and the
-        interface re-elects once.
-        """
-        _jslot, key, iload, _ihw, _cslot = self._unit[unit]
-        if key is None:
-            return
-        if to_software:
-            self.committed_hw[key] -= iload
-            self.committed_sw[key] += iload
-            self.live[key] += iload
-        else:
-            self.committed_sw[key] -= iload
-            self.committed_hw[key] += iload
-            self.live[key] -= iload
-        self._reelect(key[0])
-
-    def flips(self, unit: str) -> bool:
-        """Whether deciding ``unit`` to hardware would re-elect.
-
-        Only a hardware decision moves live load, and only out of the
-        unit's own cluster: the election can flip only when that
-        cluster is the elected one and loses the (tie-broken) argmax.
-        """
-        member = self._unit.get(unit)
-        if member is None or member[1] is None:
-            return False
-        key = member[1]
-        interface = key[0]
-        if self.elected[interface] != key:
-            return False
-        best = None
-        best_live = -1
-        for other in self.interfaces[interface]:
-            live = self.live[other]
-            if other == key:
-                live -= member[2]
-            if best is None or live > best_live:
-                best, best_live = other, live
-        return best != key
-
-    def forced(
-        self,
-        resident_common: int,
-        unit: Optional[str] = None,
-        software_load: int = 0,
-    ) -> Optional[int]:
-        """Forced hardware cost under the current elections.
-
-        ``None`` means the provably resident load alone exceeds some
-        constraint — no completion of this subtree is feasible.
-
-        ``unit`` (optional) reads the cost as if that undecided unit
-        were decided, committing ``software_load`` to software (0 for
-        hardware): its slots are skipped in the Fenwick descents and
-        its cluster's budget shifts — exactly :meth:`decide` followed
-        by this read, for any decision that does not re-elect
-        (:meth:`flips`).  ``resident_common`` is the caller's, already
-        shifted for a common unit.
-        """
-        joint_skip = cluster_skip = 0
-        unit_key = None
-        member = self._unit.get(unit)
-        if member is not None:
-            joint_slot, unit_key, _iload, _ihw, cluster_skip = member
-            if unit_key is None or self.elected[unit_key[0]] == unit_key:
-                joint_skip = joint_slot
-        budget = self.icap_total - resident_common
-        for key in self.elected.values():
-            budget -= self.floors[key] + self.committed_sw[key]
-            if key == unit_key:
-                budget -= software_load
-        if budget < 0:
-            return None
-        extra = self.joint.forced_cost(budget, joint_skip)
-        elected = set(self.elected.values())
-        for key, pool in self.cluster_pool.items():
-            if key in elected:
-                continue
-            cluster_budget = (
-                self.icap_total
-                - resident_common
-                - self.floors[key]
-                - self.committed_sw[key]
-            )
-            if key == unit_key:
-                cluster_budget -= software_load
-                if cluster_budget < 0:
-                    return None
-                extra += pool.forced_cost(cluster_budget, cluster_skip)
-                continue
-            if cluster_budget < 0:
-                return None
-            if pool.total_load > cluster_budget:
-                extra += pool.forced_cost(cluster_budget)
-        return extra
-
-
 class SearchState:
     """Delta-cost evaluation state over one :class:`SynthesisProblem`.
 
@@ -633,13 +325,6 @@ class SearchState:
     ``capacity_bound=False`` skips the knapsack maintenance (useful for
     explorers that never read ``lower_bound()``, e.g. exhaustive
     enumeration).
-    ``dynamic_pool=False`` keeps the capacity bound but freezes the
-    joint pool's per-interface cluster choice to the static election
-    (the PR 3 behavior) — the ablation lever of the re-elected bound.
-    The re-elected family is only built when some interface has two or
-    more software-capable clusters among the units: with one per
-    interface (every per-selection problem) each election is the
-    static choice, so the family could never be read.
 
     ``backend`` is validated by :func:`~repro.synth.backend.resolve_backend`
     (``None``, ``"auto"`` and ``"python"`` all name this kernel).
@@ -663,14 +348,12 @@ class SearchState:
         problem: SynthesisProblem,
         variants_resident: bool = True,
         capacity_bound: bool = True,
-        dynamic_pool: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         resolve_backend(backend)
         self.problem = problem
         self.variants_resident = variants_resident
         self.capacity_bound = capacity_bound
-        self.dynamic_pool = dynamic_pool
         arch = problem.architecture
         self._max_processors = arch.max_processors
         self._ipcost = quantize(arch.processor_cost)
@@ -725,7 +408,6 @@ class SearchState:
         self._unassigned_swonly = unassigned_swonly
         self._util_viol = 0
         self._mem_viol = 0
-        self._dyn: Optional[_DynamicPools] = None
         if capacity_bound:
             self._init_capacity_bound()
         else:
@@ -817,53 +499,9 @@ class SearchState:
         self._iassigned_sw = [0] * n_pools
         #: common flexible load currently assigned to software.
         self._icommon_sw = 0
-        # Re-election needs a rival: with one software-capable cluster
-        # per interface every election is the static choice, so the
-        # family would never be read.
+        # Exclusion binds only with a rival: with one software-capable
+        # cluster per interface the max over clusters is that cluster.
         self.exclusion_live = len(chosen) < len(cluster_loads)
-        if self.dynamic_pool and self.exclusion_live:
-            self._init_dynamic_pools(icap_total, chosen)
-
-    def _init_dynamic_pools(
-        self,
-        icap_total: int,
-        static_chosen: Dict[str, Tuple[str, str]],
-    ) -> None:
-        """Build the re-elected twin of the static pool family.
-
-        Same member set as the static pools (flexible positive-load
-        units) and the same density key (``-ihw/iload`` with the
-        unit-enumeration index as tie-break), so when every election
-        matches the static choice the two formulations agree exactly
-        and the dynamic read is skipped.
-        """
-        common_entries: List[Tuple[int, str, int, int]] = []
-        cluster_entries: Dict[
-            Tuple[str, str], List[Tuple[int, str, int, int]]
-        ] = {}
-        cluster_floors: Dict[Tuple[str, str], int] = {}
-        for unit, (iload, _imem, ihw, ukey, _mkey) in self._info.items():
-            if iload is None:
-                continue
-            if ukey is not None:
-                cluster_entries.setdefault(ukey, [])
-                cluster_floors.setdefault(ukey, 0)
-            if ihw is None:
-                if ukey is not None:
-                    cluster_floors[ukey] += iload
-            elif iload > 0:
-                entry = (self._index[unit], unit, iload, ihw)
-                if ukey is None:
-                    common_entries.append(entry)
-                else:
-                    cluster_entries[ukey].append(entry)
-        self._dyn = _DynamicPools(
-            icap_total,
-            common_entries,
-            cluster_entries,
-            cluster_floors,
-            static_chosen,
-        )
 
     # ------------------------------------------------------------------
     # mutation
@@ -890,9 +528,8 @@ class SearchState:
         pool-preserving: the unit stays decided, so its knapsack slots
         are never returned and re-taken.  A software→software move only
         shifts processor columns; a hardware↔software flip shifts the
-        pools' committed software load and re-elects once.  The target
-        is validated before anything mutates, so a rejected move leaves
-        the state untouched.
+        pools' committed software load.  The target is validated before
+        anything mutates, so a rejected move leaves the state untouched.
         """
         old = self.assignment.get(unit)
         if old is None:
@@ -1047,8 +684,6 @@ class SearchState:
             self._iassigned_sw[pool] += iload
             if is_common:
                 self._icommon_sw += iload
-        if self._dyn is not None:
-            self._dyn.decide(unit, to_software=to_software)
 
     def _pool_undecide(
         self, unit: str, iload: Optional[int], was_software: bool
@@ -1063,8 +698,6 @@ class SearchState:
             self._iassigned_sw[pool] -= iload
             if is_common:
                 self._icommon_sw -= iload
-        if self._dyn is not None:
-            self._dyn.undecide(unit, was_software=was_software)
 
     def _pool_flip(
         self, unit: str, iload: Optional[int], to_software: bool
@@ -1082,8 +715,6 @@ class SearchState:
         self._iassigned_sw[pool] += delta
         if is_common:
             self._icommon_sw += delta
-        if self._dyn is not None:
-            self._dyn.flip(unit, to_software)
 
     # ------------------------------------------------------------------
     # reads
@@ -1188,12 +819,6 @@ class SearchState:
         capacity.  Pools cover disjoint unit sets, so their forced
         costs add.  Returns ``inf`` when even the provably resident
         load cannot fit — no completion of this subtree is feasible.
-
-        With ``dynamic_pool=True`` the forced term is the max of the
-        static-election pools and the live-load re-elected pools
-        (skipped — it is provably equal — while every election still
-        matches the static choice), so the dynamic bound is pointwise
-        at least as tight as the static one.
         """
         forced = self._forced_term()
         if forced is None:
@@ -1219,9 +844,7 @@ class SearchState:
         ``unit`` (optional) reads the term as if that undecided unit
         were decided ``to_software`` — its pool slots skipped, its
         software load committed — without touching the pools: the
-        :meth:`score_candidates` probe.  Decisions that would flip a
-        dynamic election (:meth:`_DynamicPools.flips`) are not
-        expressible that way; the caller decides those for real.
+        :meth:`score_candidates` probe.
         """
         pools = self._pools
         if not pools:
@@ -1256,13 +879,6 @@ class SearchState:
                 return None
             if knapsack.total_load > budget:
                 forced += knapsack.forced_cost(budget)
-        dyn = self._dyn
-        if dyn is not None and dyn.differs:
-            dyn_forced = dyn.forced(resident_common, unit, software_load)
-            if dyn_forced is None:
-                return None
-            if dyn_forced > forced:
-                forced = dyn_forced
         return forced
 
     def to_mapping(self) -> Mapping:
@@ -1359,14 +975,11 @@ class SearchState:
         most twice per call: once for software, once for hardware
         (:meth:`_forced_term` with the unit's pool slots skipped).
         Software placements then read the probed processor column
-        through :meth:`_ExclusionLoad.probe_add`.  The one decision
-        not expressible without mutation — a hardware decision that
-        flips a dynamic-pool election — is decided in the pools only,
-        read and undecided; processor columns and ``assignment`` are
-        never touched.  Every read is byte-identical to the
-        assign / read / unassign loop (the property suite pins it), and
-        the bound is computed even for infeasible candidates, so
-        callers may apply their own infeasibility policy.
+        through :meth:`_ExclusionLoad.probe_add`.  Every read is
+        byte-identical to the assign / read / unassign loop (the
+        property suite pins it), and the bound is computed even for
+        infeasible candidates, so callers may apply their own
+        infeasibility policy.
         """
         if unit in self.assignment:
             raise SynthesisError(f"unit {unit!r} is already assigned")
@@ -1437,13 +1050,7 @@ class SearchState:
                 f"unit {unit!r} mapped to hardware without a hardware "
                 f"option"
             )
-        dyn = self._dyn
-        if dyn is not None and dyn.flips(unit):
-            self._pool_decide(unit, iload, to_software=False)
-            forced = self._forced_term()
-            self._pool_undecide(unit, iload, was_software=False)
-        else:
-            forced = self._forced_term(unit, False)
+        forced = self._forced_term(unit, False)
         if forced is None:
             return float("inf"), self.feasible
         if iload is None:
@@ -1484,15 +1091,13 @@ class PathTrail:
     mostly decide the same units, so this is far fewer mutations than
     unwinding to the common prefix and replaying.
 
-    Soundness leans on the state's own contracts: the integer kernel
-    makes every aggregate order-independent, and dynamic-pool
-    elections are a pure function of the committed loads — so a
-    restored node reads byte-identical bounds and feasibility however
-    the trail got there.  The one order-sensitive read is the
-    iteration order of ``state.assignment`` (incumbent mappings and
-    checkpoints serialize it), so a net restore re-keys the new
-    suffix's units in path order: the dict then iterates exactly as
-    after a plain replay.
+    Soundness leans on the state's own contract: the integer kernel
+    makes every aggregate order-independent, so a restored node reads
+    byte-identical bounds and feasibility however the trail got there.
+    The one order-sensitive read is the iteration order of
+    ``state.assignment`` (incumbent mappings and checkpoints serialize
+    it), so a net restore re-keys the new suffix's units in path
+    order: the dict then iterates exactly as after a plain replay.
 
     Depth-first-shaped hops — a pure descent (empty old suffix) or a
     new suffix of at most one decision — gain nothing from the net
@@ -1619,7 +1224,6 @@ class ReferenceSearchState:
         problem: SynthesisProblem,
         variants_resident: bool = True,
         capacity_bound: bool = False,
-        dynamic_pool: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         self.problem = problem

@@ -1,7 +1,7 @@
 """Differential fuzzing of the explorer stack against the oracle.
 
 The harness runs every explorer configuration — frontier × ordering ×
-pool × bound × ``max_open``, plus the exhaustive explorer — on zoo
+bound × ``max_open``, plus the exhaustive explorer — on zoo
 scenarios and checks each result
 against :class:`~repro.synth.explorer.ExhaustiveExplorer` ground
 truth.  Because every zoo workload lives on the 1/64 binary grid (see
@@ -59,30 +59,23 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
     """Yield explorer configurations, curated or exhaustive.
 
     The curated set (default) covers every frontier, every ordering,
-    both pool/bound settings and a tight ``max_open`` at least once
-    each — enough for a sweep iteration to touch every code path
-    cheaply.  ``full=True`` yields the whole cross product (every
-    frontier × ordering × pool × bound × max_open), which the
+    both bound settings and a tight ``max_open`` at least once each —
+    enough for a sweep iteration to touch every code path cheaply.
+    ``full=True`` yields the whole cross product (every frontier ×
+    ordering × bound × max_open), which the
     per-family property tests run once per family.  Every
     configuration carries ``backend: "python"``, the only backend, so
     corpus ids keep their backend segment.
     """
     yield {"kind": "exhaustive"}
     if full:
-        for frontier, ordering, pool, bound, open_cap in (
-            itertools.product(
-                FRONTIERS,
-                ORDERINGS,
-                (True, False),
-                (True, False),
-                (None, 4),
-            )
+        for frontier, ordering, bound, open_cap in itertools.product(
+            FRONTIERS, ORDERINGS, (True, False), (None, 4)
         ):
             yield {
                 "kind": "bnb",
                 "frontier": frontier,
                 "ordering": ordering,
-                "dynamic_pool": pool,
                 "capacity_bound": bound,
                 "backend": "python",
                 "max_open": open_cap,
@@ -93,7 +86,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
         "kind": "bnb",
         "frontier": "dfs",
         "ordering": "adaptive",
-        "dynamic_pool": True,
         "capacity_bound": True,
         "backend": "python",
         "max_open": None,
@@ -103,9 +95,7 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
     variations += [{**center, "frontier": f} for f in FRONTIERS]
     variations += [{**center, "ordering": o} for o in ORDERINGS]
     variations += [
-        {**center, "dynamic_pool": False},
         {**center, "capacity_bound": False},
-        {**center, "dynamic_pool": False, "capacity_bound": False},
         {**center, "max_open": 4},
         {**center, "frontier": "best-first", "max_open": 4},
     ]
@@ -123,7 +113,6 @@ def describe(config: Dict[str, object]) -> str:
         parts = [
             str(config.get("frontier", "dfs")),
             str(config.get("ordering", "adaptive")),
-            "pool" if config.get("dynamic_pool", True) else "nopool",
             "cap" if config.get("capacity_bound", True) else "basic",
             str(config.get("backend", "python")),
         ]
@@ -142,7 +131,6 @@ def build_explorer(config: Dict[str, object]) -> Explorer:
         return BranchBoundExplorer(
             frontier=str(config.get("frontier", "dfs")),
             ordering=str(config.get("ordering", "adaptive")),
-            dynamic_pool=bool(config.get("dynamic_pool", True)),
             capacity_bound=bool(config.get("capacity_bound", True)),
             backend=str(config.get("backend", "python")),
             max_open=config.get("max_open"),

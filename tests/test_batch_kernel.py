@@ -8,11 +8,9 @@ tolerances):
 * **scorer == oracle** — ``score_candidates`` equals the explicit
   assign / ``lower_bound`` / ``feasible`` / unassign loop for every
   candidate, on arbitrary partial states, across ``capacity_bound`` ×
-  ``dynamic_pool`` × ``variants_resident``, and leaves the state
-  untouched: assignment order, violation counters, every knapsack
-  pool's Fenwick arrays and totals, and the dynamic elections;
-* **election flips** — a hardware probe that would re-elect a dynamic
-  pool takes the decide/read/undecide fallback and still agrees;
+  ``variants_resident``, and leaves the state untouched: assignment
+  order, violation counters, and every knapsack pool's Fenwick arrays
+  and totals;
 * **backend selection** — ``None``/``"auto"``/``"python"`` name the
   scalar kernel, ``"numpy"`` is refused as removed, and the removed
   ``exact=`` flag stays a ``TypeError``.
@@ -110,18 +108,14 @@ def partial_scenarios(draw):
     ]
     unit = draw(st.sampled_from(order[prefix_len:]))
     capacity_bound = draw(st.booleans())
-    dynamic_pool = draw(st.booleans())
-    return problem, prefix, unit, capacity_bound, dynamic_pool
+    return problem, prefix, unit, capacity_bound
 
 
-def _build(
-    problem, prefix, capacity_bound, dynamic_pool, variants_resident=True
-):
+def _build(problem, prefix, capacity_bound, variants_resident=True):
     state = SearchState(
         problem,
         variants_resident=variants_resident,
         capacity_bound=capacity_bound,
-        dynamic_pool=dynamic_pool,
     )
     for unit, target in prefix:
         state.assign(unit, target)
@@ -142,21 +136,14 @@ def _scalar_oracle(state, unit, targets):
 
 def _kernel_snapshot(state):
     """Everything scoring must leave untouched, in comparable form."""
-    pools = list(state._pools)
-    dyn = state._dyn
-    if dyn is not None:
-        pools += [dyn.joint, *dyn.cluster_pool.values()]
     return (
         list(state.assignment.items()),
         state._util_viol,
         state._mem_viol,
         [
             (list(p.bit_load), list(p.bit_cost), p.total_load, p.total_cost)
-            for p in pools
+            for p in state._pools
         ],
-        None
-        if dyn is None
-        else (dict(dyn.elected), dyn.differs, dict(dyn.live)),
     )
 
 
@@ -166,64 +153,20 @@ class TestBatchEqualsScalar:
     def test_score_candidates_matches_probe_loop(
         self, scenario, variants_resident
     ):
-        problem, prefix, unit, capacity_bound, dynamic_pool = scenario
+        problem, prefix, unit, capacity_bound = scenario
         targets = _admissible_targets(problem, unit)
         assume(targets)
         oracle_state = _build(
-            problem, prefix, capacity_bound, dynamic_pool, variants_resident
+            problem, prefix, capacity_bound, variants_resident
         )
         expected = _scalar_oracle(oracle_state, unit, targets)
-        state = _build(
-            problem, prefix, capacity_bound, dynamic_pool, variants_resident
-        )
+        state = _build(problem, prefix, capacity_bound, variants_resident)
         before = _kernel_snapshot(state)
         scored = state.score_candidates(unit, targets)
         # Byte-identity: same floats, same feasibility flags.
         assert scored == expected
         # Scoring never mutates the state.
         assert _kernel_snapshot(state) == before
-
-    def test_hardware_probe_that_flips_an_election(self):
-        # Cluster A (48/64 live) outweighs B (40/64), so A is elected.
-        # Sending a0 to hardware drains A to 16/64 and re-elects B,
-        # whose dense unit then competes with the common flexible unit
-        # f in the joint pool: only the re-elected bound forces
-        # hardware, so skipping the fallback would under-read it.
-        library = ComponentLibrary()
-        for name, load, cost in (
-            ("a0", 32, 1),
-            ("a1", 16, 1),
-            ("b0", 40, 100),
-            ("f", 30, 50),
-        ):
-            library.component(name, sw_utilization=load / 64, hw_cost=cost)
-        problem = SynthesisProblem(
-            name="flip",
-            units=("a0", "a1", "b0", "f"),
-            library=library,
-            architecture=ArchitectureTemplate(
-                max_processors=1, processor_cost=5, processor_capacity=1.0
-            ),
-            origins={
-                "a0": VariantOrigin("t1", "A"),
-                "a1": VariantOrigin("t1", "A"),
-                "b0": VariantOrigin("t1", "B"),
-            },
-            use_exclusion=True,
-        )
-        state = SearchState(problem)
-        assert state._dyn.flips("a0")
-        assert not state._dyn.flips("b0")
-        targets = [Target.sw(0), Target.sw(1), Target.hw()]
-        before = _kernel_snapshot(state)
-        scored = state.score_candidates("a0", targets)
-        assert _kernel_snapshot(state) == before
-        assert scored == _scalar_oracle(state, "a0", targets)
-        # Read without the re-election, nothing is forced beyond a0's
-        # own cost 1; the re-elected pool adds about 10 of f's cost
-        # (the capacity slack shaves a few quanta off).
-        assert state._forced_term("a0", False) == 0
-        assert 10.99 < scored[2][0] < 11
 
     @given(
         st.lists(
@@ -256,7 +199,7 @@ class TestBatchEqualsScalar:
     @given(partial_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_reference_state_batch_api_matches_loop(self, scenario):
-        problem, prefix, unit, _capacity, _pool = scenario
+        problem, prefix, unit, _capacity = scenario
         targets = _admissible_targets(problem, unit)
         assume(targets)
         state = ReferenceSearchState(problem)

@@ -383,7 +383,7 @@ class TestDispatchVolumeGate:
 def bench_payload_with_branching(nodes=36.0, optimal=True):
     payload = bench_payload()
     payload["branching_order"] = {
-        "adaptive_dynamic": {"nodes": nodes, "optimal": optimal}
+        "adaptive": {"nodes": nodes, "optimal": optimal}
     }
     return payload
 
@@ -398,6 +398,27 @@ class TestAdaptiveNodesGate:
             bench_payload_with_branching(nodes=36.0, optimal=False)
         )
         assert "bnb_adaptive_nodes_to_optimal" not in truncated
+
+    def test_default_configuration_keys_feed_every_node_gate(self):
+        """The default configuration's rows are keyed ``adaptive`` in
+        both the branching-order section and the zoo matrix; the
+        ``adaptive_dynamic`` key of older benches is no longer read,
+        so a renamed key cannot silently drop out of the gate."""
+        payload = bench_payload_with_branching(nodes=36.0)
+        payload.update(zoo_payload(nodes=897.0))
+        metrics = check_regression.extract_metrics(payload)
+        assert metrics["bnb_adaptive_nodes_to_optimal"] == 36.0
+        assert metrics["zoo_deep_chain_nodes_to_optimal"] == 897.0
+        old = bench_payload()
+        old["branching_order"] = {
+            "adaptive_dynamic": {"nodes": 36.0, "optimal": True}
+        }
+        cells = zoo_payload()["zoo"]["families"]["deep_chain"]["configs"]
+        cells["adaptive_dynamic"] = cells.pop("adaptive")
+        old["zoo"] = {"families": {"deep_chain": {"configs": cells}}}
+        stale = check_regression.extract_metrics(old)
+        assert "bnb_adaptive_nodes_to_optimal" not in stale
+        assert "zoo_deep_chain_nodes_to_optimal" not in stale
 
     def test_adaptive_node_blowup_fails_gate(self, tmp_path, capsys):
         history = tmp_path / "bench_history"
@@ -587,7 +608,7 @@ class TestBenchSummaryFrontierRows:
             },
             "branching_order": {
                 "static": {"nodes": 2959, "optimal": True},
-                "adaptive_dynamic": {"nodes": 36, "optimal": True},
+                "adaptive": {"nodes": 36, "optimal": True},
             },
             "frontier": {
                 "best_first": {"nodes": 36, "optimal": True},
@@ -597,20 +618,20 @@ class TestBenchSummaryFrontierRows:
     def test_frontier_rows_rendered(self):
         lines = "\n".join(bench_summary.comparison_lines(self.payload()))
         assert "best-first frontier" in lines
-        assert "adaptive order + dynamic pool (default)" in lines
+        assert "adaptive order (default)" in lines
 
     def test_missing_frontier_section_still_renders(self):
         payload = self.payload()
         del payload["frontier"]
         lines = "\n".join(bench_summary.comparison_lines(payload))
         assert "best-first frontier" not in lines
-        assert "adaptive order + dynamic pool (default)" in lines
+        assert "adaptive order (default)" in lines
 
     def test_rows_proved_at_the_root_render_without_a_ratio(self):
         """A run the root presolve proves has 0 nodes: the row says so
         instead of dividing by it."""
         payload = self.payload()
-        payload["branching_order"]["adaptive_dynamic"]["nodes"] = 0
+        payload["branching_order"]["adaptive"]["nodes"] = 0
         lines = bench_summary.comparison_lines(payload)
         (row,) = [line for line in lines if "(default)" in line]
         assert row.endswith("0 proved  (at the root presolve)")
@@ -630,7 +651,7 @@ def zoo_payload(nodes=897.0, optimal=True):
                             "nodes": 7550,
                             "optimal": True,
                         },
-                        "adaptive_dynamic": {
+                        "adaptive": {
                             "cost": 78.0,
                             "nodes": nodes,
                             "optimal": optimal,
@@ -707,7 +728,7 @@ class TestBenchSummaryZooRows:
         lines = "\n".join(bench_summary.zoo_lines(zoo_payload()))
         assert "zoo matrix" in lines
         assert "deep_chain" in lines
-        assert "adaptive_dynamic=897" in lines
+        assert "adaptive=897" in lines
 
     def test_absent_zoo_section_renders_nothing(self):
         assert bench_summary.zoo_lines({}) == []

@@ -30,7 +30,8 @@ from repro.synth.mapping import SynthesisProblem
 from repro.synth.ordering import FRONTIERS, ORDERINGS
 
 #: The full driver matrix: every frontier x every ordering x both
-#: dynamic-pool modes.  Eighteen drivers sharing one checkpoint layer.
+#: ``capacity_bound`` settings.  Twelve drivers sharing one checkpoint
+#: layer.
 MATRIX = sorted(
     itertools.product(FRONTIERS, ORDERINGS, (True, False))
 )
@@ -68,16 +69,16 @@ def oracle(problem):
 # Snapshot parity (no resume): every frontier runs on one driver with
 # or without a checkpointer, and snapshot cadence must never perturb it.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("frontier,ordering,pool", MATRIX)
+@pytest.mark.parametrize("frontier,ordering,bound", MATRIX)
 def test_snapshot_cadence_never_perturbs_search(problem, oracle, frontier,
-                                                ordering, pool):
+                                                ordering, bound):
     plain = BranchBoundExplorer(
-        frontier=frontier, ordering=ordering, dynamic_pool=pool
+        frontier=frontier, ordering=ordering, capacity_bound=bound
     ).explore(problem)
     snaps = []
     ck = Checkpointer(every_nodes=3, sink=snaps.append)
     driven = BranchBoundExplorer(
-        frontier=frontier, ordering=ordering, dynamic_pool=pool
+        frontier=frontier, ordering=ordering, capacity_bound=bound
     ).explore(problem, checkpoint=ck)
     assert driven.cost == plain.cost == oracle.cost
     assert driven.optimal and plain.optimal
@@ -94,19 +95,19 @@ def test_snapshot_cadence_never_perturbs_search(problem, oracle, frontier,
 # ----------------------------------------------------------------------
 # Kill + resume: the headline property.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("frontier,ordering,pool", MATRIX)
+@pytest.mark.parametrize("frontier,ordering,bound", MATRIX)
 def test_kill_and_resume_reaches_proven_optimum(problem, oracle,
                                                 frontier, ordering,
-                                                pool):
+                                                bound):
     plain = BranchBoundExplorer(
-        frontier=frontier, ordering=ordering, dynamic_pool=pool
+        frontier=frontier, ordering=ordering, capacity_bound=bound
     ).explore(problem)
     total = plain.nodes_explored
     for budget in range(1, total, max(1, total // 5)):
         killed = BranchBoundExplorer(
             frontier=frontier,
             ordering=ordering,
-            dynamic_pool=pool,
+            capacity_bound=bound,
             node_budget=budget,
         )
         ck = Checkpointer()
@@ -116,7 +117,7 @@ def test_kill_and_resume_reaches_proven_optimum(problem, oracle,
         # Round-trip through JSON: what a crash leaves on disk.
         resume = SearchCheckpoint.from_json(ck.latest.to_json())
         resumed = BranchBoundExplorer(
-            frontier=frontier, ordering=ordering, dynamic_pool=pool
+            frontier=frontier, ordering=ordering, capacity_bound=bound
         ).explore(problem, checkpoint=Checkpointer(resume=resume))
         assert resumed.optimal
         assert resumed.cost == plain.cost == oracle.cost

@@ -75,9 +75,7 @@ class TestCommands:
     def test_explore_ordering_ablation_matches_default(self, capsys):
         assert main(["explore"]) == 0
         adaptive = capsys.readouterr().out
-        assert main(
-            ["explore", "--ordering", "static", "--no-dynamic-pool"]
-        ) == 0
+        assert main(["explore", "--ordering", "static"]) == 0
         static = capsys.readouterr().out
         # same best selection and cost whatever the branching order
         assert "theta1=gamma1" in static

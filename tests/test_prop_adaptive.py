@@ -1,16 +1,11 @@
-"""Property tests for adaptive search ordering, dynamic pools and
-incumbent sharing.
+"""Property tests for adaptive search ordering and incumbent sharing.
 
-Three contracts (all on exact ``k/64`` binary-grid values, where the
+Two contracts (all on exact ``k/64`` binary-grid values, where the
 integer kernel has no quantization error):
 
 * **flag-combination agreement** — branch-and-bound reaches the same
   proven optimum as exhaustive enumeration under every
-  ``ordering`` × ``dynamic_pool`` × incumbent-sharing combination;
-* **dynamic ≥ static pointwise** — at every partial state, the
-  re-elected (``dynamic_pool=True``) lower bound is at least the
-  static-election bound, and both restore exactly on backtrack (the
-  election is a pure function of the committed loads);
+  ``ordering`` × incumbent-sharing combination;
 * **fleet knowledge is preserved** — pre-seeding the shared incumbent
   never loses the optimum: seeded above it the search still proves it;
   seeded *at* it the search may prune everything, but the incumbent
@@ -28,15 +23,9 @@ from repro.synth.explorer import (
     ExhaustiveExplorer,
 )
 from repro.synth.library import ComponentLibrary
-from repro.synth.mapping import (
-    Mapping,
-    SynthesisProblem,
-    Target,
-    VariantOrigin,
-)
+from repro.synth.mapping import SynthesisProblem, VariantOrigin
 from repro.synth.ordering import ORDERINGS
 from repro.synth.parallel import LocalIncumbent
-from repro.synth.state import SearchState
 
 
 @st.composite
@@ -85,32 +74,6 @@ def small_problems(draw):
     )
 
 
-def _targets(problem, unit):
-    entry = problem.entry(unit)
-    targets = []
-    if entry.software is not None:
-        targets.extend(
-            Target.sw(cpu)
-            for cpu in range(problem.architecture.max_processors)
-        )
-    if entry.hardware is not None:
-        targets.append(Target.hw())
-    return targets
-
-
-@st.composite
-def partial_states(draw):
-    """A problem plus a random partial assignment prefix."""
-    problem = draw(small_problems())
-    order = list(problem.units)
-    draw(st.randoms(use_true_random=False)).shuffle(order)
-    depth = draw(st.integers(min_value=0, max_value=len(order)))
-    partial = {}
-    for unit in order[:depth]:
-        partial[unit] = draw(st.sampled_from(_targets(problem, unit)))
-    return problem, partial
-
-
 class TestFlagCombinationsAgree:
     @given(small_problems())
     @settings(max_examples=60, deadline=None)
@@ -118,13 +81,10 @@ class TestFlagCombinationsAgree:
         self, problem
     ):
         oracle = ExhaustiveExplorer().explore(problem)
-        for ordering, dynamic_pool, share in itertools.product(
-            ORDERINGS, (True, False), (True, False)
-        ):
+        for ordering, share in itertools.product(ORDERINGS, (True, False)):
             incumbent = LocalIncumbent() if share else None
             result = BranchBoundExplorer(
                 ordering=ordering,
-                dynamic_pool=dynamic_pool,
                 shared_incumbent=incumbent,
             ).explore(problem)
             assert result.optimal
@@ -178,117 +138,3 @@ class TestFlagCombinationsAgree:
         if result.cost > oracle.cost:
             assert not result.optimal
             assert "pruned by fleet incumbent" in result.provenance
-
-
-class TestDynamicPoolBound:
-    @given(partial_states())
-    @settings(max_examples=120, deadline=None)
-    def test_dynamic_bound_at_least_static_pointwise(self, scenario):
-        problem, partial = scenario
-        dynamic = SearchState(problem, dynamic_pool=True)
-        static = SearchState(problem, dynamic_pool=False)
-        for unit, target in partial.items():
-            dynamic.assign(unit, target)
-            static.assign(unit, target)
-            assert dynamic.lower_bound() >= static.lower_bound()
-
-    @given(partial_states())
-    @settings(max_examples=80, deadline=None)
-    def test_dynamic_bound_round_trips_exactly(self, scenario):
-        """Elections (a pure function of committed loads) backtrack."""
-        problem, partial = scenario
-        state = SearchState(problem, dynamic_pool=True)
-        pristine = state.lower_bound()
-        for unit, target in partial.items():
-            state.assign(unit, target)
-        mid = state.lower_bound()
-        # a fresh state replaying the same assignment agrees exactly
-        replay = SearchState(problem, dynamic_pool=True)
-        for unit, target in partial.items():
-            replay.assign(unit, target)
-        assert replay.lower_bound() == mid
-        for unit in reversed(list(partial)):
-            state.unassign(unit)
-        assert state.lower_bound() == pristine
-        # and the state is still usable: re-apply and re-check
-        for unit, target in partial.items():
-            state.assign(unit, target)
-        assert state.lower_bound() == mid
-
-
-class TestDynamicElectionEngages:
-    def test_reelection_tightens_the_bound_strictly(self):
-        """Hardware commits drain the static chosen cluster; the
-        re-elected joint pool then couples the common load with the
-        overtaking cluster and forces strictly more hardware.
-
-        All values sit on the 1/64 binary grid, so the only slack in
-        the expected numbers is the deliberate capacity slack of the
-        integer kernel (a few quanta, far below the 1e-3 tolerance).
-        """
-        library = ComponentLibrary()
-        library.component("k", sw_utilization=12 / 64, hw_cost=5)
-        library.component("a1", sw_utilization=20 / 64, hw_cost=10)
-        library.component("a2", sw_utilization=20 / 64, hw_cost=10)
-        library.component("b1", sw_utilization=16 / 64, hw_cost=100)
-        library.component("b2", sw_utilization=16 / 64, hw_cost=100)
-        problem = SynthesisProblem(
-            name="reelect",
-            units=("k", "a1", "a2", "b1", "b2"),
-            library=library,
-            architecture=ArchitectureTemplate(
-                max_processors=1,
-                processor_cost=0.0,
-                processor_capacity=24 / 64,
-            ),
-            origins={
-                "a1": VariantOrigin("t", "A"),
-                "a2": VariantOrigin("t", "A"),
-                "b1": VariantOrigin("t", "B"),
-                "b2": VariantOrigin("t", "B"),
-            },
-        )
-        dynamic = SearchState(problem, dynamic_pool=True)
-        static = SearchState(problem, dynamic_pool=False)
-        # At the root both formulations agree (A is the heaviest
-        # cluster, so the static choice is also the live election).
-        assert dynamic.lower_bound() == static.lower_bound()
-        for state in (dynamic, static):
-            state.assign("a1", Target.hw())
-            state.assign("a2", Target.hw())
-        # static: the joint pool holds only the common unit (which
-        # fits), so only the B pool forces hardware, alone: 20 committed
-        # + 50 forced.
-        assert abs(static.lower_bound() - 70.0) < 1e-3
-        # dynamic: B is re-elected into the joint pool next to the
-        # common unit; shedding the joint overload is strictly dearer.
-        assert abs(dynamic.lower_bound() - 75.0) < 1e-3
-        assert dynamic.lower_bound() > static.lower_bound()
-        # both bounds stay admissible for the best completion of this
-        # partial state (125: b1 in software, k and b2 in hardware).
-        best = min(
-            evaluate(
-                problem,
-                Mapping(
-                    {
-                        "a1": Target.hw(),
-                        "a2": Target.hw(),
-                        "k": k_target,
-                        "b1": b1_target,
-                        "b2": b2_target,
-                    }
-                ),
-            ).total_cost
-            for k_target, b1_target, b2_target in itertools.product(
-                _targets(problem, "k"),
-                _targets(problem, "b1"),
-                _targets(problem, "b2"),
-            )
-        )
-        assert best == 125.0
-        assert dynamic.lower_bound() <= best
-        # backtracking the hardware commits restores the election
-        for state in (dynamic, static):
-            state.unassign("a2")
-            state.unassign("a1")
-        assert dynamic.lower_bound() == static.lower_bound()

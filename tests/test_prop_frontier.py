@@ -7,7 +7,7 @@ enumeration.  Three contracts, all on exact ``k/64`` binary-grid
 values (no quantization error):
 
 * **full flag matrix** — branch-and-bound under every ``frontier`` ×
-  ``ordering`` × ``dynamic_pool`` × ``capacity_bound`` combination
+  ``ordering`` × ``capacity_bound`` combination
   proves the exhaustive optimum (cost, feasibility, and a
   reference-oracle-validated mapping), and every proven-optimal run
   reports the identical ``proof_floor``;
@@ -100,14 +100,11 @@ class TestFullFlagMatrix:
     ):
         oracle = ExhaustiveExplorer().explore(problem)
         floors = []
-        combos = itertools.product(
-            FRONTIERS, ORDERINGS, (True, False), (True, False)
-        )
-        for frontier, ordering, dynamic_pool, capacity_bound in combos:
+        combos = itertools.product(FRONTIERS, ORDERINGS, (True, False))
+        for frontier, ordering, capacity_bound in combos:
             result = BranchBoundExplorer(
                 frontier=frontier,
                 ordering=ordering,
-                dynamic_pool=dynamic_pool,
                 capacity_bound=capacity_bound,
             ).explore(problem)
             assert result.optimal

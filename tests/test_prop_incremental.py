@@ -7,7 +7,6 @@ order — the incremental (delta) path and the from-scratch reference
 ``evaluate()`` must then agree *exactly*, not approximately.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -218,19 +217,7 @@ class TestIncrementalMatchesReference:
 
 
 def _kernel_reads(state):
-    """Every read a search takes from the kernel, dynamic elections too."""
-    dyn = state._dyn
-    elections = (
-        None
-        if dyn is None
-        else (
-            dict(dyn.elected),
-            dyn.differs,
-            dict(dyn.live),
-            dict(dyn.committed_sw),
-            dict(dyn.committed_hw),
-        )
-    )
+    """Every read a search takes from the kernel."""
     return (
         dict(state.assignment),
         state._icommon_sw,
@@ -240,7 +227,6 @@ def _kernel_reads(state):
         state.feasible,
         state.leaf(),
         state.used_processors(),
-        elections,
     )
 
 
@@ -259,22 +245,17 @@ class TestReassignMatchesUnassignAssign:
         scenarios(),
         st.sampled_from(BACKENDS),
         st.booleans(),
-        st.booleans(),
         st.integers(min_value=0, max_value=6),
     )
     @settings(max_examples=120, deadline=None)
     def test_every_move_equals_the_two_step_move(
-        self, scenario, backend, capacity_bound, dynamic_pool, depth
+        self, scenario, backend, capacity_bound, depth
     ):
         """The pool-preserving ``reassign`` reads exactly like
         ``unassign`` + ``assign`` for every kind pair (SW→SW, SW→HW,
         HW→SW, same target), and a rejected move mutates nothing."""
         problem, targets, order, _ = scenario
-        flags = dict(
-            backend=backend,
-            capacity_bound=capacity_bound,
-            dynamic_pool=dynamic_pool,
-        )
+        flags = dict(backend=backend, capacity_bound=capacity_bound)
         moved = SearchState(problem, **flags)
         stepped = SearchState(problem, **flags)
         for unit in order[: max(1, depth)]:
@@ -487,93 +468,3 @@ class TestScalarKernelInvariants:
         )
         assert not state._uload and not state._mload
         assert state._util_viol == 0 and state._mem_viol == 0
-
-
-@st.composite
-def single_cluster_walks(draw):
-    """A per-selection-shaped problem plus a walk of kernel mutations.
-
-    Every interface keeps exactly one cluster, as in the problem of
-    one variant selection; the walk's steps are ``(unit, target)``
-    pairs applied as assign, reassign or (``None``) unassign.
-    """
-    problem = draw(problems())
-    problem = dataclasses.replace(
-        problem,
-        origins={
-            unit: VariantOrigin(origin.interface, "A")
-            for unit, origin in problem.origins.items()
-        },
-    )
-    steps = draw(
-        st.lists(
-            st.sampled_from(sorted(problem.units)).flatmap(
-                lambda unit: st.tuples(
-                    st.just(unit),
-                    st.sampled_from(
-                        _admissible_targets(problem, unit) + [None]
-                    ),
-                )
-            ),
-            max_size=12,
-        )
-    )
-    return problem, steps
-
-
-def _force_dynamic_pools(state):
-    """Build the re-elected pool family the kernel skipped."""
-    assert state._dyn is None
-    chosen = {}
-    for iload, _imem, _ihw, ukey, _mkey in state._info.values():
-        if iload is not None and ukey is not None:
-            assert chosen.setdefault(ukey[0], ukey) == ukey
-    state._init_dynamic_pools(
-        state.problem.architecture.max_processors * state._icap, chosen
-    )
-    assert state._dyn is not None
-
-
-def _walk_reads(state):
-    """Every read a search takes, candidate scores of open units too."""
-    scores = [
-        state.score_candidates(unit, _admissible_targets(state.problem, unit))
-        for unit in state.problem.units
-        if unit not in state.assignment
-    ]
-    return (
-        dict(state.assignment),
-        state.lower_bound(),
-        state._forced_term(),
-        state.feasible,
-        state.leaf(),
-        state.used_processors(),
-        scores,
-    )
-
-
-class TestSingleClusterPoolsSkipped:
-    @given(single_cluster_walks(), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_reads_equal_a_twin_with_forced_pools(
-        self, walk, variants_resident
-    ):
-        """With one cluster per interface the re-elected family is
-        never built, and building it anyway changes no read."""
-        problem, steps = walk
-        state = SearchState(problem, variants_resident=variants_resident)
-        twin = SearchState(problem, variants_resident=variants_resident)
-        assert state._dyn is None
-        _force_dynamic_pools(twin)
-        assert _walk_reads(state) == _walk_reads(twin)
-        for unit, target in steps:
-            for kernel in (state, twin):
-                if target is None:
-                    if unit in kernel.assignment:
-                        kernel.unassign(unit)
-                elif unit in kernel.assignment:
-                    kernel.reassign(unit, target)
-                else:
-                    kernel.assign(unit, target)
-            assert twin._dyn.differs == 0
-            assert _walk_reads(state) == _walk_reads(twin)

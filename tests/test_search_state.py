@@ -223,23 +223,32 @@ class TestReassignAndExactMode:
 
     @pytest.mark.parametrize("backend", ["auto", "python"])
     def test_reassign_flip_reelects_like_unassign_assign(self, backend):
-        """A HW→SW flip that refills the drained cluster hands the
-        interface's election back, exactly as the two-step move does."""
+        """A HW→SW flip of a unit of the heavier cluster moves the
+        static pools' committed software load exactly as the two-step
+        move does, and back."""
         problem = variant_problem()
         moved = SearchState(problem, backend=backend)
         stepped = SearchState(problem, backend=backend)
         for state in (moved, stepped):
             state.assign("B1", Target.hw())
-        # Draining B (the heavier cluster) elects A ...
-        assert moved._dyn.elected["theta"] == ("theta", "A")
-        moved.reassign("B1", Target.sw(0))
-        stepped.unassign("B1")
-        stepped.assign("B1", Target.sw(0))
-        # ... and refilling it elects B again.
-        assert moved._dyn.elected == stepped._dyn.elected
-        assert moved._dyn.elected["theta"] == ("theta", "B")
-        assert moved._dyn.differs == stepped._dyn.differs
-        assert moved.lower_bound() == stepped.lower_bound()
+
+        def reads(state):
+            return (
+                list(state._iassigned_sw),
+                state._icommon_sw,
+                state._forced_term(),
+                state.lower_bound(),
+            )
+
+        seen = [reads(moved)]
+        for target in (Target.sw(0), Target.hw()):
+            moved.reassign("B1", target)
+            stepped.unassign("B1")
+            stepped.assign("B1", target)
+            assert reads(moved) == reads(stepped)
+            seen.append(reads(moved))
+        # The flip moved B1's load into the pools and back out.
+        assert seen[1] != seen[0] == seen[2]
 
     def test_matches_reference_within_quantization_tolerance(self):
         """Off-binary-grid values agree with the oracle to ~2**-32."""
@@ -490,7 +499,13 @@ class TestCapacityAwareBound:
 
 
 class TestDynamicPoolGate:
-    """The re-elected pools exist only where an election can change."""
+    """``exclusion_live``: whether the exclusion max can bind.
+
+    It holds only where some interface has two or more
+    software-capable clusters; branch and bound reads it to gate its
+    root Pareto presolve.  (The class keeps the name of the
+    re-elected pools this predicate used to gate.)
+    """
 
     def test_single_cluster_interfaces_skip_the_pools(self):
         problem = variant_problem(
@@ -498,16 +513,17 @@ class TestDynamicPoolGate:
             origins={"A1": VariantOrigin("theta", "A")},
         )
         state = SearchState(problem)
-        assert state._dyn is None
+        assert not state.exclusion_live
         state.assign("A1", Target.hw())
         state.assign("K", Target.sw(0))
         assert state.lower_bound() == state.leaf()[1]
 
     def test_two_software_clusters_build_the_pools(self):
-        assert SearchState(variant_problem())._dyn is not None
-        assert (
-            SearchState(variant_problem(), dynamic_pool=False)._dyn is None
-        )
+        assert SearchState(variant_problem()).exclusion_live
+        # Recorded by the capacity-aware bound's setup only.
+        assert not SearchState(
+            variant_problem(), capacity_bound=False
+        ).exclusion_live
 
     def test_hardware_only_rival_is_no_election(self):
         library = ComponentLibrary()
@@ -515,11 +531,11 @@ class TestDynamicPoolGate:
         library.component("A1", sw_utilization=0.5, hw_cost=10)
         library.component("B1", hw_cost=12)
         problem = variant_problem(library=library)
-        assert SearchState(problem)._dyn is None
+        assert not SearchState(problem).exclusion_live
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_zoo_selection_problems_skip_and_joint_builds(self, family):
         scenario = generate(family, 0, "small")
-        assert SearchState(scenario.joint_problem())._dyn is not None
+        assert SearchState(scenario.joint_problem()).exclusion_live
         for _selection, problem in scenario.selection_problems():
-            assert SearchState(problem)._dyn is None
+            assert not SearchState(problem).exclusion_live

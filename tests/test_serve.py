@@ -347,8 +347,8 @@ def test_http_error_paths(serve_client):
     assert "null or 'python'" in err.value.body
     # The client's json.dumps sends NaN/Infinity literals, which the
     # server's parser accepts: the spec must refuse them (and bools
-    # posing as integers, and removed explorers) with a 400 rather
-    # than drop the connection.
+    # posing as integers, removed explorers and removed explorer
+    # options) with a 400 rather than drop the connection.
     for payload in (
         {"space": {"kind": "generated", "processor_capacity": math.nan}},
         {"explorer": {"time_budget": math.inf}},
@@ -357,6 +357,7 @@ def test_http_error_paths(serve_client):
         {"lineage_size": True},
         {"explorer": {"name": "annealing"}},
         {"explorer": {"iterations": 4000}},
+        {"explorer": {"dynamic_pool": True}},
     ):
         with pytest.raises(ServeClientError) as err:
             client.submit(payload)

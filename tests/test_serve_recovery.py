@@ -195,6 +195,9 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
     # iterations included.
     drifted.submit("job-000903", {"explorer": {"iterations": 4000}})
     drifted.submit("job-000904", {"explorer": {"frontier": "hybrid"}})
+    # Every job an older daemon journaled carries the removed
+    # cluster re-election knob in its normalized explorer config.
+    drifted.submit("job-000905", {"explorer": {"dynamic_pool": True}})
     drifted.close()
 
     async def second_life():
@@ -206,6 +209,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         assert "job-000902" not in engine.jobs
         assert "job-000903" not in engine.jobs
         assert "job-000904" not in engine.jobs
+        assert "job-000905" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

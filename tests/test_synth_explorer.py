@@ -143,12 +143,9 @@ class TestBranchingOrder:
         reference = ExhaustiveExplorer().explore(knapsack_problem(2, 2))
         small = knapsack_problem(2, 2)
         for ordering in ORDERINGS:
-            for dynamic_pool in (True, False):
-                result = BranchBoundExplorer(
-                    ordering=ordering, dynamic_pool=dynamic_pool
-                ).explore(small)
-                assert result.optimal
-                assert result.cost == reference.cost
+            result = BranchBoundExplorer(ordering=ordering).explore(small)
+            assert result.optimal
+            assert result.cost == reference.cost
         costs = {
             ordering: BranchBoundExplorer(ordering=ordering)
             .explore(problem)
@@ -159,9 +156,7 @@ class TestBranchingOrder:
 
     def test_adaptive_shrinks_the_knapsack_tree(self):
         problem = tree_knapsack_problem()
-        static = BranchBoundExplorer(
-            ordering="static", dynamic_pool=False
-        ).explore(problem)
+        static = BranchBoundExplorer(ordering="static").explore(problem)
         adaptive = BranchBoundExplorer().explore(problem)
         assert adaptive.optimal and static.optimal
         assert adaptive.cost == static.cost

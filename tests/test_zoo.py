@@ -175,9 +175,9 @@ class TestFuzzHarness:
         configs = list(config_matrix(full=True))
         labels = [describe(c) for c in configs]
         assert len(labels) == len(set(labels))
-        # exhaustive + frontier x ordering x pool x bound x cap, every
-        # bnb one on the only backend (its id segment kept).
-        assert len(configs) == 1 + 2 * 3 * 2 * 2 * 2 == 49
+        # exhaustive + frontier x ordering x bound x cap, every bnb
+        # one on the only backend (its id segment kept).
+        assert len(configs) == 1 + 2 * 3 * 2 * 2 == 25
         for config in configs:
             if config["kind"] == "bnb":
                 assert config["backend"] == "python"
