@@ -258,10 +258,8 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
     bound — knapsack-pool upkeep is exercised (and measured) by the
     branch-and-bound sections instead.
 
-    The incremental side runs on the scalar kernel
-    (``backend_evals_per_sec`` keeps its per-backend shape for the
-    bench_history baselines).  Candidate scoring is measured
-    separately by :func:`run_batch_kernel`.
+    Candidate scoring is measured separately by
+    :func:`run_batch_kernel`.
     """
     rng = random.Random(42)
     units = list(problem.units)
@@ -323,9 +321,6 @@ def run_evaluation_microbench(problem: SynthesisProblem, steps: int):
         "incremental_evals_per_sec": round(steps / incremental_elapsed, 1),
         "reference_evals_per_sec": round(steps / reference_elapsed, 1),
         "speedup": round(reference_elapsed / incremental_elapsed, 2),
-        "backend_evals_per_sec": {
-            "python": round(steps / incremental_elapsed, 1)
-        },
     }
 
 
@@ -478,7 +473,6 @@ def run_throughput_comparison(
             node_budget=node_budget,
             capacity_bound=False,
             ordering="static",
-            backend="python",
         ),
         "branch_and_bound_reference": BranchBoundExplorer(
             node_budget=node_budget,
@@ -1054,28 +1048,42 @@ def jobs_sweep_space():
     return family, VariantSpace(system.vgraph)
 
 
-def run_jobs_sweep(lineage_size: int = 2, jobs_levels=(1, 2, 4)):
-    """Wall-clock the identical lineage workload at several jobs levels."""
+def run_jobs_sweep(
+    lineage_size: int = 2, jobs_levels=(1, 2, 4), repeats: int = NOISE_REPEATS
+):
+    """Wall-clock the identical lineage workload at several jobs levels.
+
+    The levels run in ``repeats`` interleaved rounds and each level
+    records the median of its rounds' seconds, so one slow round (a
+    burst of host load, a slow pool start-up) moves no gated rate.
+    """
     family, space = jobs_sweep_space()
-    sweep = []
+    samples = {jobs: [] for jobs in jobs_levels}
+    outcomes = {}
     reference_costs = None
-    base_seconds = None
+    for _round in range(repeats):
+        for jobs in jobs_levels:
+            start = time.perf_counter()
+            outcome = explore_space(
+                family, space, jobs=jobs, lineage_size=lineage_size
+            )
+            samples[jobs].append(time.perf_counter() - start)
+            costs = [result.cost for result in outcome.results]
+            if reference_costs is None:
+                reference_costs = costs
+            # jobs changes wall-clock only — results must be identical
+            assert costs == reference_costs
+            outcomes[jobs] = outcome
+    sweep = []
+    base_seconds = statistics.median(samples[jobs_levels[0]])
     for jobs in jobs_levels:
-        start = time.perf_counter()
-        outcome = explore_space(
-            family, space, jobs=jobs, lineage_size=lineage_size
-        )
-        elapsed = time.perf_counter() - start
-        costs = [result.cost for result in outcome.results]
-        if reference_costs is None:
-            reference_costs = costs
-            base_seconds = elapsed
-        # jobs changes wall-clock only — results must be identical
-        assert costs == reference_costs
+        elapsed = statistics.median(samples[jobs])
+        outcome = outcomes[jobs]
         sweep.append(
             {
                 "jobs": jobs,
                 "seconds": round(elapsed, 6),
+                "repeats": repeats,
                 "selections": len(outcome),
                 "selections_per_sec": round(len(outcome) / elapsed, 2),
                 "total_nodes": outcome.total_nodes,

@@ -10,10 +10,11 @@ clients submitting a mix of fresh and repeated jobs over sockets:
   contract of the content-addressed cache).
 * **sustained jobs/sec** — N client threads each run a stream of jobs
   (distinct seeds mixed with repeats, so the cache sees realistic
-  reuse); the sustained rate and the observed hit fraction land in
-  the ``serve`` section of ``BENCH_explorer.json``, gated by
-  ``check_regression.py`` (``serve_jobs_per_sec``,
-  ``serve_cache_hit_speedup``).
+  reuse); the rate is the median of :data:`LOAD_REPEATS` runs, each
+  on a fresh daemon so every run serves the same hit/miss mix.  The
+  rate and the observed hit fraction land in the ``serve`` section
+  of ``BENCH_explorer.json``, gated by ``check_regression.py``
+  (``serve_jobs_per_sec``, ``serve_cache_hit_speedup``).
 
 Set ``BENCH_QUICK=1`` for the reduced CI workload.
 """
@@ -46,6 +47,10 @@ HARD_JOB = {
         "processor_capacity": 0.25,
     }
 }
+
+
+#: Timed load runs per bench; the recorded rate is their median.
+LOAD_REPEATS = 5
 
 
 def _light_job(seed: int) -> dict:
@@ -175,6 +180,24 @@ def run_client_load(client: ServeClient, clients: int, jobs_each: int):
     }
 
 
+def median_load(runs):
+    """One load record from repeated runs: the median rate.
+
+    ``elapsed_seconds``, ``jobs_per_sec`` and ``hit_fraction`` are
+    medians over ``runs``; every run's rate is kept alongside.
+    """
+    return {
+        "clients": runs[0]["clients"],
+        "jobs_total": runs[0]["jobs_total"],
+        "repeats": len(runs),
+        **{
+            key: statistics.median(run[key] for run in runs)
+            for key in ("elapsed_seconds", "jobs_per_sec", "hit_fraction")
+        },
+        "jobs_per_sec_runs": [run["jobs_per_sec"] for run in runs],
+    }
+
+
 def test_serve_load_recorded(benchmark):
     quick = quick_mode()
     clients = 4 if quick else 8
@@ -185,9 +208,15 @@ def test_serve_load_recorded(benchmark):
             cache = measure_cache_hit(
                 client, samples=10 if quick else 20
             )
-            load = run_client_load(client, clients, jobs_each)
-            stats = client.stats()
-        return cache, load, stats
+            runs = [run_client_load(client, clients, jobs_each)]
+            stats = [client.stats()]
+        # A warm daemon would answer every later run from its cache:
+        # each repeat gets a fresh one, and so the first run's mix.
+        for _ in range(LOAD_REPEATS - 1):
+            with _Daemon(workers=2) as client:
+                runs.append(run_client_load(client, clients, jobs_each))
+                stats.append(client.stats())
+        return cache, median_load(runs), stats
 
     cache, load, stats = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -202,8 +231,8 @@ def test_serve_load_recorded(benchmark):
         "hit_byte_identical": cache["hit_byte_identical"],
         "load": load,
         "daemon_stats": {
-            "jobs_completed": stats["jobs_completed"],
-            "cache": stats["cache"],
+            "jobs_completed": stats[0]["jobs_completed"],
+            "cache": stats[0]["cache"],
         },
     }
     merge_json_artifact(
@@ -216,4 +245,4 @@ def test_serve_load_recorded(benchmark):
     assert cache["cache_hit_speedup"] >= 10.0, cache
     # Sanity on the load phase: the cache absorbed the repeats.
     assert load["hit_fraction"] > 0.3, load
-    assert stats["jobs_failed"] == 0
+    assert all(daemon["jobs_failed"] == 0 for daemon in stats)

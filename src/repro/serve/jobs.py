@@ -68,7 +68,6 @@ _EXPLORER_DEFAULTS = {
     "name": "bnb",
     "ordering": "adaptive",
     "frontier": "dfs",
-    "backend": None,
     "node_budget": None,
     "time_budget": None,
     "max_open": None,
@@ -205,10 +204,6 @@ class JobSpec:
             validate_frontier(explorer["frontier"])
         except SynthesisError as exc:
             raise JobValidationError(str(exc)) from None
-        _require(
-            explorer["backend"] in (None, "python"),
-            "explorer.backend must be null or 'python'",
-        )
         node_budget = explorer["node_budget"]
         _require(
             node_budget is None or (_is_int(node_budget) and node_budget >= 1),
@@ -291,11 +286,10 @@ def spec_payload(spec: JobSpec) -> Dict[str, object]:
 def build_explorer(config: Dict[str, object]) -> Explorer:
     """The live explorer of one normalized explorer config."""
     if config["name"] == "exhaustive":
-        return ExhaustiveExplorer(backend=config["backend"])
+        return ExhaustiveExplorer()
     return BranchBoundExplorer(
         ordering=config["ordering"],
         frontier=config["frontier"],
-        backend=config["backend"],
         node_budget=config["node_budget"],
         time_budget=config["time_budget"],
         max_open=config["max_open"],

@@ -7,7 +7,6 @@ mechanism behind Table 1's "With variants" row.
 """
 
 from .architecture import ArchitectureTemplate
-from .backend import BACKENDS, HAS_NUMPY, resolve_backend
 from .baselines import (
     BoundApplication,
     IncrementalResult,
@@ -98,7 +97,6 @@ from .schedule import (
 __all__ = [
     "ApplicationResult",
     "ArchitectureTemplate",
-    "BACKENDS",
     "BoundApplication",
     "BranchBoundExplorer",
     "ComponentEntry",
@@ -109,7 +107,6 @@ __all__ = [
     "ExplorationResult",
     "Explorer",
     "FlowOutcome",
-    "HAS_NUMPY",
     "HardwareOption",
     "ImplKind",
     "IncrementalEvaluator",
@@ -155,7 +152,6 @@ __all__ = [
     "problem_for_graph",
     "processor_memory",
     "processor_utilization",
-    "resolve_backend",
     "selection_units",
     "serialization_flow",
     "shard_lineages",

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .. import faults
 from ..errors import SynthesisError
 from . import pareto
-from .backend import resolve_backend
 from .checkpoint import (
     DFS_GROUP,
     DFS_NODE,
@@ -202,18 +201,17 @@ class SearchExplorer(Explorer):
     re-evaluation of the best mapping by the reference oracle.
     """
 
+    #: Name of the one search kernel.  Read-only: ``perfbench`` records
+    #: it with its environment and CI checks that record.
+    backend = "python"
+
     def __init__(
         self,
         incremental: bool = True,
         capacity_bound: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         self.incremental = incremental
         self.capacity_bound = capacity_bound
-        #: Evaluation backend of the search state: always the scalar
-        #: kernel (``"python"``); the argument is validated so a
-        #: request for the removed ``"numpy"`` backend fails loudly.
-        self.backend = resolve_backend(backend)
         #: Optional *absolute* :func:`time.monotonic` deadline.  Not a
         #: constructor argument: callers that enforce a wall-clock
         #: deadline across many explorations (the serve engine's
@@ -239,7 +237,6 @@ class SearchExplorer(Explorer):
                     if capacity_bound is None
                     else capacity_bound
                 ),
-                backend=self.backend,
             )
         else:
             state = ReferenceSearchState(problem)
@@ -630,13 +627,10 @@ class BranchBoundExplorer(SearchExplorer):
         ordering: str = "adaptive",
         frontier: str = "dfs",
         shared_incumbent=None,
-        backend: Optional[str] = None,
         max_open: Optional[int] = None,
     ) -> None:
         super().__init__(
-            incremental=incremental,
-            capacity_bound=capacity_bound,
-            backend=backend,
+            incremental=incremental, capacity_bound=capacity_bound
         )
         if node_budget is not None and node_budget < 1:
             raise SynthesisError("node_budget must be >= 1")

@@ -751,7 +751,6 @@ class ParallelSpaceExplorer:
         share_incumbent: bool = False,
         frontier: str = "dfs",
         mp_context: Optional[str] = None,
-        backend: Optional[str] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.05,
         retry_backoff_cap: float = 1.0,
@@ -766,9 +765,7 @@ class ParallelSpaceExplorer:
         self.explorer = (
             explorer
             if explorer is not None
-            else BranchBoundExplorer(
-                frontier=validate_frontier(frontier), backend=backend
-            )
+            else BranchBoundExplorer(frontier=validate_frontier(frontier))
         )
         self.jobs = jobs
         self.lineage_size = lineage_size

@@ -72,7 +72,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
-from .backend import resolve_backend
 from .cost import (
     Evaluation,
     QUANT_SCALE,
@@ -325,17 +324,11 @@ class SearchState:
     ``capacity_bound=False`` skips the knapsack maintenance (useful for
     explorers that never read ``lower_bound()``, e.g. exhaustive
     enumeration).
-
-    ``backend`` is validated by :func:`~repro.synth.backend.resolve_backend`
-    (``None``, ``"auto"`` and ``"python"`` all name this kernel).
     """
 
     #: Partial-mapping infeasibility is monotone (loads only grow along
     #: a search path), so explorers may prune on it.
     can_prune_infeasible = True
-
-    #: Backend name reported to explorers and benchmarks.
-    backend = "python"
 
     #: Whether some interface has two or more software-capable clusters
     #: under the exclusion rule, so a max over clusters can bind.
@@ -348,9 +341,7 @@ class SearchState:
         problem: SynthesisProblem,
         variants_resident: bool = True,
         capacity_bound: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
-        resolve_backend(backend)
         self.problem = problem
         self.variants_resident = variants_resident
         self.capacity_bound = capacity_bound
@@ -1068,8 +1059,11 @@ IncrementalEvaluator = SearchState
 class _NumpySearchState(SearchState):
     """Empty stand-in for the removed NumPy backend class.
 
-    Nothing constructs it; the name stays importable only for external
-    tooling that enumerates the state classes to instrument them.
+    Nothing constructs it.  ``perfbench/tracing.py`` reads it: it
+    wraps the kernel methods each state class defines in its own body,
+    so this class must stay distinct from :class:`SearchState` and
+    define no methods (an alias would wrap every method twice and
+    double the traced call counts).
     """
 
 
@@ -1217,14 +1211,11 @@ class ReferenceSearchState:
 
     can_prune_infeasible = False
 
-    backend = "python"
-
     def __init__(
         self,
         problem: SynthesisProblem,
         variants_resident: bool = True,
         capacity_bound: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         self.problem = problem
         self.variants_resident = variants_resident

@@ -63,9 +63,7 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
     enough for a sweep iteration to touch every code path cheaply.
     ``full=True`` yields the whole cross product (every frontier ×
     ordering × bound × max_open), which the
-    per-family property tests run once per family.  Every
-    configuration carries ``backend: "python"``, the only backend, so
-    corpus ids keep their backend segment.
+    per-family property tests run once per family.
     """
     yield {"kind": "exhaustive"}
     if full:
@@ -77,7 +75,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
                 "frontier": frontier,
                 "ordering": ordering,
                 "capacity_bound": bound,
-                "backend": "python",
                 "max_open": open_cap,
             }
         return
@@ -87,7 +84,6 @@ def config_matrix(full: bool = False) -> Iterator[Dict[str, object]]:
         "frontier": "dfs",
         "ordering": "adaptive",
         "capacity_bound": True,
-        "backend": "python",
         "max_open": None,
     }
     seen = set()
@@ -114,7 +110,6 @@ def describe(config: Dict[str, object]) -> str:
             str(config.get("frontier", "dfs")),
             str(config.get("ordering", "adaptive")),
             "cap" if config.get("capacity_bound", True) else "basic",
-            str(config.get("backend", "python")),
         ]
         open_cap = config.get("max_open")
         parts.append("openinf" if open_cap is None else f"open{open_cap}")
@@ -132,7 +127,6 @@ def build_explorer(config: Dict[str, object]) -> Explorer:
             frontier=str(config.get("frontier", "dfs")),
             ordering=str(config.get("ordering", "adaptive")),
             capacity_bound=bool(config.get("capacity_bound", True)),
-            backend=str(config.get("backend", "python")),
             max_open=config.get("max_open"),
         )
     raise ValueError(f"unknown explorer config kind {kind!r}")

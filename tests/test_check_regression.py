@@ -420,6 +420,39 @@ class TestAdaptiveNodesGate:
         assert "bnb_adaptive_nodes_to_optimal" not in stale
         assert "zoo_deep_chain_nodes_to_optimal" not in stale
 
+    def test_fresh_payload_feeds_every_gate(self):
+        """The committed ``BENCH_explorer.json`` is the payload the
+        current benches write: ``extract_metrics`` finds every gated
+        key in it, so no renamed or reshaped section (the jobs sweep
+        and serve load record medians of repeats) silently drops out
+        of the gate."""
+        payload = json.loads(
+            (pathlib.Path(__file__).parent.parent / "BENCH_explorer.json")
+            .read_text()
+        )
+
+        def filled(node):
+            # A rate the bench withholds as null (too few samples) is
+            # still wired to the gate; only a missing key is not.
+            if isinstance(node, dict):
+                return {key: filled(value) for key, value in node.items()}
+            if isinstance(node, list):
+                return [filled(value) for value in node]
+            return 1.0 if node is None else node
+
+        metrics = check_regression.extract_metrics(filled(payload))
+        assert sorted(metrics) == sorted(check_regression.GATED_METRICS)
+        metrics = check_regression.extract_metrics(payload)
+        for level in payload["parallel_jobs_sweep"]["sweep"]:
+            assert level["repeats"] > 1
+        load = payload["serve"]["load"]
+        assert load["repeats"] == len(load["jobs_per_sec_runs"]) > 1
+        assert metrics["serve_jobs_per_sec"] == load["jobs_per_sec"]
+        # The per-backend copy of the gated microbench rate is gone.
+        assert "backend_evals_per_sec" not in (
+            payload["evaluation_microbench"]
+        )
+
     def test_adaptive_node_blowup_fails_gate(self, tmp_path, capsys):
         history = tmp_path / "bench_history"
         tight = write_current(

@@ -156,13 +156,16 @@ def test_multi_segment_relay_reaches_optimum(problem, oracle):
 
 
 def test_python_backend_checkpoint_parity(problem):
-    plain = BranchBoundExplorer(backend="python").explore(problem)
+    """A half-budget run resumed from its snapshot matches a plain run
+    on the one kernel, the one ``perfbench`` records as ``"python"``."""
+    plain = BranchBoundExplorer().explore(problem)
+    assert BranchBoundExplorer.backend == "python"
     ck = Checkpointer()
     partial = BranchBoundExplorer(
-        backend="python", node_budget=max(1, plain.nodes_explored // 2)
+        node_budget=max(1, plain.nodes_explored // 2)
     ).explore(problem, checkpoint=ck)
     assert not partial.optimal
-    resumed = BranchBoundExplorer(backend="python").explore(
+    resumed = BranchBoundExplorer().explore(
         problem, checkpoint=Checkpointer(resume=ck.latest)
     )
     assert resumed.optimal

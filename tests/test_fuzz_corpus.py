@@ -28,6 +28,13 @@ def test_corpus_ids_match_files():
         assert any(case.id == path.stem for case in CASES)
 
 
+def test_corpus_configs_name_no_kernel():
+    """Configs lost their ``backend`` key (there is one kernel); ids
+    keep their ``-python-`` segment, as they keep ``-pool-``."""
+    assert all("backend" not in case.config for case in CASES)
+    assert any("-python-" in case.id for case in CASES)
+
+
 def test_corpus_versions_current():
     assert all(case.version == CASE_VERSION for case in CASES)
 

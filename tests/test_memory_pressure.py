@@ -78,7 +78,6 @@ problem = SynthesisProblem(
 explorer = BranchBoundExplorer(
     frontier="best-first",
     ordering="static",
-    backend="python",
     max_open=64 if mode == "capped" else None,
 )
 

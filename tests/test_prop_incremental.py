@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SynthesisError
 from repro.synth.architecture import ArchitectureTemplate
-from repro.synth.backend import BACKENDS
 from repro.synth.cost import (
     evaluate,
     lower_bound,
@@ -146,19 +145,13 @@ def _assert_state_matches_reference(state, problem, variants_resident):
 
 
 class TestIncrementalMatchesReference:
-    @given(
-        scenarios(),
-        st.booleans(),
-        st.sampled_from(["auto", "python"]),
-    )
+    @given(scenarios(), st.booleans())
     @settings(max_examples=250, deadline=None)
     def test_cross_check_after_builds_and_moves(
-        self, scenario, variants_resident, backend
+        self, scenario, variants_resident
     ):
         problem, targets, order, moves = scenario
-        state = SearchState(
-            problem, variants_resident=variants_resident, backend=backend
-        )
+        state = SearchState(problem, variants_resident=variants_resident)
         for unit in order:
             state.assign(unit, targets[unit])
         _assert_state_matches_reference(state, problem, variants_resident)
@@ -243,21 +236,19 @@ def _foreign_targets(problem, unit):
 class TestReassignMatchesUnassignAssign:
     @given(
         scenarios(),
-        st.sampled_from(BACKENDS),
         st.booleans(),
         st.integers(min_value=0, max_value=6),
     )
     @settings(max_examples=120, deadline=None)
     def test_every_move_equals_the_two_step_move(
-        self, scenario, backend, capacity_bound, depth
+        self, scenario, capacity_bound, depth
     ):
         """The pool-preserving ``reassign`` reads exactly like
         ``unassign`` + ``assign`` for every kind pair (SW→SW, SW→HW,
         HW→SW, same target), and a rejected move mutates nothing."""
         problem, targets, order, _ = scenario
-        flags = dict(backend=backend, capacity_bound=capacity_bound)
-        moved = SearchState(problem, **flags)
-        stepped = SearchState(problem, **flags)
+        moved = SearchState(problem, capacity_bound=capacity_bound)
+        stepped = SearchState(problem, capacity_bound=capacity_bound)
         for unit in order[: max(1, depth)]:
             moved.assign(unit, targets[unit])
             stepped.assign(unit, targets[unit])
@@ -423,9 +414,7 @@ class TestScalarKernelInvariants:
         self, walk, variants_resident
     ):
         problem, steps = walk
-        state = SearchState(
-            problem, variants_resident=variants_resident, backend="python"
-        )
+        state = SearchState(problem, variants_resident=variants_resident)
         _walk(state, steps)
 
     @pytest.mark.parametrize("memcap", [0.0, 0.75])
@@ -441,9 +430,7 @@ class TestScalarKernelInvariants:
             max_processors=2,
             memcap=memcap,
         )
-        state = SearchState(
-            problem, variants_resident=variants_resident, backend="python"
-        )
+        state = SearchState(problem, variants_resident=variants_resident)
         sw0, sw1, hw, drop = 0, 1, 3, 9
         _walk(
             state,

@@ -10,6 +10,7 @@ from repro.synth.cost import (
     processor_memory,
     processor_utilization,
 )
+from repro.synth.explorer import BranchBoundExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import Mapping, SynthesisProblem, Target, VariantOrigin
 from repro.synth.state import (
@@ -205,12 +206,23 @@ class TestLowerBound:
         assert state.lower_bound() == pytest.approx(7)
 
 
+def explorer_state(problem):
+    state = BranchBoundExplorer()._new_state(problem)
+    assert type(state) is SearchState
+    return state
+
+
+#: The two ways a search state is obtained: ``auto`` lets an explorer
+#: build it, ``python`` constructs the kernel directly.
+STATE_BUILDS = {"auto": explorer_state, "python": SearchState}
+
+
 class TestReassignAndExactMode:
-    @pytest.mark.parametrize("backend", ["auto", "python"])
-    def test_reassign_equals_unassign_assign(self, backend):
+    @pytest.mark.parametrize("build", sorted(STATE_BUILDS))
+    def test_reassign_equals_unassign_assign(self, build):
         problem = variant_problem()
-        moved = SearchState(problem, backend=backend)
-        stepped = SearchState(problem, backend=backend)
+        moved = STATE_BUILDS[build](problem)
+        stepped = STATE_BUILDS[build](problem)
         for state in (moved, stepped):
             state.assign("K", Target.sw(0))
             state.assign("A1", Target.sw(0))
@@ -221,14 +233,14 @@ class TestReassignAndExactMode:
         assert moved.assignment == stepped.assignment
         assert moved.evaluation() == stepped.evaluation()
 
-    @pytest.mark.parametrize("backend", ["auto", "python"])
-    def test_reassign_flip_reelects_like_unassign_assign(self, backend):
+    @pytest.mark.parametrize("build", sorted(STATE_BUILDS))
+    def test_reassign_flip_reelects_like_unassign_assign(self, build):
         """A HW→SW flip of a unit of the heavier cluster moves the
         static pools' committed software load exactly as the two-step
         move does, and back."""
         problem = variant_problem()
-        moved = SearchState(problem, backend=backend)
-        stepped = SearchState(problem, backend=backend)
+        moved = STATE_BUILDS[build](problem)
+        stepped = STATE_BUILDS[build](problem)
         for state in (moved, stepped):
             state.assign("B1", Target.hw())
 

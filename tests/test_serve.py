@@ -341,10 +341,13 @@ def test_http_error_paths(serve_client):
             client.submit({"explorer": {"frontier": frontier}})
         assert err.value.status == 400
         assert repr(FRONTIERS) in err.value.body
-    with pytest.raises(ServeClientError) as err:
-        client.submit({"explorer": {"backend": "numpy"}})
-    assert err.value.status == 400
-    assert "null or 'python'" in err.value.body
+    # The removed kernel option is an unknown field, whatever value
+    # it carries (every one it ever accepted named the same kernel).
+    for backend in ("numpy", "python", None):
+        with pytest.raises(ServeClientError) as err:
+            client.submit({"explorer": {"backend": backend}})
+        assert err.value.status == 400
+        assert "unknown explorer fields: ['backend']" in err.value.body
     # The client's json.dumps sends NaN/Infinity literals, which the
     # server's parser accepts: the spec must refuse them (and bools
     # posing as integers, removed explorers and removed explorer

@@ -192,6 +192,9 @@ def test_job_key_stable_across_processes():
         {"time_budget": math.inf},
         {"time_budget": 10**400},  # an int no float can hold
         "not an object",
+        # The removed kernel option, in every shape it once accepted.
+        {"explorer": {"backend": None}},
+        {"explorer": {"backend": "python"}},
     ],
 )
 def test_spec_validation_rejects(payload):

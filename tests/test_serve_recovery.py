@@ -198,6 +198,9 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
     # Every job an older daemon journaled carries the removed
     # cluster re-election knob in its normalized explorer config.
     drifted.submit("job-000905", {"explorer": {"dynamic_pool": True}})
+    # ...and the removed kernel option, as null: the default every
+    # older daemon normalized into its journaled explorer config.
+    drifted.submit("job-000906", {"explorer": {"backend": None}})
     drifted.close()
 
     async def second_life():
@@ -210,6 +213,7 @@ def test_engine_recovers_cache_and_pending_jobs(tmp_path):
         assert "job-000903" not in engine.jobs
         assert "job-000904" not in engine.jobs
         assert "job-000905" not in engine.jobs
+        assert "job-000906" not in engine.jobs
         assert engine.stats()["persistent"] is True
         # The interrupted job came back under its original id...
         recovered = engine.get(pending_id)

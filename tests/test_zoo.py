@@ -175,13 +175,12 @@ class TestFuzzHarness:
         configs = list(config_matrix(full=True))
         labels = [describe(c) for c in configs]
         assert len(labels) == len(set(labels))
-        # exhaustive + frontier x ordering x bound x cap, every bnb
-        # one on the only backend (its id segment kept).
+        # exhaustive + frontier x ordering x bound x cap; no config
+        # names a kernel, since there is only one.
         assert len(configs) == 1 + 2 * 3 * 2 * 2 == 25
         for config in configs:
-            if config["kind"] == "bnb":
-                assert config["backend"] == "python"
-                assert "-python-" in describe(config)
+            assert "backend" not in config
+            assert "python" not in describe(config)
 
     def test_build_explorer_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown explorer"):
