@@ -43,7 +43,6 @@ DEFAULT_HISTORY = REPO_ROOT / "bench_history"
 #: so old baselines stay comparable when new metrics are added.
 GATED_METRICS = {
     "bnb_incremental_nodes_per_sec": "higher",
-    "bnb_incremental_evals_per_sec": "higher",
     "microbench_incremental_evals_per_sec": "higher",
     "parallel_jobs1_selections_per_sec": "higher",
     "parallel_jobs4_efficiency": "higher",
@@ -93,7 +92,6 @@ def extract_metrics(payload: dict) -> Dict[str, float]:
     explorers = payload.get("explorers", {})
     bnb = explorers.get("branch_and_bound_incremental", {})
     put("bnb_incremental_nodes_per_sec", bnb.get("nodes_per_sec"))
-    put("bnb_incremental_evals_per_sec", bnb.get("evals_per_sec"))
     microbench = payload.get("evaluation_microbench", {})
     put(
         "microbench_incremental_evals_per_sec",

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
-from .mapping import Mapping, SynthesisProblem, Target
+from .mapping import Mapping, SynthesisProblem, Target, problem_payload
 from .ordering import validate_frontier, validate_ordering
 
 #: Blob format version.  Bump on any change to the payload shape; a
@@ -170,23 +170,19 @@ def problem_fingerprint(problem: SynthesisProblem) -> str:
     """A stable content hash of everything the search depends on.
 
     Resuming a checkpoint against a *different* problem would silently
-    produce garbage (paths replayed onto the wrong units); the
-    fingerprint turns that into a refusal.  Covers the unit set, the
-    per-unit implementation options, the architecture envelope, the
-    fixed targets, and the exclusion semantics.
+    produce garbage (paths replayed onto the wrong units, or a proof
+    carried over to a different feasible region); the fingerprint
+    turns that into a refusal.  It hashes the canonical problem
+    payload the serve cache also keys on
+    (:func:`~repro.synth.mapping.problem_payload`: units, their
+    library entries, the architecture envelope, variant origins, fixed
+    targets and the exclusion semantics) plus the problem name and
+    the unit order the search branches in.
     """
     payload = {
         "name": problem.name,
-        "units": list(problem.units),
-        "fixed": {
-            unit: _encode_target(target)
-            for unit, target in sorted(problem.fixed.items())
-        },
-        "architecture": repr(problem.architecture),
-        "entries": {
-            unit: repr(problem.entry(unit)) for unit in problem.units
-        },
-        "use_exclusion": problem.use_exclusion,
+        "order": list(problem.units),
+        "problem": problem_payload(problem),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

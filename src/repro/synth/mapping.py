@@ -11,6 +11,10 @@ available processor performance is not exceeded", §5).
 
 A :class:`Mapping` assigns each unit a target: hardware, or a software
 slot on one of the processors.
+
+:func:`problem_payload` is a problem's canonical content as a plain
+JSON tree; checkpoint fingerprints and the serve cache's job keys
+both hash it.
 """
 
 from __future__ import annotations
@@ -318,3 +322,71 @@ def problem_for_graph(
         fixed=dict(fixed) if not isinstance(fixed, tuple) else {},
         use_exclusion=use_exclusion,
     )
+
+
+# ----------------------------------------------------------------------
+# Canonical content
+# ----------------------------------------------------------------------
+def entry_payload(library: ComponentLibrary, unit: str) -> Dict[str, object]:
+    """One library entry reduced to its result-relevant numbers."""
+    entry = library.entry(unit)
+    payload: Dict[str, object] = {"effort": entry.effort}
+    if entry.software is not None:
+        payload["sw"] = {
+            "utilization": entry.software.utilization,
+            "memory": entry.software.memory,
+        }
+    if entry.hardware is not None:
+        payload["hw"] = {"cost": entry.hardware.cost}
+    return payload
+
+
+def architecture_payload(
+    architecture: ArchitectureTemplate,
+) -> Dict[str, object]:
+    """The architecture envelope as a plain dict (name excluded).
+
+    The template ``name`` is cosmetic — two architectures differing
+    only in name must share cache entries.
+    """
+    return {
+        "max_processors": architecture.max_processors,
+        "processor_cost": architecture.processor_cost,
+        "processor_capacity": architecture.processor_capacity,
+        "memory_capacity": architecture.memory_capacity,
+    }
+
+
+def library_payload(
+    library: ComponentLibrary, units: Optional[Iterable[str]] = None
+) -> Dict[str, Dict[str, object]]:
+    """Library entries keyed by unit name.
+
+    ``units=None`` serializes the whole library — the family-key case,
+    where any unit could appear in some selection of the family.
+    """
+    names = sorted(units) if units is not None else list(library.names())
+    return {name: entry_payload(library, name) for name in names}
+
+
+def problem_payload(problem: SynthesisProblem) -> Dict[str, object]:
+    """Deterministic serialization of one :class:`SynthesisProblem`.
+
+    The problem ``name`` is excluded (cosmetic, like the architecture
+    name); origins and fixed targets are included because they change
+    the feasible region and the cost model's exclusion groups.
+    """
+    return {
+        "units": sorted(problem.units),
+        "library": library_payload(problem.library, problem.units),
+        "architecture": architecture_payload(problem.architecture),
+        "origins": {
+            unit: [origin.interface, origin.cluster]
+            for unit, origin in sorted(problem.origins.items())
+        },
+        "fixed": {
+            unit: repr(target)
+            for unit, target in sorted(problem.fixed.items())
+        },
+        "use_exclusion": bool(problem.use_exclusion),
+    }

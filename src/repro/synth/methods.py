@@ -58,14 +58,8 @@ class ApplicationResult:
     outcome: FlowOutcome
 
 
-def _default_explorer(
-    explorer: Optional[Explorer], frontier: str = "dfs"
-) -> Explorer:
-    return (
-        explorer
-        if explorer is not None
-        else BranchBoundExplorer(frontier=frontier)
-    )
+def _default_explorer(explorer: Optional[Explorer]) -> Explorer:
+    return explorer if explorer is not None else BranchBoundExplorer()
 
 
 def _outcome_from_exploration(
@@ -502,7 +496,6 @@ def explore_space(
     jobs: Optional[int] = None,
     lineage_size: Optional[int] = None,
     share_incumbent: bool = False,
-    frontier: str = "dfs",
     max_retries: int = 0,
 ) -> SpaceExploration:
     """Explore every consistent selection of a variant space.
@@ -517,7 +510,7 @@ def explore_space(
 
     With ``jobs``/``lineage_size`` set, the selections are sharded
     into contiguous warm-start lineages and dispatched over a process
-    pool via the selection-index task protocol (see
+    fleet via the selection-index task protocol (see
     :class:`~repro.synth.parallel.ParallelSpaceExplorer`): workers
     receive the family + space once and re-enumerate their
     ``(start, count)`` shard locally instead of unpickling
@@ -533,11 +526,10 @@ def explore_space(
     unchanged; per-selection node counts become timing-dependent under
     ``jobs > 1``, so the flag defaults to off.
 
-    ``frontier`` picks the default branch-and-bound explorer's search
-    frontier (one of :data:`~repro.synth.ordering.FRONTIERS`, see
-    :class:`~repro.synth.explorer.BranchBoundExplorer`); it is ignored
-    when an explicit ``explorer`` is passed — configure that explorer
-    directly instead.
+    The default explorer is a depth-first
+    :class:`~repro.synth.explorer.BranchBoundExplorer`; for another
+    frontier pass ``BranchBoundExplorer(frontier=...)`` as
+    ``explorer``.
 
     ``max_retries`` re-dispatches a lineage whose worker process
     crashed (up to that many times per lineage, with capped
@@ -547,7 +539,7 @@ def explore_space(
     """
     from .parallel import DEFAULT_LINEAGE_SIZE, ParallelSpaceExplorer
 
-    chosen = _default_explorer(explorer, frontier=frontier)
+    chosen = _default_explorer(explorer)
     if jobs is None and lineage_size is None:
         # One unsharded warm-start chain — the sequential semantics.
         size = max(1, space.count())

@@ -10,15 +10,16 @@ module exploits that:
   next (the PR-1 chaining), across lineages there is no coupling, so
   lineages are embarrassingly parallel.
 * :class:`ParallelSpaceExplorer` dispatches lineages over a
-  ``multiprocessing`` pool using a **selection-index task protocol**:
+  supervised process fleet using a **selection-index task protocol**:
   the (picklable) :class:`~repro.synth.methods.ProblemFamily` and
   :class:`~repro.variants.variant_space.VariantSpace` ship **once per
-  worker** (fork-inherited on Linux, pickled once by the pool
-  initializer elsewhere), and each lineage crosses the process
-  boundary as a tiny :class:`LineageShard` — ``(start_index, count)``
-  into the space's canonical selection enumeration.  Workers
-  re-enumerate their shard locally (:func:`tasks_for_range`, deriving
-  only their own selections' units), rebuild each
+  worker** inside the one callable each worker runs (fork-inherited
+  on Linux, pickled once per worker elsewhere), and each lineage
+  crosses the process boundary as a tiny :class:`LineageShard` —
+  ``(start_index, count)`` into the space's canonical selection
+  enumeration.  Workers re-enumerate their shard locally
+  (:func:`tasks_for_range`, deriving only their own selections'
+  units), rebuild each
   :class:`~repro.synth.mapping.SynthesisProblem` (and through it the
   delta-cost :class:`~repro.synth.state.SearchState`), and stream
   lineage results back; the parent merges them in lineage-index
@@ -42,15 +43,19 @@ module exploits that:
   per-search *node counts* — never the proven best cost —
   timing-dependent.
 
-A worker exception never vanishes into the pool: it is captured with
-its traceback and re-raised in the parent as a
-:class:`~repro.errors.SynthesisError` naming the lineage or item.
+Every fleet — space shards, task lineages and :func:`parallel_map`
+items — runs on one worker loop (:func:`_supervised_worker`) around
+one shipped callable.  A worker exception never vanishes into the
+fleet: the loop captures it with its traceback and the parent
+re-raises it as a :class:`~repro.errors.SynthesisError` naming the
+lineage or item.
 """
 
 from __future__ import annotations
 
 import collections
 import copy
+import functools
 import heapq
 import multiprocessing
 from multiprocessing import connection as mp_connection
@@ -81,7 +86,6 @@ from .mapping import (
     SynthesisProblem,
     VariantOrigin,
 )
-from .ordering import validate_frontier
 
 #: Selections per warm-start lineage.  The lineage decomposition — not
 #: the worker count — defines the result, so this default is
@@ -89,15 +93,22 @@ from .ordering import validate_frontier
 DEFAULT_LINEAGE_SIZE = 4
 
 
-def _mp_context(name: Optional[str] = None):
-    """The multiprocessing context.
+#: Retry schedule of the supervised fleet: a failed task waits
+#: ``min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2**attempt)`` seconds,
+#: scaled by a jitter factor in ``[0.5, 1.5)`` drawn from a generator
+#: seeded with ``RETRY_JITTER_SEED``.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 1.0
+RETRY_JITTER_SEED = 0
+
+
+def _start_context():
+    """The multiprocessing context every fleet starts its workers in.
 
     Prefers ``fork`` on Linux (cheap, no re-import); everywhere else
     the platform default stands — macOS lists ``fork`` as available
     but defaults to ``spawn`` because forking its runtime is unsafe.
     """
-    if name is not None:
-        return multiprocessing.get_context(name)
     if (
         sys.platform.startswith("linux")
         and "fork" in multiprocessing.get_all_start_methods()
@@ -140,14 +151,15 @@ class SharedIncumbent:
     *valid* (merely conservative) pruning threshold — searches refresh
     it periodically instead of locking per node.  Shared ctypes may
     only cross process boundaries by inheritance, so the cell travels
-    through pool initializers / ``Process`` arguments, never through
-    task queues.
+    inside the fleet's ``Process`` arguments, never through task
+    pipes.  It is created in the fleet's start context unless ``ctx``
+    names another.
     """
 
     __slots__ = ("_cell",)
 
     def __init__(self, ctx=None) -> None:
-        context = ctx if ctx is not None else multiprocessing
+        context = ctx if ctx is not None else _start_context()
         self._cell = context.Value("d", float("inf"))
 
     def get(self) -> float:
@@ -215,7 +227,7 @@ class LineageShard:
     The shared-memory task protocol: instead of pickling every
     selection's unit/origin tuples, the parent sends this constant-size
     triple and the worker re-enumerates ``[start, start + count)`` from
-    its fork-inherited (or initializer-shipped) family + space — see
+    the family + space shipped once with its callable — see
     :func:`tasks_for_range`.
     """
 
@@ -307,7 +319,7 @@ def run_lineage(
     """Explore one lineage with warm-start chaining.
 
     The single shared implementation of the batch semantics: the
-    sequential path runs it inline, pool workers run it remotely —
+    sequential path runs it inline, fleet workers run it remotely —
     which is what makes the parallel output byte-identical.
 
     ``seed`` optionally provides an external incumbent mapping (for
@@ -354,86 +366,36 @@ def run_lineage(
 
 
 # ----------------------------------------------------------------------
-# Pool plumbing
+# The supervised worker fleet
 # ----------------------------------------------------------------------
-#: Per-worker shared setup, installed once by the pool initializer so
-#: the family/explorer are shipped per worker, not per lineage.
-_WORKER_STATE: Dict[str, object] = {}
+def _explore_shard(
+    family, explorer, warm_start, space, shard: LineageShard
+):
+    """Index-protocol work: re-enumerate the shard, then explore it."""
+    tasks = tasks_for_range(family, space, shard.start, shard.count)
+    return run_lineage(
+        family,
+        explorer,
+        warm_start,
+        Lineage(index=shard.index, tasks=tuple(tasks)),
+    )
 
 
-def _init_space_worker(
-    family, explorer, warm_start, space=None, incumbent=None
-) -> None:
-    _WORKER_STATE["family"] = family
-    _WORKER_STATE["explorer"] = attach_incumbent(explorer, incumbent)
-    _WORKER_STATE["warm_start"] = warm_start
-    _WORKER_STATE["space"] = space
-
-
-def _explore_lineage_remote(lineage: Lineage):
-    try:
-        results = run_lineage(
-            _WORKER_STATE["family"],
-            _WORKER_STATE["explorer"],
-            _WORKER_STATE["warm_start"],
-            lineage,
-        )
-        return lineage.index, None, results
-    except Exception as exc:  # surfaced in the parent
-        detail = (
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        )
-        return lineage.index, detail, None
-
-
-def _explore_shard_remote(shard: LineageShard):
-    """Index-protocol worker: re-enumerate the shard, then explore it."""
-    try:
-        family = _WORKER_STATE["family"]
-        tasks = tasks_for_range(
-            family, _WORKER_STATE["space"], shard.start, shard.count
-        )
-        results = run_lineage(
-            family,
-            _WORKER_STATE["explorer"],
-            _WORKER_STATE["warm_start"],
-            Lineage(index=shard.index, tasks=tuple(tasks)),
-        )
-        return shard.index, None, results
-    except Exception as exc:  # surfaced in the parent
-        detail = (
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        )
-        return shard.index, detail, None
-
-
-def _init_map_worker(fn) -> None:
-    _WORKER_STATE["map_fn"] = fn
-
-
-def _apply_indexed(packed):
-    index, item = packed
-    try:
-        return index, None, _WORKER_STATE["map_fn"](item)
-    except Exception as exc:
-        detail = (
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        )
-        return index, detail, None
-
-
-def _supervised_worker(
-    worker_id, initializer, initargs, worker_fn, conn
-) -> None:
+def _supervised_worker(worker_id, fn, conn) -> None:
     """Resident worker loop of the crash-tolerant supervisor.
 
+    ``fn`` is the fleet's one callable, shipped once per worker as a
+    ``Process`` argument (inherited under ``fork``, pickled once
+    elsewhere).  The exploration fleets pass a ``functools.partial``
+    carrying the family, explorer and space, so only the small
+    per-task payloads cross the pipe.
     Pulls ``(index, attempt, payload)`` tasks from its *private* duplex
     pipe (``None`` = shut down), runs the fault-injection hook and then
-    the worker function, and reports ``(worker_id, index, attempt,
-    error, result)`` on the same pipe.  Every exception — including an
-    injected one — becomes an error report; a hard death (``os._exit``,
-    segfault, OOM kill) is detected by the parent via process liveness
-    instead.
+    ``fn(payload)``, and reports ``(worker_id, index, attempt, error,
+    result)`` on the same pipe.  Every exception — including an
+    injected one — becomes an error report carrying its traceback; a
+    hard death (``os._exit``, segfault, OOM kill) is detected by the
+    parent via process liveness instead.
 
     The pipe is deliberately a raw :func:`multiprocessing.Pipe`, not a
     ``multiprocessing.Queue``: a queue's shared write lock is held by a
@@ -444,7 +406,6 @@ def _supervised_worker(
     a crash can only ever break the crashed worker's own channel, which
     the parent observes as EOF and reaps.
     """
-    initializer(*initargs)
     while True:
         try:
             task = conn.recv()
@@ -455,7 +416,8 @@ def _supervised_worker(
         index, attempt, payload = task
         try:
             faults.on_pool_task(index, attempt)
-            _, error, result = worker_fn(payload)
+            result = fn(payload)
+            error = None
         except Exception as exc:
             error = (
                 f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
@@ -464,37 +426,33 @@ def _supervised_worker(
         conn.send((worker_id, index, attempt, error, result))
 
 
-def _retry_delay(
-    attempt: int, backoff: float, cap: float, rng: random.Random
-) -> float:
+def _retry_delay(attempt: int, rng: random.Random) -> float:
     """Capped exponential backoff with deterministic seeded jitter."""
-    return min(cap, backoff * (2.0 ** attempt)) * (0.5 + rng.random())
+    return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2.0 ** attempt)) * (
+        0.5 + rng.random()
+    )
 
 
 def _run_supervised(
-    worker_fn,
-    initializer,
-    initargs,
+    fn: Callable,
     payloads: Sequence,
     jobs: int,
-    ctx,
     max_retries: int,
-    retry_backoff: float,
-    retry_backoff_cap: float,
-    retry_seed: int,
     error_for: Callable[[int, str], str],
 ) -> Tuple[Dict[int, object], Dict[int, int]]:
-    """Dispatch ``payloads`` over a crash-tolerant process fleet.
+    """Run ``fn`` over ``payloads`` on a crash-tolerant process fleet.
 
     The replacement for ``Pool.imap_unordered``: a ``multiprocessing``
     pool aborts wholesale when any worker dies hard, so recovery needs
-    manually supervised processes.  Each worker gets a *private* duplex
-    pipe — the parent therefore always knows exactly which task a
-    dead worker held (no claim-message race against ``os._exit``) and
-    re-dispatches it to survivors with capped exponential backoff +
-    seeded jitter, up to ``max_retries`` per task.  A task failing
-    beyond its budget (or outliving every worker) raises
-    :class:`SynthesisError` via ``error_for(index, detail)``.
+    manually supervised processes.  Each worker gets ``fn`` once and a
+    *private* duplex pipe — the parent therefore always knows exactly
+    which task a dead worker held (no claim-message race against
+    ``os._exit``) and re-dispatches it to survivors with capped
+    exponential backoff + seeded jitter (:data:`RETRY_BACKOFF`,
+    :data:`RETRY_BACKOFF_CAP`, :data:`RETRY_JITTER_SEED`), up to
+    ``max_retries`` per task.  A task failing beyond its budget (or
+    outliving every worker) raises :class:`SynthesisError` via
+    ``error_for(index, detail)``.
 
     No channel is shared between workers (see
     :func:`_supervised_worker`), so one worker's death — at any instant
@@ -504,6 +462,7 @@ def _run_supervised(
     callers merge by index, so scheduling and recovery never reorder
     results.
     """
+    ctx = _start_context()
     n_workers = min(jobs, len(payloads))
     conns: Dict[int, object] = {}
     workers: Dict[int, object] = {}
@@ -511,7 +470,7 @@ def _run_supervised(
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_supervised_worker,
-            args=(wid, initializer, initargs, worker_fn, child_conn),
+            args=(wid, fn, child_conn),
         )
         process.daemon = True
         process.start()
@@ -526,15 +485,13 @@ def _run_supervised(
     idle = collections.deque(sorted(workers))
     ready = collections.deque((i, 0) for i in range(len(payloads)))
     delayed: List[Tuple[float, int, int]] = []
-    rng = random.Random(retry_seed)
+    rng = random.Random(RETRY_JITTER_SEED)
 
     def fail_task(index: int, attempt: int, detail: str) -> None:
         if attempt >= max_retries:
             raise SynthesisError(error_for(index, detail))
         retries[index] = attempt + 1
-        delay = _retry_delay(
-            attempt, retry_backoff, retry_backoff_cap, rng
-        )
+        delay = _retry_delay(attempt, rng)
         heapq.heappush(
             delayed, (time.monotonic() + delay, index, attempt + 1)
         )
@@ -639,32 +596,24 @@ def _run_supervised(
 
 
 def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int = 1,
-    mp_context: Optional[str] = None,
-    max_retries: int = 0,
-    retry_backoff: float = 0.05,
-    retry_backoff_cap: float = 1.0,
-    retry_seed: int = 0,
+    fn: Callable, items: Sequence, jobs: int = 1, max_retries: int = 0
 ):
     """Order-preserving process map with worker-crash recovery.
 
     ``fn`` must be picklable (a module-level callable or a
-    ``functools.partial`` of one); it is shipped once per worker via
-    the pool initializer, so a closed-over library/explorer is not
-    re-pickled per item.  Results stream back unordered and are merged
-    by item index, so the output order never depends on scheduling.
+    ``functools.partial`` of one); it is shipped once per worker, so a
+    closed-over library/explorer is not re-pickled per item.  Results
+    stream back unordered and are merged by item index, so the output
+    order never depends on scheduling.
 
     ``max_retries`` re-dispatches a failed item — a worker exception
     *or* a hard worker death — up to that many times per item, with
-    ``retry_backoff``-seconds capped exponential backoff and
-    deterministic ``retry_seed``-keyed jitter.  A failure beyond the
-    budget is re-raised in the parent as :class:`SynthesisError`
-    naming the item and carrying the worker traceback (or the dead
-    worker's exit code).  Retries only apply to the pool path: with
-    ``jobs=1`` the map runs in-process, where an exception is the
-    caller's own.
+    capped exponential backoff and deterministic jitter.  A failure
+    beyond the budget is re-raised in the parent as
+    :class:`SynthesisError` naming the item and carrying the worker
+    traceback (or the dead worker's exit code).  Retries only apply to
+    the fleet path: with ``jobs=1`` the map runs in-process, where an
+    exception is the caller's own.
     """
     if jobs < 1:
         raise SynthesisError("jobs must be >= 1")
@@ -674,16 +623,10 @@ def parallel_map(
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     collected, _retries = _run_supervised(
-        worker_fn=_apply_indexed,
-        initializer=_init_map_worker,
-        initargs=(fn,),
-        payloads=list(enumerate(items)),
+        fn,
+        payloads=items,
         jobs=jobs,
-        ctx=_mp_context(mp_context),
         max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        retry_backoff_cap=retry_backoff_cap,
-        retry_seed=retry_seed,
         error_for=lambda index, detail: (
             f"parallel worker failed on item {index}: {detail}"
         ),
@@ -695,13 +638,17 @@ def parallel_map(
 # Parallel space exploration
 # ----------------------------------------------------------------------
 class ParallelSpaceExplorer:
-    """Batch-explore a variant space over a process pool.
+    """Batch-explore a variant space over a process fleet.
 
     Parameters
     ----------
     explorer:
         The per-problem optimizer (must be picklable; every built-in
-        explorer is).  Defaults to :class:`BranchBoundExplorer`.
+        explorer is).  Defaults to :class:`BranchBoundExplorer`; pass
+        ``BranchBoundExplorer(frontier=...)`` for another frontier.
+        Every frontier keeps the byte-identical-for-every-jobs
+        contract — frontier expansion order is deterministic, and
+        lineages stay the unit of work.
     jobs:
         Worker processes.  ``jobs=1`` runs the identical lineage
         machinery in-process — results are byte-identical for every
@@ -721,25 +668,17 @@ class ParallelSpaceExplorer:
         selection and its proven-optimal cost are unchanged; *node
         counts* become timing-dependent, which is why the default
         (``False``) keeps the byte-identical-for-every-jobs contract.
-    frontier:
-        Search frontier of the *default* branch-and-bound explorer
-        (one of :data:`~repro.synth.ordering.FRONTIERS`); ignored when
-        an explicit ``explorer`` is passed.  Every frontier keeps the
-        byte-identical-for-every-jobs contract — frontier expansion
-        order is deterministic, and lineages stay the unit of work.
-    mp_context:
-        Multiprocessing start method (default: ``fork`` if available).
     max_retries:
         Re-dispatch a lineage whose worker crashed (hard death or
-        evaluator exception) up to this many times, with
-        ``retry_backoff``-seconds capped exponential backoff and
-        deterministic ``retry_seed``-keyed jitter.  Lineages are pure
-        functions of the space, so a re-run returns byte-identical
-        results and the lineage-order merge keeps the output unchanged
-        at any jobs count; recovered retry counts are recorded on each
-        :class:`~repro.synth.explorer.ExplorationResult` (``retries``)
-        — honest provenance *outside* the canonical result payload.
-        Crashes beyond the budget still raise, naming the shard.
+        evaluator exception) up to this many times, with capped
+        exponential backoff and deterministic jitter.  Lineages are
+        pure functions of the space, so a re-run returns
+        byte-identical results and the lineage-order merge keeps the
+        output unchanged at any jobs count; recovered retry counts are
+        recorded on each :class:`~repro.synth.explorer.ExplorationResult`
+        (``retries``) — honest provenance *outside* the canonical
+        result payload.  Crashes beyond the budget still raise, naming
+        the shard.
     """
 
     def __init__(
@@ -749,12 +688,7 @@ class ParallelSpaceExplorer:
         lineage_size: int = DEFAULT_LINEAGE_SIZE,
         warm_start: bool = True,
         share_incumbent: bool = False,
-        frontier: str = "dfs",
-        mp_context: Optional[str] = None,
         max_retries: int = 0,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 1.0,
-        retry_seed: int = 0,
     ) -> None:
         if jobs < 1:
             raise SynthesisError("jobs must be >= 1")
@@ -763,30 +697,27 @@ class ParallelSpaceExplorer:
         if max_retries < 0:
             raise SynthesisError("max_retries must be >= 0")
         self.explorer = (
-            explorer
-            if explorer is not None
-            else BranchBoundExplorer(frontier=validate_frontier(frontier))
+            explorer if explorer is not None else BranchBoundExplorer()
         )
         self.jobs = jobs
         self.lineage_size = lineage_size
         self.warm_start = warm_start
         self.share_incumbent = share_incumbent
-        self.mp_context = mp_context
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        self.retry_seed = retry_seed
 
-    def _sequential_explorer(self) -> Explorer:
-        """The in-process explorer, incumbent-wired when sharing.
+    def _wired_explorer(self, new_cell: Callable[[], object]) -> Explorer:
+        """The explorer, wired to a fresh incumbent cell when sharing.
 
-        A :class:`LocalIncumbent` spanning the sequential lineage loop
-        gives ``jobs=1`` the same cross-lineage pruning semantics as
-        the pool path — deterministically, since there is no timing.
+        In-process runs pass :class:`LocalIncumbent`, fleets
+        :class:`SharedIncumbent`: a cell spanning every lineage gives
+        ``jobs=1`` the same cross-lineage pruning semantics as the
+        fleet — deterministically, since there is no timing.  The
+        fleet's cell is attached here in the parent and reaches the
+        workers inside their shipped callable.
         """
         if not self.share_incumbent:
             return self.explorer
-        return attach_incumbent(self.explorer, LocalIncumbent())
+        return attach_incumbent(self.explorer, new_cell())
 
     def explore(self, family, space: VariantSpace):
         """Explore every consistent selection; deterministic output.
@@ -802,7 +733,7 @@ class ParallelSpaceExplorer:
             # In-process: nothing to ship, so enumerate the space once
             # and shard the task list directly (the worker-side
             # re-enumeration would redo it per shard).
-            explorer = self._sequential_explorer()
+            explorer = self._wired_explorer(LocalIncumbent)
             lineages = shard_lineages(
                 tasks_from_space(family, space), self.lineage_size
             )
@@ -811,7 +742,20 @@ class ParallelSpaceExplorer:
                 for lin in lineages
             ]
         else:
-            per_lineage = self._run_index_pool(family, space, shards)
+            per_lineage = self._run_fleet(
+                functools.partial(
+                    _explore_shard,
+                    family,
+                    self._wired_explorer(SharedIncumbent),
+                    self.warm_start,
+                    space,
+                ),
+                shards,
+                describe=lambda shard: (
+                    f"selections {shard.start}.."
+                    f"{shard.start + shard.count - 1}"
+                ),
+            )
         results = [result for chunk in per_lineage for result in chunk]
         return SpaceExploration(family=family, results=results)
 
@@ -824,67 +768,44 @@ class ParallelSpaceExplorer:
         """
         lineages = shard_lineages(list(tasks), self.lineage_size)
         if self.jobs == 1 or len(lineages) <= 1:
-            explorer = self._sequential_explorer()
+            explorer = self._wired_explorer(LocalIncumbent)
             per_lineage = [
                 run_lineage(family, explorer, self.warm_start, lin)
                 for lin in lineages
             ]
         else:
-            per_lineage = self._run_pool(family, lineages)
+            per_lineage = self._run_fleet(
+                functools.partial(
+                    run_lineage,
+                    family,
+                    self._wired_explorer(SharedIncumbent),
+                    self.warm_start,
+                ),
+                lineages,
+                describe=lambda lineage: (
+                    f"selections {[t.name for t in lineage.tasks]}"
+                ),
+            )
         return [result for chunk in per_lineage for result in chunk]
 
-    def _run_index_pool(
-        self, family, space: VariantSpace, shards: List[LineageShard]
-    ):
-        return self._collect_over_pool(
-            worker=_explore_shard_remote,
-            payloads=shards,
-            initargs=(family, self.explorer, self.warm_start, space),
-            describe=lambda index: (
-                f"selections {shards[index].start}.."
-                f"{shards[index].start + shards[index].count - 1}"
-            ),
-        )
-
-    def _run_pool(self, family, lineages: List[Lineage]):
-        return self._collect_over_pool(
-            worker=_explore_lineage_remote,
-            payloads=lineages,
-            initargs=(family, self.explorer, self.warm_start, None),
-            describe=lambda index: (
-                f"selections {[t.name for t in lineages[index].tasks]}"
-            ),
-        )
-
-    def _collect_over_pool(self, worker, payloads, initargs, describe):
-        """Shared supervised-fleet loop of both task protocols.
+    def _run_fleet(self, fn, payloads, describe):
+        """Run one lineage callable over the supervised fleet.
 
         Streams results back unordered, re-dispatches crashed
         lineages to surviving workers (``max_retries``), surfaces an
         unrecovered worker error as :class:`SynthesisError` naming the
-        lineage *and its shard*, and merges in lineage-index order so
-        neither scheduling nor recovery ever shows in the output.
-        With ``share_incumbent`` a :class:`SharedIncumbent` cell rides
-        the worker initializer (shared ctypes must cross by
-        inheritance) into every worker's explorer.
+        lineage *and its selections* (``describe(payload)``), and
+        merges in lineage-index order so neither scheduling nor
+        recovery ever shows in the output.
         """
-        ctx = _mp_context(self.mp_context)
-        if self.share_incumbent:
-            initargs = initargs + (SharedIncumbent(ctx),)
         collected, retries = _run_supervised(
-            worker_fn=worker,
-            initializer=_init_space_worker,
-            initargs=initargs,
+            fn,
             payloads=payloads,
             jobs=self.jobs,
-            ctx=ctx,
             max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            retry_backoff_cap=self.retry_backoff_cap,
-            retry_seed=self.retry_seed,
             error_for=lambda index, detail: (
                 f"exploration worker failed on lineage {index} "
-                f"({describe(index)}): {detail}"
+                f"({describe(payloads[index])}): {detail}"
             ),
         )
         for index, count in retries.items():

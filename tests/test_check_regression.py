@@ -62,7 +62,6 @@ class TestMetricExtraction:
         metrics = check_regression.extract_metrics(bench_payload())
         assert metrics == {
             "bnb_incremental_nodes_per_sec": 1000.0,
-            "bnb_incremental_evals_per_sec": 100.0,
             "microbench_incremental_evals_per_sec": 9000.0,
             "parallel_jobs1_selections_per_sec": 4.0,
             "batch_scalar_probes_per_sec": 800000.0,
@@ -221,11 +220,11 @@ class TestGate:
 
 
 def bench_payload_with_extras(nodes_to_optimal=3000.0, optimal=True,
-                              bnb_evals_per_sec=None):
+                              bnb_nodes_per_sec=1000.0):
     payload = bench_payload()
     payload["explorers"]["branch_and_bound_incremental"][
-        "evals_per_sec"
-    ] = bnb_evals_per_sec
+        "nodes_per_sec"
+    ] = bnb_nodes_per_sec
     payload["bound_tightness"] = {
         "capacity_bound": {
             "nodes": nodes_to_optimal,
@@ -238,10 +237,20 @@ def bench_payload_with_extras(nodes_to_optimal=3000.0, optimal=True,
 class TestNullAndTinySampleMetrics:
     def test_null_rates_are_not_extracted(self):
         metrics = check_regression.extract_metrics(
-            bench_payload_with_extras(bnb_evals_per_sec=None)
+            bench_payload_with_extras(bnb_nodes_per_sec=None)
         )
+        assert "bnb_incremental_nodes_per_sec" not in metrics
+        assert metrics["microbench_incremental_evals_per_sec"] == 9000.0
+
+    def test_bnb_evals_rate_is_not_gated(self):
+        """The static, capacity-blind throughput run makes a handful
+        of leaf evaluations, so the bench always withholds its
+        evaluation rate: a gate on it would never compare anything."""
+        assert "bnb_incremental_evals_per_sec" not in (
+            check_regression.GATED_METRICS
+        )
+        metrics = check_regression.extract_metrics(bench_payload())
         assert "bnb_incremental_evals_per_sec" not in metrics
-        assert metrics["bnb_incremental_nodes_per_sec"] == 1000.0
 
     def test_non_optimal_runs_do_not_gate_nodes(self):
         metrics = check_regression.extract_metrics(
@@ -253,14 +262,14 @@ class TestNullAndTinySampleMetrics:
         """A baseline with a real rate never gates a null fresh rate."""
         history = tmp_path / "bench_history"
         with_rate = write_current(
-            tmp_path, bench_payload_with_extras(bnb_evals_per_sec=900.0)
+            tmp_path, bench_payload_with_extras(bnb_nodes_per_sec=900.0)
         )
         check_regression.main(
             ["--current", str(with_rate), "--history", str(history),
              "--write"]
         )
         without_rate = write_current(
-            tmp_path, bench_payload_with_extras(bnb_evals_per_sec=None)
+            tmp_path, bench_payload_with_extras(bnb_nodes_per_sec=None)
         )
         assert check_regression.main(
             ["--current", str(without_rate), "--history", str(history)]

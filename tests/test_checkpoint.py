@@ -12,6 +12,7 @@ The oracle is :class:`~repro.synth.explorer.ExhaustiveExplorer`, so
 internal consistency.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,8 +27,9 @@ from repro.synth.checkpoint import (
 )
 from repro.synth.explorer import BranchBoundExplorer, ExhaustiveExplorer
 from repro.synth.library import ComponentLibrary
-from repro.synth.mapping import SynthesisProblem
+from repro.synth.mapping import SynthesisProblem, Target, VariantOrigin
 from repro.synth.ordering import FRONTIERS, ORDERINGS
+from repro.zoo import generate
 
 #: The full driver matrix: every frontier x every ordering x both
 #: ``capacity_bound`` settings.  Twelve drivers sharing one checkpoint
@@ -266,6 +268,78 @@ def test_resume_rejects_different_problem(problem):
         BranchBoundExplorer().explore(
             other, checkpoint=Checkpointer(resume=snapshot)
         )
+
+def test_resume_rejects_origins_only_change():
+    """Variant origins define the exclusion groups, so they change the
+    feasible region: a proof of one problem must not certify a copy
+    that differs only in its origins.  Resuming the finished search
+    of the multi-processor zoo problem on its origin-free copy would
+    otherwise claim ``optimal=True`` with no feasible mapping."""
+    problem = generate("hetero_multiproc", 0, "bench").joint_problem()
+    assert problem.origins
+    copy = dataclasses.replace(problem, origins={})
+    ck = Checkpointer()
+    BranchBoundExplorer().explore(problem, checkpoint=ck)
+    assert ck.latest.complete
+    assert problem_fingerprint(copy) != problem_fingerprint(problem)
+    with pytest.raises(SynthesisError, match="fingerprint"):
+        BranchBoundExplorer().explore(
+            copy, checkpoint=Checkpointer(resume=ck.latest)
+        )
+
+
+def _payload_variants(problem):
+    """One copy of ``problem`` per changed problem-payload field."""
+    library = ComponentLibrary()
+    for unit in problem.units:
+        entry = problem.entry(unit)
+        library.component(
+            unit,
+            sw_utilization=(
+                entry.software.utilization + 0.125
+                if entry.software is not None
+                else None
+            ),
+            hw_cost=entry.hardware.cost if entry.hardware else None,
+        )
+    first = problem.units[0]
+    return {
+        "units": make_problem(n_units=6),
+        "library": dataclasses.replace(problem, library=library),
+        "architecture": dataclasses.replace(
+            problem,
+            architecture=dataclasses.replace(
+                problem.architecture, processor_cost=8
+            ),
+        ),
+        "origins": dataclasses.replace(
+            problem, origins={first: VariantOrigin("t", "v0")}
+        ),
+        "fixed": dataclasses.replace(problem, fixed={first: Target.hw()}),
+        "use_exclusion": dataclasses.replace(problem, use_exclusion=False),
+        "name": dataclasses.replace(problem, name="renamed"),
+    }
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "units",
+        "library",
+        "architecture",
+        "origins",
+        "fixed",
+        "use_exclusion",
+        "name",
+    ],
+)
+def test_fingerprint_covers_every_problem_field(problem, field):
+    variant = _payload_variants(problem)[field]
+    assert problem_fingerprint(variant) != problem_fingerprint(problem)
+    assert problem_fingerprint(
+        dataclasses.replace(problem)
+    ) == problem_fingerprint(problem)
+
 
 def test_resume_rejects_mismatched_frontier_or_ordering(problem):
     snapshot = _checkpoint_of(problem, frontier="dfs", ordering="adaptive")

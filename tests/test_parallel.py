@@ -276,25 +276,6 @@ class TestFrontierJobsDeterminism:
         )
         assert canonical_bytes(pooled) == canonical_bytes(sharded)
 
-    def test_frontier_default_explorer_threads_through(self):
-        """ParallelSpaceExplorer(frontier=...) configures the default
-        branch-and-bound explorer; explore_space(frontier=...) does
-        the same for the sequential path."""
-        family, space = generated_space(n_variants=3)
-        runner = ParallelSpaceExplorer(frontier="best-first")
-        assert runner.explorer.frontier == "best-first"
-        via_runner = runner.explore(family, space)
-        via_explore = explore_space(
-            family, space, frontier="best-first"
-        )
-        assert canonical_bytes(via_runner) == canonical_bytes(
-            via_explore
-        )
-        for result in via_explore.results:
-            assert "best-first" in result.exploration.provenance
-        with pytest.raises(SynthesisError):
-            ParallelSpaceExplorer(frontier="sideways")
-
     @pytest.mark.parametrize("frontier", ["best-first"])
     def test_frontier_matches_dfs_costs_across_the_space(
         self, frontier
@@ -304,7 +285,9 @@ class TestFrontierJobsDeterminism:
         optima; costs and proofs may not)."""
         family, space = generated_space()
         dfs = explore_space(family, space)
-        other = explore_space(family, space, frontier=frontier)
+        other = explore_space(
+            family, space, BranchBoundExplorer(frontier=frontier)
+        )
         assert [r.cost for r in other.results] == [
             r.cost for r in dfs.results
         ]
@@ -466,6 +449,67 @@ class TestIncumbentSharing:
         assert best.exploration.optimal
         reference = explore_space(family, space)
         assert best.cost == reference.best().cost
+
+
+class TestTaskListFleet:
+    """``explore_tasks`` over the fleet: prepared task lists (no
+    backing space) ship whole lineages, and get the same crash
+    surfacing and incumbent sharing as the index protocol."""
+
+    def test_crash_names_lineage_and_selections(self):
+        family, space = generated_space()
+        tasks = tasks_from_space(family, space)
+        runner = ParallelSpaceExplorer(
+            explorer=CrashingExplorer("app3"), jobs=2, lineage_size=2
+        )
+        with pytest.raises(SynthesisError) as excinfo:
+            runner.explore_tasks(family, tasks)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "exploration worker failed on lineage 1 "
+            "(selections ['gen.app3', 'gen.app4']): "
+            "RuntimeError: injected crash on gen.app3\n"
+        )
+        assert "Traceback (most recent call last)" in message
+
+    def test_share_incumbent_keeps_best_cost(self):
+        family, space = generated_space()
+        tasks = tasks_from_space(family, space)
+
+        def best_cost(share):
+            results = ParallelSpaceExplorer(
+                jobs=2, lineage_size=2, share_incumbent=share
+            ).explore_tasks(family, tasks)
+            best = min(
+                (r for r in results if r.exploration.feasible),
+                key=lambda r: r.cost,
+            )
+            assert best.exploration.optimal
+            return best.cost
+
+        assert best_cost(True) == best_cost(False)
+
+
+class TestRemovedFleetOptions:
+    """Options that no caller set are gone; passing one is a
+    ``TypeError``, not a silently ignored keyword."""
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["mp_context", "retry_backoff", "retry_backoff_cap", "retry_seed"],
+    )
+    def test_retry_and_context_options_are_type_errors(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            ParallelSpaceExplorer(**{keyword: None})
+        with pytest.raises(TypeError, match=keyword):
+            parallel_map(str, [1, 2], jobs=2, **{keyword: None})
+
+    def test_frontier_option_is_a_type_error(self):
+        family, space = generated_space(n_variants=3)
+        with pytest.raises(TypeError, match="frontier"):
+            ParallelSpaceExplorer(frontier="best-first")
+        with pytest.raises(TypeError, match="frontier"):
+            explore_space(family, space, frontier="best-first")
 
 
 class TestFlowsThroughBatch:

@@ -12,12 +12,10 @@ import pytest
 from repro.apps import figure2
 from repro.serve.cache import ResultCache
 from repro.serve.canonical import (
-    architecture_payload,
     canonical_json,
     content_hash,
     family_key,
     family_payload,
-    problem_payload,
     space_payload,
 )
 from repro.serve.jobs import (
@@ -28,7 +26,12 @@ from repro.serve.jobs import (
     mapping_from_payload,
     mapping_payload,
 )
-from repro.synth.mapping import Mapping, Target
+from repro.synth.mapping import (
+    Mapping,
+    Target,
+    architecture_payload,
+    problem_payload,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
