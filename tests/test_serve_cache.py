@@ -15,7 +15,6 @@ from repro.serve.canonical import (
     canonical_json,
     content_hash,
     family_key,
-    family_payload,
     space_payload,
 )
 from repro.serve.jobs import (
