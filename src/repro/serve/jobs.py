@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
 from ..synth.explorer import BranchBoundExplorer, ExhaustiveExplorer, Explorer
-from ..synth.mapping import Mapping, Target
+from ..synth.mapping import Mapping, Target, encode_target
 from ..synth.methods import (
     ProblemFamily,
     SelectionResult,
@@ -459,7 +459,7 @@ def mapping_payload(mapping: Optional[Mapping]) -> Optional[Dict[str, str]]:
     if mapping is None:
         return None
     return {
-        unit: "hw" if target.is_hardware else f"sw:{target.processor}"
+        unit: encode_target(target)
         for unit, target in sorted(mapping.assignment.items())
     }
 

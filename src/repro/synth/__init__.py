@@ -86,7 +86,7 @@ from .parallel import (
     tasks_from_space,
 )
 from .results import FlowOutcome, collapse_units, to_table_row
-from .state import IncrementalEvaluator, ReferenceSearchState, SearchState
+from .state import ReferenceSearchState, SearchState
 from .schedule import (
     Schedule,
     ScheduledTask,
@@ -109,7 +109,6 @@ __all__ = [
     "FlowOutcome",
     "HardwareOption",
     "ImplKind",
-    "IncrementalEvaluator",
     "IncrementalResult",
     "Lineage",
     "LocalIncumbent",

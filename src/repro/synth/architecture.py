@@ -11,6 +11,7 @@ scaling bench explores larger templates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import SynthesisError
@@ -47,6 +48,14 @@ class ArchitectureTemplate:
     memory_capacity: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in (
+            "max_processors",
+            "processor_cost",
+            "processor_capacity",
+            "memory_capacity",
+        ):
+            if not math.isfinite(getattr(self, field)):
+                raise SynthesisError(f"{field} must be finite")
         if self.max_processors < 0:
             raise SynthesisError("max_processors must be >= 0")
         if self.processor_cost < 0:

@@ -52,7 +52,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
-from .mapping import Mapping, SynthesisProblem, Target, problem_payload
+from .mapping import (
+    Mapping,
+    SynthesisProblem,
+    Target,
+    encode_target,
+    problem_payload,
+)
 from .ordering import validate_frontier, validate_ordering
 
 #: Blob format version.  Bump on any change to the payload shape; a
@@ -70,10 +76,6 @@ _INF = float("inf")
 # ----------------------------------------------------------------------
 # Encoding helpers (JSON-safe targets, paths, infinities)
 # ----------------------------------------------------------------------
-def _encode_target(target: Target) -> str:
-    return "hw" if target.is_hardware else f"sw:{target.processor}"
-
-
 def _decode_target(text: str) -> Target:
     if text == "hw":
         return Target.hw()
@@ -83,7 +85,7 @@ def _decode_target(text: str) -> Target:
 
 
 def _encode_path(path: Tuple[Tuple[str, Target], ...]) -> List[List[str]]:
-    return [[unit, _encode_target(target)] for unit, target in path]
+    return [[unit, encode_target(target)] for unit, target in path]
 
 
 def _decode_path(rows: List[List[str]]) -> Tuple[Tuple[str, Target], ...]:
@@ -116,7 +118,7 @@ def encode_mapping(mapping: Optional[Mapping]) -> Optional[Dict[str, str]]:
     if mapping is None:
         return None
     return {
-        unit: _encode_target(target)
+        unit: encode_target(target)
         for unit, target in sorted(mapping.assignment.items())
     }
 
@@ -424,7 +426,7 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
                     {
                         "kind": "node",
                         "path": prefix[:depth]
-                        + [[unit, _encode_target(targets[position])]],
+                        + [[unit, encode_target(targets[position])]],
                         "checked": False,
                         "bound": None,
                         "feasible": None,
@@ -438,7 +440,7 @@ def _encode_dfs_stack(stack, applied) -> List[Dict[str, object]]:
                     "path": prefix[:depth],
                     "unit": unit,
                     "scored": [
-                        [_encode_num(bound), _encode_target(target)]
+                        [_encode_num(bound), encode_target(target)]
                         for bound, _index, target in scored
                     ],
                     "pos": pos,

@@ -12,11 +12,25 @@ to be considered n times".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import SynthesisError
 from ..spi.graph import ModelGraph
+
+
+_INF = float("inf")
+
+
+def _out_of_range(what: str, value: float) -> SynthesisError:
+    """The error for a model number outside ``[0, inf)``.
+
+    NaN fails every comparison, so the callers test ``0 <= value <
+    inf``, one chained comparison, and only build the message here.
+    """
+    reason = "must be >= 0" if math.isfinite(value) else "must be finite"
+    return SynthesisError(f"{what} {reason}")
 
 
 class ImplKind(enum.Enum):
@@ -39,10 +53,10 @@ class SoftwareOption:
     memory: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.utilization:
-            raise SynthesisError("software utilization must be >= 0")
-        if self.memory < 0:
-            raise SynthesisError("software memory must be >= 0")
+        if not 0 <= self.utilization < _INF:
+            raise _out_of_range("software utilization", self.utilization)
+        if not 0 <= self.memory < _INF:
+            raise _out_of_range("software memory", self.memory)
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,8 @@ class HardwareOption:
     cost: float
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise SynthesisError("hardware cost must be >= 0")
+        if not 0 <= self.cost < _INF:
+            raise _out_of_range("hardware cost", self.cost)
 
 
 @dataclass(frozen=True)

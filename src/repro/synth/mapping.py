@@ -58,10 +58,20 @@ class Target:
     def is_hardware(self) -> bool:
         return self.kind is ImplKind.HARDWARE
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.is_hardware:
-            return "hw"
-        return f"sw:{self.processor}"
+    def __repr__(self) -> str:
+        return encode_target(self)
+
+
+def encode_target(target: Target) -> str:
+    """A target as text: ``"hw"``, or ``"sw:<processor>"``.
+
+    The one spelling of targets in problem payloads (and with them
+    checkpoint fingerprints and serve job keys), checkpoint blobs and
+    serve results.
+    """
+    if target.is_hardware:
+        return "hw"
+    return f"sw:{target.processor}"
 
 
 @dataclass(frozen=True)
@@ -385,7 +395,7 @@ def problem_payload(problem: SynthesisProblem) -> Dict[str, object]:
             for unit, origin in sorted(problem.origins.items())
         },
         "fixed": {
-            unit: repr(target)
+            unit: encode_target(target)
             for unit, target in sorted(problem.fixed.items())
         },
         "use_exclusion": bool(problem.use_exclusion),

@@ -62,6 +62,37 @@ def _default_explorer(explorer: Optional[Explorer]) -> Explorer:
     return explorer if explorer is not None else BranchBoundExplorer()
 
 
+def _batch_runner(
+    explorer: Optional[Explorer],
+    total: int,
+    jobs: Optional[int],
+    lineage_size: Optional[int],
+    **options,
+):
+    """The lineage runner for a batch of ``total`` selections.
+
+    With neither ``jobs`` nor ``lineage_size`` set, the batch is one
+    unsharded warm-start chain (the sequential semantics); otherwise
+    it is cut into lineages of ``lineage_size`` (default
+    ``DEFAULT_LINEAGE_SIZE``) over ``jobs`` workers (default 1).
+    ``options`` are passed on to the runner.
+    """
+    from .parallel import DEFAULT_LINEAGE_SIZE, ParallelSpaceExplorer
+
+    if jobs is None and lineage_size is None:
+        size = max(1, total)
+    elif lineage_size is None:
+        size = DEFAULT_LINEAGE_SIZE
+    else:
+        size = lineage_size
+    return ParallelSpaceExplorer(
+        explorer=_default_explorer(explorer),
+        jobs=1 if jobs is None else jobs,
+        lineage_size=size,
+        **options,
+    )
+
+
 def _outcome_from_exploration(
     flow: str,
     exploration: ExplorationResult,
@@ -127,11 +158,7 @@ def independent_flow(
     scratch; ``warm_start=False`` makes the per-application runs
     strictly independent, node counts included.
     """
-    from .parallel import (
-        DEFAULT_LINEAGE_SIZE,
-        ParallelSpaceExplorer,
-        SelectionTask,
-    )
+    from .parallel import SelectionTask
 
     if not apps:
         raise SynthesisError("independent flow needs at least one application")
@@ -148,18 +175,8 @@ def independent_flow(
     family = ProblemFamily(
         name="independent", library=library, architecture=architecture
     )
-    if jobs is None and lineage_size is None:
-        size = max(1, len(tasks))
-    else:
-        size = (
-            lineage_size if lineage_size is not None
-            else DEFAULT_LINEAGE_SIZE
-        )
-    runner = ParallelSpaceExplorer(
-        explorer=_default_explorer(explorer),
-        jobs=jobs if jobs is not None else 1,
-        lineage_size=size,
-        warm_start=warm_start,
+    runner = _batch_runner(
+        explorer, len(tasks), jobs, lineage_size, warm_start=warm_start
     )
     results = runner.explore_tasks(family, tasks)
     flow_results: Dict[str, ApplicationResult] = {}
@@ -537,21 +554,11 @@ def explore_space(
     stay byte-identical because lineages are pure functions of the
     space; see :class:`~repro.synth.parallel.ParallelSpaceExplorer`.
     """
-    from .parallel import DEFAULT_LINEAGE_SIZE, ParallelSpaceExplorer
-
-    chosen = _default_explorer(explorer)
-    if jobs is None and lineage_size is None:
-        # One unsharded warm-start chain — the sequential semantics.
-        size = max(1, space.count())
-    else:
-        size = (
-            lineage_size if lineage_size is not None
-            else DEFAULT_LINEAGE_SIZE
-        )
-    runner = ParallelSpaceExplorer(
-        explorer=chosen,
-        jobs=jobs if jobs is not None else 1,
-        lineage_size=size,
+    runner = _batch_runner(
+        explorer,
+        space.count(),
+        jobs,
+        lineage_size,
         warm_start=warm_start,
         share_incumbent=share_incumbent,
         max_retries=max_retries,

@@ -731,16 +731,11 @@ class ParallelSpaceExplorer:
         shards = shard_indices(space.count(), self.lineage_size)
         if self.jobs == 1 or len(shards) <= 1:
             # In-process: nothing to ship, so enumerate the space once
-            # and shard the task list directly (the worker-side
-            # re-enumeration would redo it per shard).
-            explorer = self._wired_explorer(LocalIncumbent)
-            lineages = shard_lineages(
-                tasks_from_space(family, space), self.lineage_size
+            # and run the task list (the worker-side re-enumeration
+            # would redo it per shard).
+            results = self.explore_tasks(
+                family, tasks_from_space(family, space)
             )
-            per_lineage = [
-                run_lineage(family, explorer, self.warm_start, lin)
-                for lin in lineages
-            ]
         else:
             per_lineage = self._run_fleet(
                 functools.partial(
@@ -756,7 +751,7 @@ class ParallelSpaceExplorer:
                     f"{shard.start + shard.count - 1}"
                 ),
             )
-        results = [result for chunk in per_lineage for result in chunk]
+            results = [result for chunk in per_lineage for result in chunk]
         return SpaceExploration(family=family, results=results)
 
     def explore_tasks(self, family, tasks: Sequence[SelectionTask]):

@@ -17,7 +17,8 @@ buckets and the per-interface max-exclusion aggregation each time.
   mutation order, with no re-aggregation;
 * per-processor utilization under the paper's exclusion rule
   (``common + Σ_interfaces max_cluster Σ_units``),
-* per-processor memory footprints (``variants_resident`` both ways),
+* per-processor memory footprints (every variant resident, so a plain
+  sum per processor),
 * hardware cost and allocated-processor count,
 * capacity-violation counters (so feasibility of the current partial
   mapping is an O(1) read), and
@@ -69,11 +70,10 @@ undecided units: O(log n) per mutation, O(log n) per bound read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SynthesisError
 from .cost import (
-    Evaluation,
     QUANT_SCALE,
     evaluate,
     lower_bound,
@@ -316,10 +316,11 @@ class SearchState:
     ``assign(unit, target)`` / ``unassign(unit)`` maintain every cost
     and feasibility aggregate incrementally on the integer kernel;
     ``feasible``, ``leaf()`` and ``lower_bound()`` are O(1)/O(log n)
-    reads.  ``evaluation()`` assembles a full
-    :class:`~repro.synth.cost.Evaluation` (reference semantics,
-    including the truncated-utilizations shape on violation) from the
-    maintained aggregates.
+    reads.  Full :class:`~repro.synth.cost.Evaluation` records stay the
+    job of :func:`~repro.synth.cost.evaluate`: explorers re-evaluate
+    their best mapping with it.  Memory is the resident model of
+    ``evaluate``'s default (every variant's image loaded), so a
+    processor's memory column is a plain sum.
 
     ``capacity_bound=False`` skips the knapsack maintenance (useful for
     explorers that never read ``lower_bound()``, e.g. exhaustive
@@ -337,14 +338,9 @@ class SearchState:
     exclusion_live = False
 
     def __init__(
-        self,
-        problem: SynthesisProblem,
-        variants_resident: bool = True,
-        capacity_bound: bool = True,
+        self, problem: SynthesisProblem, capacity_bound: bool = True
     ) -> None:
         self.problem = problem
-        self.variants_resident = variants_resident
-        self.capacity_bound = capacity_bound
         arch = problem.architecture
         self._max_processors = arch.max_processors
         self._ipcost = quantize(arch.processor_cost)
@@ -357,7 +353,7 @@ class SearchState:
         self._index: Dict[str, int] = {
             unit: index for index, unit in enumerate(problem.units)
         }
-        #: unit -> (iload, imem, ihw_cost, util_key, mem_key)
+        #: unit -> (iload, imem, ihw_cost, util_key)
         self._info: Dict[str, tuple] = {}
         pending_hwonly = 0
         unassigned_swonly = 0
@@ -378,11 +374,7 @@ class SearchState:
                 else None
             )
             self._info[unit] = (
-                iload,
-                imem,
-                ihw,
-                problem.exclusion_group(unit),
-                None if variants_resident else problem.variant_group(unit),
+                iload, imem, ihw, problem.exclusion_group(unit)
             )
             if iload is None and ihw is not None:
                 pending_hwonly += ihw
@@ -392,8 +384,7 @@ class SearchState:
         self.assignment: Dict[str, Target] = {}
         self._buckets: Dict[int, Dict[str, None]] = {}
         self._uload: Dict[int, _ExclusionLoad] = {}
-        self._mload: Dict[int, _ExclusionLoad] = {}
-        self._hw_units: Set[str] = set()
+        self._mload: Dict[int, int] = {}
         self._ihwcost = 0
         self._ipending_hwonly = pending_hwonly
         self._unassigned_swonly = unassigned_swonly
@@ -432,7 +423,7 @@ class SearchState:
         density-sorted Fenwick tree of the undecided flexible units.
         """
         cluster_loads: Dict[Tuple[str, str], int] = {}
-        for unit, (iload, _imem, _ihw, ukey, _mkey) in self._info.items():
+        for unit, (iload, _imem, _ihw, ukey) in self._info.items():
             if iload is not None and ukey is not None:
                 cluster_loads[ukey] = cluster_loads.get(ukey, 0) + iload
         chosen: Dict[str, Tuple[str, str]] = {}
@@ -456,7 +447,7 @@ class SearchState:
             [] for _ in range(n_pools)
         ]
         common_floor = 0
-        for unit, (iload, _imem, ihw, ukey, _mkey) in self._info.items():
+        for unit, (iload, _imem, ihw, ukey) in self._info.items():
             if iload is None:
                 continue  # hardware-only: no capacity consumption
             pool = 0 if ukey is None else pool_of_cluster[ukey]
@@ -525,7 +516,7 @@ class SearchState:
         old = self.assignment.get(unit)
         if old is None:
             raise SynthesisError(f"unit {unit!r} is not assigned")
-        iload, imem, ihw, ukey, mkey = self._info[unit]
+        iload, imem, ihw, ukey = self._info[unit]
         was_software = old.kind is _SOFTWARE
         to_software = target.kind is _SOFTWARE
         if (iload if to_software else ihw) is None:
@@ -534,14 +525,12 @@ class SearchState:
                 f"unit {unit!r} mapped to {kind} without a {kind} option"
             )
         if was_software:
-            self._proc_remove(old.processor, unit, iload, imem, ukey, mkey)
+            self._proc_remove(old.processor, unit, iload, imem, ukey)
         else:
-            self._hw_units.discard(unit)
             self._ihwcost -= ihw
         if to_software:
-            self._proc_add(target.processor, unit, iload, imem, ukey, mkey)
+            self._proc_add(target.processor, unit, iload, imem, ukey)
         else:
-            self._hw_units.add(unit)
             self._ihwcost += ihw
         if was_software != to_software:
             self._pool_flip(unit, iload, to_software)
@@ -553,14 +542,14 @@ class SearchState:
             raise SynthesisError(
                 f"problem {self.problem.name!r} has no unit {unit!r}"
             )
-        iload, imem, ihw, ukey, mkey = info
+        iload, imem, ihw, ukey = info
         if target.kind is _SOFTWARE:
             if iload is None:
                 raise SynthesisError(
                     f"unit {unit!r} mapped to software without a software "
                     f"option"
                 )
-            self._proc_add(target.processor, unit, iload, imem, ukey, mkey)
+            self._proc_add(target.processor, unit, iload, imem, ukey)
             self._pool_decide(unit, iload, to_software=True)
         else:
             if ihw is None:
@@ -568,7 +557,6 @@ class SearchState:
                     f"unit {unit!r} mapped to hardware without a hardware "
                     f"option"
                 )
-            self._hw_units.add(unit)
             self._ihwcost += ihw
             self._pool_decide(unit, iload, to_software=False)
         if iload is None and ihw is not None:
@@ -577,14 +565,11 @@ class SearchState:
             self._unassigned_swonly -= 1
 
     def _remove(self, unit: str, target: Target) -> None:
-        iload, imem, ihw, ukey, mkey = self._info[unit]
+        iload, imem, ihw, ukey = self._info[unit]
         if target.kind is _SOFTWARE:
-            self._proc_remove(
-                target.processor, unit, iload, imem, ukey, mkey
-            )
+            self._proc_remove(target.processor, unit, iload, imem, ukey)
             self._pool_undecide(unit, iload, was_software=True)
         else:
-            self._hw_units.discard(unit)
             self._ihwcost -= ihw
             self._pool_undecide(unit, iload, was_software=False)
         if iload is None and ihw is not None:
@@ -600,7 +585,6 @@ class SearchState:
         iload: int,
         imem: int,
         ukey: _GroupKey,
-        mkey: _GroupKey,
     ) -> None:
         """Put one software unit's load on a processor column.
 
@@ -612,19 +596,18 @@ class SearchState:
         if bucket is None:
             bucket = self._buckets[processor] = {}
             uload = self._uload[processor] = _ExclusionLoad()
-            mload = self._mload[processor] = _ExclusionLoad()
+            mem = 0
         else:
             uload = self._uload[processor]
-            mload = self._mload[processor]
+            mem = self._mload[processor]
         bucket[unit] = None
         before = uload.total
         uload.add(ukey, iload)
         if before <= self._icap < uload.total:
             self._util_viol += 1
-        before = mload.total
-        mload.add(mkey, imem)
+        self._mload[processor] = mem + imem
         imcap = self._imcap
-        if imcap is not None and before <= imcap < mload.total:
+        if imcap is not None and mem <= imcap < mem + imem:
             self._mem_viol += 1
 
     def _proc_remove(
@@ -634,7 +617,6 @@ class SearchState:
         iload: int,
         imem: int,
         ukey: _GroupKey,
-        mkey: _GroupKey,
     ) -> None:
         """Take one software unit's load off a processor column."""
         bucket = self._buckets[processor]
@@ -643,10 +625,10 @@ class SearchState:
             # Forget the emptied column's aggregates wholesale.
             del self._buckets[processor]
             uload = self._uload.pop(processor)
-            mload = self._mload.pop(processor)
+            mem = self._mload.pop(processor)
             if uload.total > self._icap:
                 self._util_viol -= 1
-            if self._imcap is not None and mload.total > self._imcap:
+            if self._imcap is not None and mem > self._imcap:
                 self._mem_viol -= 1
             return
         uload = self._uload[processor]
@@ -654,11 +636,10 @@ class SearchState:
         uload.remove(ukey, iload)
         if uload.total <= self._icap < before:
             self._util_viol -= 1
-        mload = self._mload[processor]
-        before = mload.total
-        mload.remove(mkey, imem)
+        mem = self._mload[processor]
+        self._mload[processor] = mem - imem
         imcap = self._imcap
-        if imcap is not None and mload.total <= imcap < before:
+        if imcap is not None and mem - imem <= imcap < mem:
             self._mem_viol -= 1
 
     # -- knapsack-pool bookkeeping ---------------------------------------
@@ -710,42 +691,19 @@ class SearchState:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _iutil(self, processor: int) -> int:
-        """Integer (quanta) software utilization of one processor."""
-        uload = self._uload.get(processor)
-        return 0 if uload is None else uload.total
-
-    def _imem(self, processor: int) -> int:
-        """Integer (quanta) memory footprint of one processor."""
-        mload = self._mload.get(processor)
-        return 0 if mload is None else mload.total
-
     def utilization(self, processor: int) -> float:
         """Current software utilization of one processor."""
-        return self._iutil(processor) / QUANT_SCALE
+        uload = self._uload.get(processor)
+        return (0 if uload is None else uload.total) / QUANT_SCALE
 
     def memory(self, processor: int) -> float:
         """Current memory footprint of one processor."""
-        return self._imem(processor) / QUANT_SCALE
-
-    @property
-    def hardware_cost(self) -> float:
-        """Total hardware cost of the HW-assigned units."""
-        return self._ihwcost / QUANT_SCALE
-
-    @property
-    def software_cost(self) -> float:
-        """Processor-allocation cost of the current partial mapping."""
-        return self.processor_count * self._ipcost / QUANT_SCALE
+        return self._mload.get(processor, 0) / QUANT_SCALE
 
     @property
     def processor_count(self) -> int:
         """Number of processors currently hosting software."""
         return len(self._buckets)
-
-    def processors_used(self) -> Tuple[int, ...]:
-        """Sorted processor indices currently hosting software."""
-        return tuple(self.used_processors())
 
     def used_processors(self) -> List[int]:
         """Sorted processor indices — O(allocated), not O(assigned)."""
@@ -764,11 +722,6 @@ class SearchState:
             and self._mem_viol == 0
         )
 
-    @property
-    def complete(self) -> bool:
-        """Whether every unit of the problem is assigned."""
-        return len(self.assignment) == len(self.problem.units)
-
     def leaf(self) -> Tuple[bool, float]:
         """O(1) (feasible, total_cost) of the current complete mapping."""
         ok = self.feasible
@@ -786,24 +739,13 @@ class SearchState:
             processors = 1
         return processors
 
-    def basic_lower_bound(self) -> float:
-        """The capacity-blind admissible bound (pre-knapsack behavior).
-
-        Pays committed hardware, the cheapest hardware of undecided
-        hardware-only units, and every *already allocated* processor
-        (assigned units keep their targets in all completions of this
-        subtree).
-        """
-        return (
-            self._ihwcost
-            + self._ipending_hwonly
-            + self._processor_floor() * self._ipcost
-        ) / QUANT_SCALE
-
     def lower_bound(self) -> float:
         """Admissible lower bound on any completion's total cost.
 
-        :meth:`basic_lower_bound` plus the capacity-aware term: per
+        The capacity-blind part pays committed hardware, the cheapest
+        hardware of undecided hardware-only units, and every *already
+        allocated* processor (assigned units keep their targets in all
+        completions of this subtree).  The capacity-aware term adds, per
         knapsack pool, the cheapest hardware cost (fractional-knapsack
         relaxation) of the counted undecided software-capable load
         that cannot fit the architecture's total remaining processor
@@ -876,78 +818,6 @@ class SearchState:
         """Snapshot the current assignment as an immutable Mapping."""
         return Mapping(dict(self.assignment))
 
-    def evaluation(self) -> Evaluation:
-        """Full :class:`Evaluation` of the current complete mapping.
-
-        Mirrors the reference oracle's semantics — including the
-        truncated utilization tuple and violation message of the first
-        offending processor — but reads every aggregate from the
-        incrementally maintained integer state.
-        """
-        if not self.complete:
-            missing = [
-                u for u in self.problem.units if u not in self.assignment
-            ]
-            raise SynthesisError(f"mapping does not cover units {missing}")
-        arch = self.problem.architecture
-        processors = self.used_processors()
-        hardware_cost = self._ihwcost / QUANT_SCALE
-        if len(processors) > arch.max_processors:
-            return self._infeasible(
-                f"{len(processors)} processors used, template allows "
-                f"{arch.max_processors}"
-            )
-        utilizations: List[float] = []
-        for processor in processors:
-            iload = self._iutil(processor)
-            load = iload / QUANT_SCALE
-            utilizations.append(load)
-            if iload > self._icap:
-                return self._infeasible(
-                    f"processor {processor} utilization {load:.3f} exceeds "
-                    f"capacity {arch.processor_capacity:.3f}",
-                    partial_hw=hardware_cost,
-                    utilizations=tuple(utilizations),
-                )
-            if self._imcap is not None:
-                imem = self._imem(processor)
-                if imem > self._imcap:
-                    footprint = imem / QUANT_SCALE
-                    return self._infeasible(
-                        f"processor {processor} memory {footprint:.3f} "
-                        f"exceeds capacity {arch.memory_capacity:.3f}",
-                        partial_hw=hardware_cost,
-                        utilizations=tuple(utilizations),
-                    )
-        software_cost = len(processors) * self._ipcost / QUANT_SCALE
-        return Evaluation(
-            feasible=True,
-            total_cost=(
-                len(processors) * self._ipcost + self._ihwcost
-            )
-            / QUANT_SCALE,
-            software_cost=software_cost,
-            hardware_cost=hardware_cost,
-            processors_used=len(processors),
-            utilizations=tuple(utilizations),
-        )
-
-    def _infeasible(
-        self,
-        reason: str,
-        partial_hw: float = 0.0,
-        utilizations: Tuple[float, ...] = (),
-    ) -> Evaluation:
-        return Evaluation(
-            feasible=False,
-            total_cost=float("inf"),
-            software_cost=0.0,
-            hardware_cost=partial_hw,
-            processors_used=self.processor_count,
-            utilizations=utilizations,
-            violation=reason,
-        )
-
     # ------------------------------------------------------------------
     # batch evaluation API
     # ------------------------------------------------------------------
@@ -965,8 +835,9 @@ class SearchState:
         The forced term is processor-independent, so it is computed at
         most twice per call: once for software, once for hardware
         (:meth:`_forced_term` with the unit's pool slots skipped).
-        Software placements then read the probed processor column
-        through :meth:`_ExclusionLoad.probe_add`.  Every read is
+        Software placements then read the probed processor's
+        utilization column through :meth:`_ExclusionLoad.probe_add` and
+        its memory column as a plain sum.  Every read is
         byte-identical to the assign / read / unassign loop (the
         property suite pins it), and the bound is computed even for
         infeasible candidates, so callers may apply their own
@@ -979,7 +850,7 @@ class SearchState:
             raise SynthesisError(
                 f"problem {self.problem.name!r} has no unit {unit!r}"
             )
-        iload, imem, ihw, ukey, mkey = info
+        iload, imem, ihw, ukey = info
         base = self._ihwcost + self._ipending_hwonly
         ipcost = self._ipcost
         icap = self._icap
@@ -1009,10 +880,8 @@ class SearchState:
             else:
                 after = processors
                 util_over = uload.total <= icap < uload.probe_add(ukey, iload)
-                mload = self._mload[processor]
-                mem_over = imcap is not None and (
-                    mload.total <= imcap < mload.probe_add(mkey, imem)
-                )
+                mem = self._mload[processor]
+                mem_over = imcap is not None and mem <= imcap < mem + imem
             feasible = (
                 after <= self._max_processors
                 and self._util_viol + util_over == 0
@@ -1049,11 +918,6 @@ class SearchState:
         return (
             base + ihw + self._processor_floor() * self._ipcost + forced
         ) / QUANT_SCALE, self.feasible
-
-
-#: Public alias — the delta-cost search state *is* the incremental
-#: evaluator of the subsystem.
-IncrementalEvaluator = SearchState
 
 
 class _NumpySearchState(SearchState):
@@ -1202,8 +1066,8 @@ class ReferenceSearchState:
     """Full-recompute twin of :class:`SearchState` (the seed behavior).
 
     Same search interface, but every read runs the from-scratch
-    reference oracle: ``leaf()``/``evaluation()`` rebuild a
-    :class:`Mapping` and call :func:`~repro.synth.cost.evaluate`;
+    reference oracle: ``leaf()`` rebuilds a :class:`Mapping` and calls
+    :func:`~repro.synth.cost.evaluate`;
     ``lower_bound()`` re-walks all units.  Explorers accept it via
     ``incremental=False`` so benchmarks can *measure* the incremental
     speedup instead of asserting it.
@@ -1211,14 +1075,8 @@ class ReferenceSearchState:
 
     can_prune_infeasible = False
 
-    def __init__(
-        self,
-        problem: SynthesisProblem,
-        variants_resident: bool = True,
-        capacity_bound: bool = False,
-    ) -> None:
+    def __init__(self, problem: SynthesisProblem) -> None:
         self.problem = problem
-        self.variants_resident = variants_resident
         self.assignment: Dict[str, Target] = {}
 
     def assign(self, unit: str, target: Target) -> None:
@@ -1251,12 +1109,8 @@ class ReferenceSearchState:
             }
         )
 
-    @property
-    def complete(self) -> bool:
-        return len(self.assignment) == len(self.problem.units)
-
     def leaf(self) -> Tuple[bool, float]:
-        result = self.evaluation()
+        result = evaluate(self.problem, self.to_mapping())
         return result.feasible, result.total_cost
 
     def lower_bound(self) -> float:
@@ -1264,11 +1118,6 @@ class ReferenceSearchState:
 
     def to_mapping(self) -> Mapping:
         return Mapping(dict(self.assignment))
-
-    def evaluation(self) -> Evaluation:
-        return evaluate(
-            self.problem, self.to_mapping(), self.variants_resident
-        )
 
     def score_candidates(
         self, unit: str, targets: Sequence[Target]

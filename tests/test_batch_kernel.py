@@ -7,13 +7,14 @@ tolerances):
 
 * **scorer == oracle** — ``score_candidates`` equals the explicit
   assign / ``lower_bound`` / ``feasible`` / unassign loop for every
-  candidate, on arbitrary partial states, across ``capacity_bound`` ×
-  ``variants_resident``, and leaves the state untouched: assignment
+  candidate, on arbitrary partial states, with and without
+  ``capacity_bound``, and leaves the state untouched: assignment
   order, violation counters, and every knapsack pool's Fenwick arrays
   and totals;
-* **no kernel option** — passing ``backend=`` or the removed ``exact=``
-  flag raises ``TypeError``, and the three read-only names
-  ``perfbench`` uses keep their shape.
+* **no kernel option** — passing ``backend=``, the removed ``exact=``
+  flag, ``variants_resident=`` or (to the reference state)
+  ``capacity_bound=`` raises ``TypeError``, and the three read-only
+  names ``perfbench`` uses keep their shape.
 """
 
 import pytest
@@ -116,12 +117,8 @@ def partial_scenarios(draw):
     return problem, prefix, unit, capacity_bound
 
 
-def _build(problem, prefix, capacity_bound, variants_resident=True):
-    state = SearchState(
-        problem,
-        variants_resident=variants_resident,
-        capacity_bound=capacity_bound,
-    )
+def _build(problem, prefix, capacity_bound):
+    state = SearchState(problem, capacity_bound=capacity_bound)
     for unit, target in prefix:
         state.assign(unit, target)
     return state
@@ -153,19 +150,15 @@ def _kernel_snapshot(state):
 
 
 class TestBatchEqualsScalar:
-    @given(partial_scenarios(), st.booleans())
+    @given(partial_scenarios())
     @settings(max_examples=200, deadline=None)
-    def test_score_candidates_matches_probe_loop(
-        self, scenario, variants_resident
-    ):
+    def test_score_candidates_matches_probe_loop(self, scenario):
         problem, prefix, unit, capacity_bound = scenario
         targets = _admissible_targets(problem, unit)
         assume(targets)
-        oracle_state = _build(
-            problem, prefix, capacity_bound, variants_resident
-        )
+        oracle_state = _build(problem, prefix, capacity_bound)
         expected = _scalar_oracle(oracle_state, unit, targets)
-        state = _build(problem, prefix, capacity_bound, variants_resident)
+        state = _build(problem, prefix, capacity_bound)
         before = _kernel_snapshot(state)
         scored = state.score_candidates(unit, targets)
         # Byte-identity: same floats, same feasibility flags.
@@ -273,3 +266,19 @@ class TestExactFlagRemoved:
         for cls in (SearchState, ReferenceSearchState):
             with pytest.raises(TypeError):
                 cls(_tiny_problem(), exact=True)
+
+
+class TestRemovedStateOptions:
+    def test_variants_resident_is_a_type_error(self):
+        # The kernel models resident memory only; the production-variant
+        # model stays in ``cost.evaluate(..., variants_resident=False)``.
+        for value in (True, False):
+            for cls in (SearchState, ReferenceSearchState):
+                with pytest.raises(TypeError):
+                    cls(_tiny_problem(), variants_resident=value)
+
+    def test_reference_capacity_bound_is_a_type_error(self):
+        # The reference state never had a knapsack bound to switch.
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                ReferenceSearchState(_tiny_problem(), capacity_bound=value)

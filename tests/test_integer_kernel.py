@@ -21,6 +21,7 @@ from repro.synth.cost import (
     CAPACITY_SLACK_QUANTA,
     QUANT_SCALE,
     QUANT_SHIFT,
+    evaluate,
     quantize,
     quantize_capacity,
 )
@@ -122,35 +123,38 @@ class TestQuantizationTolerance:
         for unit, target in targets.items():
             state.assign(unit, target)
             reference.assign(unit, target)
-        result = state.evaluation()
-        oracle = reference.evaluation()
+        oracle = evaluate(problem, state.to_mapping())
         # Decimal grids sit >= 1e-4 apart; quantization drifts < 1e-7,
         # so feasibility can never flip.
-        assert result.feasible == oracle.feasible
-        assert result.processors_used == oracle.processors_used
+        feasible, cost = state.leaf()
+        reference_feasible, reference_cost = reference.leaf()
+        assert feasible == state.feasible == reference_feasible
+        assert len(state.used_processors()) == oracle.processors_used
         n = len(problem.units)
-        if result.feasible:
-            assert (
-                abs(result.total_cost - oracle.total_cost) <= n * QUANT_TOL
-            )
-            assert len(result.utilizations) == len(oracle.utilizations)
-            for mine, theirs in zip(
-                result.utilizations, oracle.utilizations
+        if feasible:
+            assert abs(cost - reference_cost) <= n * QUANT_TOL
+            assert len(oracle.utilizations) == oracle.processors_used
+            for processor, theirs in zip(
+                state.used_processors(), oracle.utilizations
             ):
+                mine = state.utilization(processor)
                 assert abs(mine - theirs) <= n * QUANT_TOL
 
-    @given(assignments())
+    @given(assignments(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_byte_identical_across_mutation_orders(self, scenario):
-        """Two histories, same assignment => exactly equal reads."""
+    def test_byte_identical_across_mutation_orders(
+        self, scenario, capacity_bound
+    ):
+        """Two histories, same assignment => exactly equal reads, with
+        and without the capacity-aware bound."""
         problem, targets = scenario
         rng = random.Random(99)
 
-        direct = SearchState(problem)
+        direct = SearchState(problem, capacity_bound=capacity_bound)
         for unit in problem.units:
             direct.assign(unit, targets[unit])
 
-        detoured = SearchState(problem)
+        detoured = SearchState(problem, capacity_bound=capacity_bound)
         order = list(problem.units)
         rng.shuffle(order)
         for unit in order:
@@ -164,11 +168,11 @@ class TestQuantizationTolerance:
         for unit in order:
             detoured.reassign(unit, targets[unit])
 
-        assert direct.evaluation() == detoured.evaluation()
+        assert direct.feasible == detoured.feasible
         assert direct.leaf() == detoured.leaf()
         assert direct.lower_bound() == detoured.lower_bound()
-        assert direct.basic_lower_bound() == detoured.basic_lower_bound()
-        for processor in direct.processors_used():
+        assert direct.used_processors() == detoured.used_processors()
+        for processor in direct.used_processors():
             assert direct.utilization(processor) == detoured.utilization(
                 processor
             )

@@ -7,7 +7,7 @@ values, where the integer kernel has no quantization error):
   exceeds the cost of the best feasible completion found by exhaustive
   enumeration of the remaining decisions;
 * **at least as tight as the old bound** — pointwise ``>=`` both the
-  state's own capacity-blind :meth:`basic_lower_bound` and the
+  capacity-blind bound (a ``capacity_bound=False`` twin state) and the
   module-level :func:`repro.synth.cost.lower_bound` oracle.
 """
 
@@ -25,6 +25,18 @@ from repro.synth.mapping import (
     VariantOrigin,
 )
 from repro.synth.state import SearchState
+
+
+def _twin_states(problem, partial):
+    """The capacity-aware state and its capacity-blind twin."""
+    states = (
+        SearchState(problem),
+        SearchState(problem, capacity_bound=False),
+    )
+    for state in states:
+        for unit, target in partial.items():
+            state.assign(unit, target)
+    return states
 
 
 @st.composite
@@ -130,11 +142,9 @@ class TestCapacityAwareBound:
     @settings(max_examples=150, deadline=None)
     def test_at_least_as_tight_as_old_bound_pointwise(self, scenario):
         problem, partial = scenario
-        state = SearchState(problem)
-        for unit, target in partial.items():
-            state.assign(unit, target)
+        state, blind = _twin_states(problem, partial)
         bound = state.lower_bound()
-        assert bound >= state.basic_lower_bound()
+        assert bound >= blind.lower_bound()
         assert bound >= lower_bound(problem, state.assignment) - 1e-9
 
     @given(partial_states())
@@ -152,11 +162,13 @@ class TestCapacityAwareBound:
     def test_bound_round_trips_with_unassign(self, scenario):
         """Knapsack maintenance must restore state exactly on backtrack."""
         problem, partial = scenario
-        state = SearchState(problem)
+        state, blind = _twin_states(problem, {})
         pristine = state.lower_bound()
         for unit, target in partial.items():
             state.assign(unit, target)
+            blind.assign(unit, target)
         for unit in reversed(list(partial)):
             state.unassign(unit)
+            blind.unassign(unit)
         assert state.lower_bound() == pristine
-        assert state.lower_bound() >= state.basic_lower_bound()
+        assert state.lower_bound() >= blind.lower_bound()

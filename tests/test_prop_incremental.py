@@ -114,29 +114,33 @@ def scenarios(draw):
     return problem, targets, order, moves
 
 
-def _assert_state_matches_reference(state, problem, variants_resident):
+def _assert_state_matches_reference(state, problem):
     mapping = state.to_mapping()
-    reference = evaluate(problem, mapping, variants_resident)
-    result = state.evaluation()
-    assert result.feasible == reference.feasible
-    assert result.total_cost == reference.total_cost
-    assert result.software_cost == reference.software_cost
-    assert result.hardware_cost == reference.hardware_cost
-    assert result.processors_used == reference.processors_used
-    assert result.utilizations == reference.utilizations
-    assert result.violation == reference.violation
-    for processor in state.processors_used():
+    reference = evaluate(problem, mapping)
+    used = state.used_processors()
+    assert tuple(used) == mapping.processors_used()
+    assert len(used) == reference.processors_used
+    utilizations = tuple(state.utilization(p) for p in used)
+    for processor in used:
         assert state.utilization(processor) == processor_utilization(
             problem, mapping, processor
         )
         assert state.memory(processor) == processor_memory(
-            problem, mapping, processor, variants_resident
+            problem, mapping, processor
         )
-    # fast leaf read agrees with the full evaluation
+    # The oracle stops at the first violating processor; up to there
+    # its utilizations are the kernel's.
+    assert utilizations[: len(reference.utilizations)] == (
+        reference.utilizations
+    )
+    assert state.feasible == reference.feasible
     feasible, cost = state.leaf()
     assert feasible == reference.feasible
     if feasible:
         assert cost == reference.total_cost
+        assert utilizations == reference.utilizations
+    else:
+        assert cost == float("inf")
     # the O(1) bound is admissible and at least as tight as the oracle's
     bound = state.lower_bound()
     assert bound >= lower_bound(problem, state.assignment) - 1e-9
@@ -145,30 +149,24 @@ def _assert_state_matches_reference(state, problem, variants_resident):
 
 
 class TestIncrementalMatchesReference:
-    @given(scenarios(), st.booleans())
+    @given(scenarios())
     @settings(max_examples=250, deadline=None)
-    def test_cross_check_after_builds_and_moves(
-        self, scenario, variants_resident
-    ):
+    def test_cross_check_after_builds_and_moves(self, scenario):
         problem, targets, order, moves = scenario
-        state = SearchState(problem, variants_resident=variants_resident)
+        state = SearchState(problem)
         for unit in order:
             state.assign(unit, targets[unit])
-        _assert_state_matches_reference(state, problem, variants_resident)
+        _assert_state_matches_reference(state, problem)
         for unit, new_target in moves:
             state.reassign(unit, new_target)
-            _assert_state_matches_reference(
-                state, problem, variants_resident
-            )
+            _assert_state_matches_reference(state, problem)
 
-    @given(scenarios(), st.booleans())
+    @given(scenarios())
     @settings(max_examples=60, deadline=None)
-    def test_partial_states_match_bucket_aggregation(
-        self, scenario, variants_resident
-    ):
+    def test_partial_states_match_bucket_aggregation(self, scenario):
         """Assign/unassign sequences leave partial aggregates exact."""
         problem, targets, order, _ = scenario
-        state = SearchState(problem, variants_resident=variants_resident)
+        state = SearchState(problem)
         assigned = []
         rng = random.Random(1234)
         for unit in order:
@@ -177,7 +175,9 @@ class TestIncrementalMatchesReference:
             if len(assigned) > 1 and rng.random() < 0.4:
                 victim = assigned.pop(rng.randrange(len(assigned)))
                 state.unassign(victim)
-            for processor in state.processors_used():
+            used = state.used_processors()
+            assert tuple(used) == state.to_mapping().processors_used()
+            for processor in used:
                 bucket = [
                     u
                     for u in problem.units
@@ -189,7 +189,7 @@ class TestIncrementalMatchesReference:
                     problem, bucket
                 )
                 assert state.memory(processor) == memory_of_units(
-                    problem, bucket, variants_resident
+                    problem, bucket
                 )
 
     @given(scenarios())
@@ -204,7 +204,8 @@ class TestIncrementalMatchesReference:
             state.unassign(unit)
         assert state.assignment == {}
         assert state.processor_count == 0
-        assert state.hardware_cost == 0.0
+        assert state.used_processors() == []
+        assert state.leaf() == (True, 0.0)
         assert state.feasible
         assert state.lower_bound() == pristine_bound
 
@@ -323,8 +324,10 @@ def _recount_total(pairs):
     return common + sum(imax.values())
 
 
-def _assert_kernel_invariants(state):
-    """Maintained totals and violation counters equal a recount."""
+def _assert_kernel_invariants(state, capacity_bound):
+    """Maintained totals and violation counters equal a recount, and
+    every read equals a fresh state's built straight to the same
+    assignment."""
     problem = state.problem
     columns = {}
     for unit, target in state.assignment.items():
@@ -339,27 +342,23 @@ def _assert_kernel_invariants(state):
             (problem.exclusion_group(unit), quantize(sw.utilization))
             for unit, sw in zip(units, software)
         )
-        memory = _recount_total(
-            (
-                None if state.variants_resident else problem.variant_group(u),
-                quantize(sw.memory),
-            )
-            for u, sw in zip(units, software)
-        )
-        for load, expected in (
-            (state._uload[processor], util),
-            (state._mload[processor], memory),
-        ):
-            assert load.total == load.common + sum(load.imax.values())
-            assert load.total == expected
+        memory = sum(quantize(sw.memory) for sw in software)
+        load = state._uload[processor]
+        assert load.total == load.common + sum(load.imax.values())
+        assert load.total == util
+        assert state._mload[processor] == memory
         util_viol += util > state._icap
         if state._imcap is not None:
             mem_viol += memory > state._imcap
     assert state._util_viol == util_viol
     assert state._mem_viol == mem_viol
+    fresh = SearchState(problem, capacity_bound=capacity_bound)
+    for unit, target in state.assignment.items():
+        fresh.assign(unit, target)
+    assert _kernel_reads(state) == _kernel_reads(fresh)
 
 
-def _walk(state, steps):
+def _walk(state, steps, capacity_bound=True):
     """Apply (unit, choice) steps: assign, reassign, or unassign."""
     problem = state.problem
     for unit, choice in steps:
@@ -372,7 +371,7 @@ def _walk(state, steps):
             state.assign(unit, targets[choice])
         else:
             state.reassign(unit, targets[choice])
-        _assert_kernel_invariants(state)
+        _assert_kernel_invariants(state, capacity_bound)
 
 
 @st.composite
@@ -411,15 +410,15 @@ class TestScalarKernelInvariants:
     @given(kernel_walks(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_random_walks_keep_totals_and_violations_exact(
-        self, walk, variants_resident
+        self, walk, capacity_bound
     ):
         problem, steps = walk
-        state = SearchState(problem, variants_resident=variants_resident)
-        _walk(state, steps)
+        state = SearchState(problem, capacity_bound=capacity_bound)
+        _walk(state, steps, capacity_bound)
 
     @pytest.mark.parametrize("memcap", [0.0, 0.75])
-    @pytest.mark.parametrize("variants_resident", [True, False])
-    def test_ties_and_emptied_groups(self, memcap, variants_resident):
+    @pytest.mark.parametrize("capacity_bound", [True, False])
+    def test_ties_and_emptied_groups(self, memcap, capacity_bound):
         # u0/u1 tie as t1's max on cpu0 (clusters A and B); u2 is a
         # common unit; u3 is t2's only unit; u4 joins t1's cluster B.
         problem = _walk_problem(
@@ -430,7 +429,7 @@ class TestScalarKernelInvariants:
             max_processors=2,
             memcap=memcap,
         )
-        state = SearchState(problem, variants_resident=variants_resident)
+        state = SearchState(problem, capacity_bound=capacity_bound)
         sw0, sw1, hw, drop = 0, 1, 3, 9
         _walk(
             state,
@@ -452,6 +451,7 @@ class TestScalarKernelInvariants:
                 ("u1", drop),
                 ("u3", drop),
             ],
+            capacity_bound,
         )
         assert not state._uload and not state._mload
         assert state._util_viol == 0 and state._mem_viol == 0

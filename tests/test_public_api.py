@@ -49,3 +49,11 @@ class TestExports:
             mod = importlib.import_module(module)
             for name in mod.__all__:
                 assert not name.startswith("_")
+
+    def test_synth_exports_one_search_state_name(self):
+        import repro.synth as synth
+
+        assert {"SearchState", "ReferenceSearchState"} <= set(synth.__all__)
+        assert "IncrementalEvaluator" not in synth.__all__
+        with pytest.raises(ImportError):
+            from repro.synth import IncrementalEvaluator  # noqa: F401

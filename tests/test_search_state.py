@@ -13,11 +13,7 @@ from repro.synth.cost import (
 from repro.synth.explorer import BranchBoundExplorer
 from repro.synth.library import ComponentLibrary
 from repro.synth.mapping import Mapping, SynthesisProblem, Target, VariantOrigin
-from repro.synth.state import (
-    IncrementalEvaluator,
-    ReferenceSearchState,
-    SearchState,
-)
+from repro.synth.state import ReferenceSearchState, SearchState
 from repro.zoo import FAMILIES, generate
 
 
@@ -76,26 +72,19 @@ class TestDeltaAggregates:
         assert state.utilization(0) == pytest.approx(0.5)
 
     def test_memory_resident_sums_all_variants(self):
-        state = SearchState(variant_problem(), variants_resident=True)
+        state = SearchState(variant_problem())
         for unit in ("K", "A1", "B1"):
             state.assign(unit, Target.sw(0))
         assert state.memory(0) == pytest.approx(0.25 + 0.5 + 0.75)
-
-    def test_memory_production_takes_max(self):
-        state = SearchState(variant_problem(), variants_resident=False)
-        for unit in ("K", "A1", "B1"):
-            state.assign(unit, Target.sw(0))
-        assert state.memory(0) == pytest.approx(0.25 + max(0.5, 0.75))
 
     def test_hardware_cost_and_processor_accounting(self):
         state = SearchState(variant_problem())
         state.assign("K", Target.hw())
         state.assign("A1", Target.sw(1))
-        assert state.hardware_cost == 30
-        assert state.software_cost == 15
-        assert state.processors_used() == (1,)
+        assert state.used_processors() == [1]
+        assert state.leaf() == (True, 30 + 15)
         state.unassign("K")
-        assert state.hardware_cost == 0.0
+        assert state.leaf() == (True, 15)
 
 
 class TestFeasibilityAndLeaf:
@@ -126,12 +115,6 @@ class TestFeasibilityAndLeaf:
         assert feasible == reference.feasible
         assert cost == reference.total_cost
 
-    def test_evaluation_raises_on_incomplete_mapping(self):
-        state = SearchState(variant_problem())
-        state.assign("K", Target.sw(0))
-        with pytest.raises(SynthesisError):
-            state.evaluation()
-
     def test_too_many_processors_infeasible(self):
         problem = variant_problem(
             architecture=ArchitectureTemplate(
@@ -143,7 +126,8 @@ class TestFeasibilityAndLeaf:
         state.assign("A1", Target.sw(1))
         state.assign("B1", Target.hw())
         assert not state.feasible
-        result = state.evaluation()
+        assert state.leaf() == (False, float("inf"))
+        result = evaluate(problem, state.to_mapping())
         assert not result.feasible
         assert "processors" in result.violation
 
@@ -165,10 +149,10 @@ class TestLowerBound:
         partial_bound = state.lower_bound()
         state.assign("A1", Target.sw(0))
         state.assign("B1", Target.sw(0))
-        result = state.evaluation()
-        assert result.feasible
-        assert partial_bound <= result.total_cost + 1e-9
-        assert state.lower_bound() <= result.total_cost + 1e-9
+        feasible, cost = state.leaf()
+        assert feasible
+        assert partial_bound <= cost + 1e-9
+        assert state.lower_bound() <= cost + 1e-9
 
     def test_bound_counts_allocated_processors(self):
         problem = variant_problem()
@@ -231,7 +215,14 @@ class TestReassignAndExactMode:
         stepped.unassign("A1")
         stepped.assign("A1", Target.sw(1))
         assert moved.assignment == stepped.assignment
-        assert moved.evaluation() == stepped.evaluation()
+        assert moved.leaf() == stepped.leaf()
+        assert moved.lower_bound() == stepped.lower_bound()
+        assert moved.used_processors() == stepped.used_processors() == [0, 1]
+        for processor in (0, 1):
+            assert moved.utilization(processor) == stepped.utilization(
+                processor
+            )
+            assert moved.memory(processor) == stepped.memory(processor)
 
     @pytest.mark.parametrize("build", sorted(STATE_BUILDS))
     def test_reassign_flip_reelects_like_unassign_assign(self, build):
@@ -271,11 +262,9 @@ class TestReassignAndExactMode:
             state.assign(unit, target)
         mapping = Mapping(targets)
         reference = evaluate(problem, mapping)
-        result = state.evaluation()
-        assert result.feasible == reference.feasible
-        assert result.total_cost == pytest.approx(
-            reference.total_cost, abs=1e-8
-        )
+        feasible, cost = state.leaf()
+        assert feasible == reference.feasible
+        assert cost == pytest.approx(reference.total_cost, abs=1e-8)
         for processor in (0, 1):
             assert state.utilization(processor) == pytest.approx(
                 processor_utilization(problem, mapping, processor),
@@ -302,7 +291,11 @@ class TestReassignAndExactMode:
             state = SearchState(problem)
             for unit in order:
                 state.assign(unit, targets[unit])
-            assert state.evaluation() == reference
+            assert state.leaf() == (reference.feasible, reference.total_cost)
+            assert tuple(
+                state.utilization(processor)
+                for processor in state.used_processors()
+            ) == reference.utilizations
             for processor in (0, 1):
                 assert state.utilization(processor) == (
                     processor_utilization(problem, mapping, processor)
@@ -325,15 +318,12 @@ class TestReassignAndExactMode:
         detoured.reassign("A1", Target.sw(0))
         detoured.reassign("K", Target.sw(0))
         detoured.reassign("B1", Target.hw())
-        assert direct.evaluation() == detoured.evaluation()
+        assert direct.feasible == detoured.feasible
         assert direct.leaf() == detoured.leaf()
         assert direct.lower_bound() == detoured.lower_bound()
+        assert direct.used_processors() == detoured.used_processors()
         assert direct.utilization(0) == detoured.utilization(0)
         assert direct.memory(0) == detoured.memory(0)
-        assert direct.hardware_cost == detoured.hardware_cost
-
-    def test_incremental_evaluator_alias(self):
-        assert IncrementalEvaluator is SearchState
 
 
 class TestValidation:
@@ -393,13 +383,14 @@ class TestReferenceSearchState:
         assert incremental.leaf()[1] == pytest.approx(
             reference.leaf()[1], abs=1e-8
         )
-        result, oracle = incremental.evaluation(), reference.evaluation()
-        assert result.feasible == oracle.feasible
-        assert result.total_cost == pytest.approx(
-            oracle.total_cost, abs=1e-8
-        )
-        assert result.utilizations == pytest.approx(
-            oracle.utilizations, abs=1e-8
+        oracle = evaluate(problem, reference.to_mapping())
+        assert incremental.feasible == oracle.feasible
+        assert tuple(
+            incremental.utilization(processor)
+            for processor in incremental.used_processors()
+        ) == pytest.approx(oracle.utilizations, abs=1e-8)
+        assert incremental.used_processors() == (
+            reference.used_processors()
         )
         assert incremental.to_mapping().assignment == (
             reference.to_mapping().assignment
@@ -438,7 +429,8 @@ class TestCapacityAwareBound:
         # Keeping "a" (density 40/load) in software is optimal for the
         # adversary; "b" and "c" (0.7 load) must be bought: 4 + 2 = 6.
         assert state.lower_bound() == pytest.approx(6.0, abs=1e-6)
-        assert state.basic_lower_bound() == 0.0
+        blind = SearchState(self.knapsack_problem(), capacity_bound=False)
+        assert blind.lower_bound() == 0.0
 
     def test_bound_tightens_as_software_commits(self):
         state = SearchState(self.knapsack_problem())
@@ -505,9 +497,16 @@ class TestCapacityAwareBound:
         assert state.feasible
 
     def test_disabled_capacity_bound_falls_back_to_basic(self):
-        state = SearchState(self.knapsack_problem(), capacity_bound=False)
-        assert state.lower_bound() == state.basic_lower_bound()
+        # Without the knapsack term the bound pays allocated processors
+        # only; the capacity-aware twin adds the forced 4 + 2.
+        problem = self.knapsack_problem(processor_cost=3.0)
+        state = SearchState(problem, capacity_bound=False)
+        aware = SearchState(problem)
         assert state.lower_bound() == 0.0
+        for twin in (state, aware):
+            twin.assign("a", Target.sw(0))
+        assert state.lower_bound() == 3.0
+        assert aware.lower_bound() == pytest.approx(3.0 + 6.0, abs=1e-6)
 
 
 class TestDynamicPoolGate:

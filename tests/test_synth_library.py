@@ -1,5 +1,7 @@
 """Unit tests for repro.synth.library and architecture."""
 
+import math
+
 import pytest
 
 from repro.errors import SynthesisError
@@ -105,3 +107,40 @@ class TestArchitecture:
             ArchitectureTemplate(processor_cost=-5)
         with pytest.raises(SynthesisError):
             ArchitectureTemplate(processor_capacity=0)
+
+
+#: Every numeric model field with its non-finite values.  Each one
+#: passed the sign checks (NaN compares false both ways) and then
+#: crashed the search's quantization with a raw OverflowError or
+#: ValueError.
+NON_FINITE_FIELDS = [
+    (ArchitectureTemplate, "max_processors", field_value)
+    for field_value in (math.inf, math.nan)
+] + [
+    (ArchitectureTemplate, field, field_value)
+    for field in ("processor_cost", "processor_capacity", "memory_capacity")
+    for field_value in (math.inf, -math.inf, math.nan)
+] + [
+    (SoftwareOption, field, field_value)
+    for field in ("utilization", "memory")
+    for field_value in (math.inf, math.nan)
+] + [
+    (HardwareOption, "cost", field_value)
+    for field_value in (math.inf, math.nan)
+]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "cls,field,value",
+        NON_FINITE_FIELDS,
+        ids=[f"{c.__name__}.{f}={v}" for c, f, v in NON_FINITE_FIELDS],
+    )
+    def test_non_finite_field_is_a_synthesis_error(self, cls, field, value):
+        required = {
+            ArchitectureTemplate: {},
+            SoftwareOption: {"utilization": 0.5},
+            HardwareOption: {"cost": 1.0},
+        }[cls]
+        with pytest.raises(SynthesisError, match=f"{field}.*finite"):
+            cls(**{**required, field: value})

@@ -10,8 +10,10 @@ from repro.synth.mapping import (
     SynthesisProblem,
     Target,
     VariantOrigin,
+    encode_target,
     origin_from_name,
     problem_for_graph,
+    problem_payload,
     units_of_graph,
 )
 from tests.conftest import chain_graph
@@ -202,3 +204,29 @@ class TestProblem:
             architecture=ArchitectureTemplate(),
         )
         assert problem.total_effort() == 2.0
+
+
+class TestTargetText:
+    def test_problem_payload_spells_fixed_targets(self):
+        # The fixed-target text is hashed into checkpoint fingerprints
+        # and serve job keys: changing it orphans every stored blob.
+        problem = SynthesisProblem(
+            name="p",
+            units=("K", "A1", "B1"),
+            library=small_library("K", "A1", "B1"),
+            architecture=ArchitectureTemplate(max_processors=3),
+            fixed={"K": Target.hw(), "B1": Target.sw(2), "A1": Target.sw(0)},
+        )
+        assert problem_payload(problem)["fixed"] == {
+            "A1": "sw:0",
+            "B1": "sw:2",
+            "K": "hw",
+        }
+
+    def test_encode_target_is_the_repr(self):
+        for target, text in (
+            (Target.hw(), "hw"),
+            (Target.sw(0), "sw:0"),
+            (Target.sw(11), "sw:11"),
+        ):
+            assert encode_target(target) == repr(target) == text
